@@ -146,8 +146,10 @@ def sample(attributes, mask, params: ParameterStore, denoiser_config: DenoiserCo
     """Generate geometry for the given attributes by full ancestral sampling.
 
     Returns the raw trajectory endpoint and, when clamping is enabled, a
-    [-1, 1]-clamped copy intended for rendering only.
+    [-1, 1]-clamped copy intended for rendering only.  The reverse steps run
+    on untracked copies of the parameters, so they record no tape.
     """
+    params = ParameterStore({name: t.detach() for name, t in params.items()})
     mask = np.asarray(mask, dtype=bool)
     b, n = mask.shape
     dtype = params[params.names()[0]].data.dtype

@@ -93,7 +93,6 @@ def alignment_blt(layouts: Sequence[Layout], include_y: bool = False) -> float:
         axes = [(frame.left, frame.cx, frame.right)]
         if include_y:
             axes.append((frame.top, frame.cy, frame.bottom))
-        layout_sum = np.zeros(len(frame))
         per_axis = []
         for coords in axes:
             stacked = np.stack([np.abs(c[:, None] - c[None, :]) for c in coords])

@@ -194,8 +194,14 @@ def matmul(a, b) -> Tensor:
             ga = g @ np.swapaxes(b.data, -1, -2)
             _accumulate(a, _unbroadcast(ga, a.data.shape))
         if b.requires_grad:
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            _accumulate(b, _unbroadcast(gb, b.data.shape))
+            if b.data.ndim == 2 and a.data.ndim > 2:
+                # A shared 2-D weight: fold the batch dims into one GEMM
+                # instead of a batched product summed by _unbroadcast.
+                k, m = b.data.shape
+                gb = a.data.reshape(-1, k).T @ g.reshape(-1, m)
+            else:
+                gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+            _accumulate(b, gb)
 
     return _result(out_data, (a, b), bwd)
 
@@ -289,14 +295,15 @@ def gelu(a) -> Tensor:
     """GELU in its tanh form; smooth, with a closed-form derivative."""
     a = as_tensor(a)
     x = a.data
-    inner = _GELU_C * (x + _GELU_A * x**3)
+    x2 = x * x  # ``x**3`` would go through libm pow, several times slower
+    inner = _GELU_C * (x + _GELU_A * x2 * x)
     th = np.tanh(inner)
     out_data = 0.5 * x * (1.0 + th)
 
     def bwd(g):
         if a.requires_grad:
             sech2 = 1.0 - th * th
-            local = 0.5 * (1.0 + th) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
+            local = 0.5 * (1.0 + th) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
             _accumulate(a, g * local)
 
     return _result(out_data, (a,), bwd)

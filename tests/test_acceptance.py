@@ -7,6 +7,7 @@ regression floors on top of the primary limits.
 """
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
@@ -20,6 +21,9 @@ from layoutdiffusion.metrics import pair_max_iou
 from layoutdiffusion.tensor import Tensor, collect_grads, mul, sub, tsum
 
 CLI = [sys.executable, "-m", "layoutdiffusion.cli"]
+# The CLI runs in a temporary directory, where a relative PYTHONPATH would
+# not resolve; point it at the package this suite imported.
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(ld.__file__)))
 
 
 def announce(name, started):
@@ -27,7 +31,9 @@ def announce(name, started):
 
 
 def run_cli(args, cwd):
-    proc = subprocess.run(CLI + args, cwd=cwd, capture_output=True, text=True)
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    proc = subprocess.run(CLI + args, cwd=cwd, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc
 

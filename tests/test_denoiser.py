@@ -7,7 +7,7 @@ from layoutdiffusion.denoiser import (DenoiserConfig, denoise, element_position_
                                       transformer_layer)
 from layoutdiffusion.exceptions import DataError
 from layoutdiffusion.rng import RngStream
-from layoutdiffusion.tensor import Tensor
+from layoutdiffusion.tensor import ParameterStore, Tensor
 
 RNG = np.random.default_rng(77)
 
@@ -276,6 +276,18 @@ def test_denoise_deterministic_and_masked_zero(setup):
     np.testing.assert_array_equal(a[0, 2:], np.zeros((2, 4)))
     assert a.shape == (2, 4, 4)
     assert np.all(np.isfinite(a))
+
+
+def test_denoise_on_detached_params_records_no_tape(setup):
+    config, params = setup
+    detached = ParameterStore({name: t.detach() for name, t in params.items()})
+    geometry = RNG.normal(size=(2, 4, 4))
+    labels = RNG.integers(0, config.num_classes, size=(2, 4))
+    mask = np.array([[True, True, False, False], [True, True, True, True]])
+    out = denoise(geometry, np.array([1, 1000]), labels, mask, detached, config)
+    assert out._parents == ()
+    assert out._backward is None
+    assert not out.requires_grad
 
 
 def test_denoise_relu_option_changes_output():

@@ -3,14 +3,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from layoutdiffusion import diffusion
 from layoutdiffusion.data import SynthSpec, make_synthetic_dataset, pad_batch
-from layoutdiffusion.denoiser import DenoiserConfig, init_denoiser_params
+from layoutdiffusion.denoiser import DenoiserConfig, denoise, init_denoiser_params
 from layoutdiffusion.diffusion import (DiffusionConfig, TrainConfig, build_schedule,
                                        p_sample_step, posterior_mean, q_sample,
                                        sample, train, training_step)
 from layoutdiffusion.optim import AdamState
 from layoutdiffusion.rng import RngStream
-from layoutdiffusion.tensor import Tensor
+from layoutdiffusion.tensor import ParameterStore, Tensor
 
 RNG = np.random.default_rng(55)
 
@@ -227,6 +228,31 @@ def test_sample_deterministic_and_shaped():
     assert a.geometry_clamped.min() >= -1.0 and a.geometry_clamped.max() <= 1.0
     c = sample(labels, mask, params, config, sched, RngStream(43))
     assert not np.array_equal(a.geometry_raw, c.geometry_raw)
+
+
+def test_sample_builds_no_tape_and_leaves_params_tracked(monkeypatch):
+    config = DenoiserConfig(d_model=16, num_layers=1, num_heads=2, ffn_dim=16,
+                            num_classes=2, n_max=4)
+    params = init_denoiser_params(config, RngStream(5))
+    detached = ParameterStore({name: t.detach() for name, t in params.items()})
+    sched = build_schedule(20, 1e-4, 0.02)
+    labels = np.array([[0, 1, 1], [1, 0, 0]])
+    mask = np.array([[True, True, False], [True, True, True]])
+    outputs = []
+
+    def recording_denoise(*args):
+        outputs.append(denoise(*args))
+        return outputs[-1]
+
+    monkeypatch.setattr(diffusion, "denoise", recording_denoise)
+    tracked = sample(labels, mask, params, config, sched, RngStream(42))
+    assert len(outputs) == sched.timesteps
+    assert not any(out.requires_grad for out in outputs)
+    untracked = sample(labels, mask, detached, config, sched, RngStream(42))
+    assert np.array_equal(tracked.geometry_raw, untracked.geometry_raw)
+    for name, t in params.items():
+        assert t.requires_grad, name
+        assert t.grad is None, name
 
 
 # -- training step ----------------------------------------------------------------

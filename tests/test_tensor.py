@@ -26,21 +26,27 @@ def numeric_grad(fn, x, h=1e-6):
     return g
 
 
-def check_op(build, x_shape, atol=1e-7):
-    """Compare tape gradients with numeric differences through a random
-    scalar projection of the op output."""
-    x = RNG.normal(size=x_shape)
-    leaf = Tensor(x.copy(), requires_grad=True)
-    out = build(leaf)
+def check_grads(build, inputs, atol=1e-7):
+    """Compare the tape gradient of every input, all tracked at once, with
+    numeric differences through a random scalar projection of the op output."""
+    leaves = [Tensor(x.copy(), requires_grad=True) for x in inputs]
+    out = build(*leaves)
     proj = RNG.normal(size=out.data.shape)
     loss = tsum(mul(out, Tensor(proj)))
     backward(loss)
 
-    def scalar(arr):
-        return float((build(Tensor(arr)).data * proj).sum())
+    for i, (leaf, x) in enumerate(zip(leaves, inputs)):
+        def scalar(arr, i=i):
+            args = [Tensor(arr if j == i else y) for j, y in enumerate(inputs)]
+            return float((build(*args).data * proj).sum())
 
-    expected = numeric_grad(scalar, x.copy())
-    np.testing.assert_allclose(leaf.grad, expected, atol=atol)
+        expected = numeric_grad(scalar, x.copy())
+        np.testing.assert_allclose(leaf.grad, expected, atol=atol)
+
+
+def check_op(build, x_shape, atol=1e-7):
+    """``check_grads`` for one standard-normal input."""
+    check_grads(build, [RNG.normal(size=x_shape)], atol=atol)
 
 
 def test_add_broadcast_grad():
@@ -69,6 +75,12 @@ def test_matmul_grads_2d_3d_4d():
     check_op(lambda t: matmul(t, Tensor(b4)), (2, 2, 3, 4))
 
 
+def test_matmul_grads_batched_by_2d_weight_both_tracked():
+    # The weight gradient folds the batch dims of ``a`` into one GEMM.
+    for a_shape in [(2, 3, 4), (2, 2, 3, 4)]:
+        check_grads(matmul, [RNG.normal(size=a_shape), RNG.normal(size=(4, 5))])
+
+
 def test_reshape_transpose_concat_grad():
     check_op(lambda t: reshape(t, (6, 2)), (3, 4))
     check_op(lambda t: transpose(t, (1, 0, 2)), (2, 3, 4))
@@ -86,6 +98,7 @@ def test_sum_grads():
 def test_activation_grads():
     check_op(relu, (3, 5), atol=1e-6)
     check_op(gelu, (3, 5), atol=1e-6)
+    check_grads(gelu, [RNG.uniform(-4.0, 4.0, size=(4, 16))], atol=1e-6)
 
 
 def test_embedding_grad():
