@@ -4,11 +4,13 @@ The header carries a format version, precision, a manifest of named arrays
 (with shapes and byte offsets into the binary section), a config echo, RNG
 states, and optimizer scalars.  Optimizer moment arrays live in the same
 manifest under ``adam.m.`` / ``adam.v.`` prefixes.  Saving and re-loading
-is bit-exact.
+is bit-exact.  A save writes a temporary file next to the target and moves
+it into place, so a failed save leaves the previous checkpoint intact.
 """
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -56,11 +58,17 @@ def save_checkpoint(path, params: ParameterStore, adam_state: AdamState,
                       "step": adam_state.step},
         "train_step": step,
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        for blob in blobs:
-            fh.write(blob)
+    tmp_path = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp_path, "wb") as fh:
+            fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
+            fh.write(b"\n")
+            for blob in blobs:
+                fh.write(blob)
+        os.replace(tmp_path, path)
+    finally:
+        if os.path.exists(tmp_path):
+            os.remove(tmp_path)
 
 
 def load_checkpoint(path):

@@ -7,6 +7,7 @@ randomness flows through explicitly named seeds.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -15,14 +16,16 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import (DEFAULT_N_MAX, Dataset, batch_to_layouts, load_dataset,
-                   make_synthetic_dataset, save_dataset, SynthSpec)
-from .diffusion import TrainConfig, sample, train, write_loss_log
+from .data import (Dataset, batch_to_layouts, load_dataset, make_synthetic_dataset,
+                   pad_conditions, save_dataset, SynthSpec)
+from .denoiser import DenoiserConfig
+from .diffusion import (DiffusionConfig, TrainConfig, read_loss_log, sample, train,
+                        write_loss_log)
 from .exceptions import DataError, LayoutDiffusionError, NumericError
 from .metrics import FeatureSet, evaluate_collections, trivial_features
 from .render import render_svg
 from .rng import RngStream
-from .validation import check_label_conditions
+from .validation import check_feature_conditions, check_label_conditions
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -111,16 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
 # commands
 
 
-def _load_any_mode(path, strict_geometry=True):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read dataset {path}: {exc}") from exc
-    mode = "continuous" if isinstance(doc, dict) and "feature_dim" in doc else "categorical"
-    return load_dataset(path, mode=mode, strict_geometry=strict_geometry)
-
-
 def cmd_synth(args) -> int:
     spec = SynthSpec(num_layouts=args.layouts, num_classes=args.classes,
                      elements_per_layout_range=(args.min_elements, args.max_elements),
@@ -142,19 +135,17 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _field_defaults(cls) -> dict:
+    """Declared defaults of a config dataclass, before ``__post_init__`` derives
+    ``ffn_dim`` from ``d_model``, so that ``--d-model`` also sizes the FFN."""
+    return {f.name: f.default for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING}
+
+
 def _merged_train_config(args, dataset: Dataset) -> TrainConfig:
-    base = {
-        "denoiser": {"d_model": 256, "num_layers": 8, "num_heads": 8, "ffn_dim": None,
-                     "num_classes": dataset.num_classes, "attr_dim": dataset.feature_dim,
-                     "activation": "gelu", "positional_encoding": False,
-                     "n_max": DEFAULT_N_MAX},
-        "diffusion": {"timesteps": 1000, "beta_start": 1e-4, "beta_end": 0.02,
-                      "guidance_weight": 0.0, "clamp_output": True},
-        "learning_rate": 1e-5, "adam_beta1": 0.9, "adam_beta2": 0.999,
-        "adam_eps": 1e-8, "batch_size": 64, "max_steps": 1000,
-        "init_seed": 0, "train_seed": 1, "checkpoint_every": 500,
-        "precision": "float64",
-    }
+    base = {"denoiser": _field_defaults(DenoiserConfig),
+            "diffusion": _field_defaults(DiffusionConfig),
+            **_field_defaults(TrainConfig)}
     if args.config:
         try:
             with open(args.config) as fh:
@@ -212,23 +203,31 @@ def _dataset_echo(dataset: Dataset, path) -> dict:
 def cmd_train(args) -> int:
     if not os.path.exists(args.dataset):
         raise DataError(f"dataset not found: {args.dataset}")
-    dataset = _load_any_mode(args.dataset)
+    dataset = load_dataset(args.dataset)
+    dataset_echo = _dataset_echo(dataset, args.dataset)
+    loss_log = args.loss_log or args.checkpoint + ".loss.csv"
 
+    history = []
     if args.resume:
         start_params, start_adam, header = load_checkpoint(args.resume)
+        trained_on = header["config"]["dataset"]
+        for key in ("labels", "feature_dim"):
+            if dataset_echo.get(key) != trained_on.get(key):
+                raise DataError(f"dataset {args.dataset} does not match {args.resume}: {key} "
+                                f"{dataset_echo.get(key)!r} != {trained_on.get(key)!r}")
         config = TrainConfig.from_dict(header["config"]["train"])
         if args.max_steps is not None and args.max_steps != config.max_steps:
             config = TrainConfig.from_dict({**config.to_dict(), "max_steps": args.max_steps})
         start_stream = RngStream.from_state(header["rng"]["train"])
         start_step = header["train_step"]
+        if os.path.exists(loss_log):
+            history = [row for row in read_loss_log(loss_log) if row[0] <= start_step]
     else:
         config = _merged_train_config(args, dataset)
         start_params = start_adam = start_stream = None
         start_step = 0
 
-    config_echo = {"train": config.to_dict(), "dataset": _dataset_echo(dataset, args.dataset),
-                   "version": __version__}
-    loss_log = args.loss_log or args.checkpoint + ".loss.csv"
+    config_echo = {"train": config.to_dict(), "dataset": dataset_echo, "version": __version__}
     for out_path in (args.checkpoint, loss_log):
         parent = os.path.dirname(os.path.abspath(out_path))
         if not os.path.isdir(parent):
@@ -243,7 +242,7 @@ def cmd_train(args) -> int:
                    start_stream=start_stream, start_step=start_step, on_step=checkpoint_cb)
     save_checkpoint(args.checkpoint, result.params, result.adam_state, config_echo,
                     {"train": result.train_stream.state()}, result.step)
-    write_loss_log(loss_log, result.losses)
+    write_loss_log(loss_log, history + result.losses)
     if result.losses:
         first = result.losses[0][1]
         last = result.losses[-1][1]
@@ -258,7 +257,6 @@ def cmd_sample(args) -> int:
     config = TrainConfig.from_dict(header["config"]["train"])
     dataset_echo = header["config"]["dataset"]
     schedule = config.diffusion.schedule()
-    canvas = tuple(dataset_echo["canvas"])
 
     if args.labels is not None:
         if "labels" not in dataset_echo:
@@ -270,48 +268,25 @@ def cmd_sample(args) -> int:
             raise DataError(f"bad --labels value {args.labels!r}") from exc
         conditions = check_label_conditions([labels] * args.num_samples,
                                             len(dataset_echo["labels"]))
-        sizes = [len(c) for c in conditions]
-        n_max = max(sizes)
-        attributes = np.zeros((len(conditions), n_max), dtype=np.int64)
-        mask = np.zeros((len(conditions), n_max), dtype=bool)
-        for row, cond in enumerate(conditions):
-            attributes[row, : len(cond)] = cond
-            mask[row, : len(cond)] = True
     else:
-        cond_dataset = _load_any_mode(args.conditions, strict_geometry=False)
+        cond_dataset = load_dataset(args.conditions, strict_geometry=False)
         if (cond_dataset.mode == "categorical") != ("labels" in dataset_echo):
             raise DataError("condition file attribute mode does not match checkpoint")
         if cond_dataset.mode == "categorical":
-            vocab = len(dataset_echo["labels"])
             conditions = check_label_conditions(
-                [l.labels.tolist() for l in cond_dataset.layouts], vocab)
-            n_max = max(len(c) for c in conditions)
-            attributes = np.zeros((len(conditions), n_max), dtype=np.int64)
-            mask = np.zeros((len(conditions), n_max), dtype=bool)
-            for row, cond in enumerate(conditions):
-                attributes[row, : len(cond)] = cond
-                mask[row, : len(cond)] = True
+                [l.labels.tolist() for l in cond_dataset.layouts], len(dataset_echo["labels"]))
         else:
-            feats = [l.features for l in cond_dataset.layouts]
-            if any(f.shape[1] != config.denoiser.attr_dim for f in feats):
-                raise DataError("condition feature dim does not match checkpoint")
-            n_max = max(f.shape[0] for f in feats)
-            attributes = np.zeros((len(feats), n_max, config.denoiser.attr_dim))
-            mask = np.zeros((len(feats), n_max), dtype=bool)
-            for row, f in enumerate(feats):
-                attributes[row, : f.shape[0]] = f
-                mask[row, : f.shape[0]] = True
+            conditions = check_feature_conditions(
+                [l.features for l in cond_dataset.layouts], config.denoiser.attr_dim)
+    attributes, mask = pad_conditions(conditions)
 
     result = sample(attributes, mask, params, config.denoiser, schedule,
                     RngStream(args.seed), config.diffusion)
     layouts = batch_to_layouts(result.geometry_raw, attributes, mask,
                                ids=[f"sample-{i:06d}" for i in range(mask.shape[0])])
-    if "labels" in dataset_echo:
-        out_dataset = Dataset(layouts=tuple(layouts), canvas=canvas,
-                              label_names=tuple(dataset_echo["labels"]))
-    else:
-        out_dataset = Dataset(layouts=tuple(layouts), canvas=canvas,
-                              feature_dim=dataset_echo["feature_dim"])
+    out_dataset = Dataset(layouts=tuple(layouts), canvas=dataset_echo["canvas"],
+                          label_names=dataset_echo.get("labels"),
+                          feature_dim=dataset_echo.get("feature_dim"))
     meta = {"command": "sample", "seed": args.seed, "checkpoint": args.checkpoint,
             "num_samples": mask.shape[0], "config": header["config"],
             "version": __version__}
@@ -333,8 +308,8 @@ def _load_feature_file(path) -> FeatureSet:
 
 
 def cmd_eval(args) -> int:
-    generated = _load_any_mode(args.generated, strict_geometry=False)
-    reference = _load_any_mode(args.reference, strict_geometry=False)
+    generated = load_dataset(args.generated, strict_geometry=False)
+    reference = load_dataset(args.reference, strict_geometry=False)
     if generated.mode != reference.mode:
         raise DataError("generated and reference attribute modes differ")
     if generated.mode == "categorical" and generated.label_names != reference.label_names:
@@ -377,7 +352,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_render(args) -> int:
-    dataset = _load_any_mode(args.input, strict_geometry=False)
+    dataset = load_dataset(args.input, strict_geometry=False)
     names = dataset.label_names
     if args.index is not None:
         if not 0 <= args.index < len(dataset):

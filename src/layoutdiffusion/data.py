@@ -141,26 +141,32 @@ class Batch:
 # normalization
 
 
+def _canvas_ranges(canvas) -> np.ndarray:
+    width, height = float(canvas[0]), float(canvas[1])
+    return np.array([width, height, width, height])
+
+
+def _normalize_unchecked(raw: Layout, ranges: np.ndarray) -> Layout:
+    elements = [Element(geometry=2.0 * e.geometry / ranges - 1.0, label=e.label, feature=e.feature)
+                for e in raw.elements]
+    return Layout(elements=tuple(elements), id=raw.id)
+
+
 def normalize_layout(raw: Layout, canvas) -> Layout:
     """Map canvas-unit geometry affinely onto [-1, 1] per component."""
-    width, height = float(canvas[0]), float(canvas[1])
-    ranges = np.array([width, height, width, height])
-    elements = []
+    ranges = _canvas_ranges(canvas)
     for idx, e in enumerate(raw.elements):
         if np.any(e.geometry < 0) or np.any(e.geometry > ranges):
             raise DataError(
                 f"layout {raw.id!r} element {idx}: geometry {e.geometry.tolist()} "
                 f"outside canvas {canvas}"
             )
-        geom = 2.0 * e.geometry / ranges - 1.0
-        elements.append(Element(geometry=geom, label=e.label, feature=e.feature))
-    return Layout(elements=tuple(elements), id=raw.id)
+    return _normalize_unchecked(raw, ranges)
 
 
 def denormalize_layout(layout: Layout, canvas) -> Layout:
     """Exact inverse of :func:`normalize_layout`; no clamping, overshoot passes through."""
-    width, height = float(canvas[0]), float(canvas[1])
-    ranges = np.array([width, height, width, height])
+    ranges = _canvas_ranges(canvas)
     elements = [
         Element(geometry=(e.geometry + 1.0) * ranges / 2.0, label=e.label, feature=e.feature)
         for e in layout.elements
@@ -193,15 +199,14 @@ def _require_keys(obj: dict, allowed: set, required: set, where: str):
         raise DataError(f"{where}: missing fields {sorted(missing)}")
 
 
-def load_dataset(path, mode: str = "categorical", n_max: int = DEFAULT_N_MAX,
-                 strict_geometry: bool = True) -> Dataset:
+def load_dataset(path, strict_geometry: bool = True) -> Dataset:
     """Load and normalize a layout JSON file.
 
+    The attribute mode comes from the file: a ``feature_dim`` key means
+    continuous features, otherwise categorical labels.
     ``strict_geometry=False`` admits boxes outside the canvas (model output
     can overshoot); normalization is the same affine map either way.
     """
-    if mode not in ("categorical", "continuous"):
-        raise DataError(f"unknown dataset mode {mode!r}")
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -210,6 +215,7 @@ def load_dataset(path, mode: str = "categorical", n_max: int = DEFAULT_N_MAX,
     if not isinstance(doc, dict):
         raise DataError(f"dataset {path}: top level must be an object")
 
+    mode = "continuous" if "feature_dim" in doc else "categorical"
     top_keys = _TOP_KEYS_CAT if mode == "categorical" else _TOP_KEYS_CONT
     vocab_key = "labels" if mode == "categorical" else "feature_dim"
     _require_keys(doc, top_keys, {"canvas", vocab_key, "layouts"}, f"dataset {path}")
@@ -236,8 +242,9 @@ def load_dataset(path, mode: str = "categorical", n_max: int = DEFAULT_N_MAX,
         raw_elements = raw_layout["elements"]
         if len(raw_elements) == 0:
             raise DataError(f"layout {lid!r} has zero elements")
-        if len(raw_elements) > n_max:
-            raise DataError(f"layout {lid!r} has {len(raw_elements)} elements, limit is {n_max}")
+        if len(raw_elements) > DEFAULT_N_MAX:
+            raise DataError(f"layout {lid!r} has {len(raw_elements)} elements, "
+                            f"limit is {DEFAULT_N_MAX}")
         elements = []
         for raw_el in raw_elements:
             _require_keys(raw_el, elem_keys, elem_required, f"layout {lid!r} element")
@@ -260,15 +267,8 @@ def load_dataset(path, mode: str = "categorical", n_max: int = DEFAULT_N_MAX,
                     )
                 elements.append(Element(geometry=bbox, feature=feat))
         raw = Layout(elements=tuple(elements), id=lid)
-        if strict_geometry:
-            layouts.append(normalize_layout(raw, canvas))
-        else:
-            ranges = np.array([canvas[0], canvas[1], canvas[0], canvas[1]])
-            elements = [
-                Element(geometry=2.0 * e.geometry / ranges - 1.0, label=e.label, feature=e.feature)
-                for e in raw.elements
-            ]
-            layouts.append(Layout(elements=tuple(elements), id=lid))
+        layouts.append(normalize_layout(raw, canvas) if strict_geometry
+                       else _normalize_unchecked(raw, _canvas_ranges(canvas)))
 
     return Dataset(layouts=tuple(layouts), canvas=canvas,
                    label_names=label_names, feature_dim=feature_dim)
@@ -281,6 +281,7 @@ def dataset_to_dict(dataset: Dataset, meta: Optional[dict] = None, include_clamp
         doc["labels"] = list(dataset.label_names)
     else:
         doc["feature_dim"] = dataset.feature_dim
+    ranges = _canvas_ranges(dataset.canvas)
     entries = []
     for layout in dataset.layouts:
         raw = denormalize_layout(layout, dataset.canvas)
@@ -289,8 +290,6 @@ def dataset_to_dict(dataset: Dataset, meta: Optional[dict] = None, include_clamp
             entry = {"bbox": [float(v) for v in e_raw.geometry]}
             if include_clamped:
                 clamped_norm = np.clip(e_norm.geometry, -1.0, 1.0)
-                ranges = np.array([dataset.canvas[0], dataset.canvas[1],
-                                   dataset.canvas[0], dataset.canvas[1]])
                 entry["bbox_clamped"] = [float(v) for v in (clamped_norm + 1.0) * ranges / 2.0]
             if e_norm.label is not None:
                 entry["label"] = int(e_norm.label)
@@ -380,37 +379,36 @@ def make_synthetic_dataset(spec: SynthSpec, seed: int) -> Dataset:
 # batching
 
 
+def pad_conditions(conditions) -> tuple:
+    """Pad per-layout attributes to ``(attributes, mask)``; masked slots are exactly zero.
+
+    Each condition is one layout's label ids ``[n]`` or features ``[n, attr_dim]``.
+    """
+    conditions = [np.asarray(c) for c in conditions]
+    if not conditions:
+        raise DataError("cannot batch zero layouts")
+    batch_size = len(conditions)
+    n_max = max(len(c) for c in conditions)
+    trailing = conditions[0].shape[1:]
+    dtype = np.int64 if not trailing else np.float64
+    attributes = np.zeros((batch_size, n_max) + trailing, dtype=dtype)
+    mask = np.zeros((batch_size, n_max), dtype=bool)
+    for row, cond in enumerate(conditions):
+        if cond.shape[1:] != trailing:
+            raise DataError("cannot batch layouts with mixed attribute modes or feature dims")
+        attributes[row, :len(cond)] = cond
+        mask[row, :len(cond)] = True
+    return attributes, mask
+
+
 def pad_batch(layouts: Sequence[Layout]) -> Batch:
     """Pad layouts to the batch maximum; masked slots are exactly zero."""
     layouts = list(layouts)
-    if not layouts:
-        raise DataError("cannot batch zero layouts")
-    modes = {l.attribute_mode for l in layouts}
-    if len(modes) != 1:
-        raise DataError("cannot batch layouts with mixed attribute modes")
-    mode = modes.pop()
-    batch_size = len(layouts)
-    n_max = max(len(l) for l in layouts)
-
-    geometry = np.zeros((batch_size, n_max, 4))
-    mask = np.zeros((batch_size, n_max), dtype=bool)
-    if mode == "categorical":
-        attributes = np.zeros((batch_size, n_max), dtype=np.int64)
-    else:
-        attr_dim = layouts[0].elements[0].feature.shape[0]
-        attributes = np.zeros((batch_size, n_max, attr_dim))
-
+    attributes, mask = pad_conditions(
+        [l.labels if l.attribute_mode == "categorical" else l.features for l in layouts])
+    geometry = np.zeros(mask.shape + (4,))
     for row, layout in enumerate(layouts):
-        n = len(layout)
-        geometry[row, :n] = layout.geometry
-        mask[row, :n] = True
-        if mode == "categorical":
-            attributes[row, :n] = layout.labels
-        else:
-            feats = layout.features
-            if feats.shape[1] != attributes.shape[2]:
-                raise DataError("cannot batch layouts with differing feature dims")
-            attributes[row, :n] = feats
+        geometry[row, :len(layout)] = layout.geometry
     return Batch(geometry=geometry, attributes=attributes, mask=mask)
 
 

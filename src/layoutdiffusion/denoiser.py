@@ -8,7 +8,7 @@ can be switched on for ordered inputs (e.g. text sequences).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,7 +29,6 @@ class DenoiserConfig:
     attr_dim: Optional[int] = None
     activation: str = "gelu"
     positional_encoding: bool = False
-    n_max: int = 36
 
     def __post_init__(self):
         if self.d_model % self.num_heads != 0:
@@ -49,17 +48,12 @@ class DenoiserConfig:
     def head_dim(self) -> int:
         return self.d_model // self.num_heads
 
-    def to_dict(self) -> dict:
-        return {
-            "d_model": self.d_model, "num_layers": self.num_layers,
-            "num_heads": self.num_heads, "ffn_dim": self.ffn_dim,
-            "num_classes": self.num_classes, "attr_dim": self.attr_dim,
-            "activation": self.activation,
-            "positional_encoding": self.positional_encoding, "n_max": self.n_max,
-        }
+    to_dict = asdict
 
     @classmethod
     def from_dict(cls, d: dict) -> "DenoiserConfig":
+        d = dict(d)
+        d.pop("n_max", None)  # older checkpoints carry an element limit the network never read
         return cls(**d)
 
 

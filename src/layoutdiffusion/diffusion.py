@@ -6,7 +6,7 @@ variance at each reverse step is the (constant) forward variance.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,23 +49,19 @@ class DiffusionConfig:
     timesteps: int = 1000
     beta_start: float = 1e-4
     beta_end: float = 0.02
-    guidance_weight: float = 0.0  # only the plain conditional model is supported
     clamp_output: bool = True
-
-    def __post_init__(self):
-        if self.guidance_weight != 0.0:
-            raise ValueError("nonzero guidance weight is not supported")
 
     def schedule(self) -> NoiseSchedule:
         return build_schedule(self.timesteps, self.beta_start, self.beta_end)
 
-    def to_dict(self) -> dict:
-        return {"timesteps": self.timesteps, "beta_start": self.beta_start,
-                "beta_end": self.beta_end, "guidance_weight": self.guidance_weight,
-                "clamp_output": self.clamp_output}
+    to_dict = asdict
 
     @classmethod
     def from_dict(cls, d: dict) -> "DiffusionConfig":
+        d = dict(d)
+        # Legacy key of older checkpoints: only weight 0 was ever accepted.
+        if d.pop("guidance_weight", 0.0) != 0.0:
+            raise ValueError("nonzero guidance weight is not supported")
         return cls(**d)
 
 
@@ -177,13 +173,13 @@ class TrainStepResult:
     noise_pred: np.ndarray
 
 
-def training_step(batch: Batch, params: ParameterStore, denoiser_config: DenoiserConfig,
-                  schedule: NoiseSchedule, adam_state: AdamState, stream: RngStream,
-                  denoise_fn: Callable = denoise) -> TrainStepResult:
-    """One noise-prediction step: draw (t, noise), regress, Adam update.
+def noise_loss(batch: Batch, params: ParameterStore, denoiser_config: DenoiserConfig,
+               schedule: NoiseSchedule, stream: RngStream, denoise_fn: Callable = denoise):
+    """The masked noise-regression loss; returns ``(loss, t, noise, noise_pred)``.
 
     One timestep is drawn per layout; the squared error is averaged over
-    valid slots and coordinates only.
+    valid slots and coordinates only.  ``loss`` and ``noise_pred`` are tape
+    tensors, so the loss can be differentiated.
     """
     dtype = params[params.names()[0]].data.dtype
     b = batch.size
@@ -198,7 +194,15 @@ def training_step(batch: Batch, params: ParameterStore, denoiser_config: Denoise
     masked_sq = mul(mul(diff, diff), Tensor(mask_f))
     count = float(batch.mask.sum()) * 4.0
     loss = mul(tsum(masked_sq), 1.0 / count)
+    return loss, t, noise, noise_pred
 
+
+def training_step(batch: Batch, params: ParameterStore, denoiser_config: DenoiserConfig,
+                  schedule: NoiseSchedule, adam_state: AdamState, stream: RngStream,
+                  denoise_fn: Callable = denoise) -> TrainStepResult:
+    """One noise-prediction step: :func:`noise_loss`, then an Adam update."""
+    loss, t, noise, noise_pred = noise_loss(batch, params, denoiser_config, schedule,
+                                            stream, denoise_fn)
     loss_value = float(loss.data)
     if not np.isfinite(loss_value):
         raise NumericError("training loss is not finite")
@@ -233,17 +237,7 @@ class TrainConfig:
     def dtype(self):
         return np.float64 if self.precision == "float64" else np.float32
 
-    def to_dict(self) -> dict:
-        return {
-            "denoiser": self.denoiser.to_dict(),
-            "diffusion": self.diffusion.to_dict(),
-            "learning_rate": self.learning_rate, "adam_beta1": self.adam_beta1,
-            "adam_beta2": self.adam_beta2, "adam_eps": self.adam_eps,
-            "batch_size": self.batch_size,
-            "max_steps": self.max_steps, "init_seed": self.init_seed,
-            "train_seed": self.train_seed, "checkpoint_every": self.checkpoint_every,
-            "precision": self.precision,
-        }
+    to_dict = asdict
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -298,6 +292,16 @@ def train(dataset: Dataset, config: TrainConfig,
             on_step(step, result.loss, params, adam_state, stream)
     return TrainResult(params=params, adam_state=adam_state, train_stream=stream,
                        losses=losses, step=step)
+
+
+def read_loss_log(path) -> list:
+    """The ``(step, loss)`` rows of a log written by :func:`write_loss_log`."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    try:
+        return [(int(step), float(loss)) for step, loss in rows[1:]]
+    except ValueError as exc:
+        raise DataError(f"malformed loss log {path}: {exc}") from exc
 
 
 def write_loss_log(path, losses):

@@ -10,14 +10,13 @@ from __future__ import annotations
 import inspect
 from typing import Sequence
 
-import numpy as np
-
-from .data import batch_to_layouts, pad_batch
-from .denoiser import DenoiserConfig, denoise
-from .diffusion import DiffusionConfig, TrainConfig, q_sample, sample, train
-from .exceptions import DataError, NotFittedError
+from .data import batch_to_layouts, pad_batch, pad_conditions
+from .denoiser import DenoiserConfig
+from .diffusion import DiffusionConfig, TrainConfig, noise_loss, sample, train
+from .exceptions import NotFittedError
 from .rng import RngStream
-from .validation import check_dataset, check_label_conditions, check_seed
+from .validation import (check_dataset, check_feature_conditions, check_label_conditions,
+                         check_seed)
 
 
 class LayoutDiffusion:
@@ -26,14 +25,20 @@ class LayoutDiffusion:
     ``fit`` learns the denoiser from a dataset of layouts; ``sample`` draws
     new geometry for user-specified element attributes.  Defaults follow
     the reference configuration (8 layers, 8 heads, 1000 steps, linear
-    1e-4..0.02 noise schedule); shrink the network for desk-scale runs.
+    1e-4..0.02 noise schedule) and are read from ``DenoiserConfig``,
+    ``DiffusionConfig`` and ``TrainConfig``; shrink the network for
+    desk-scale runs.
     """
 
-    def __init__(self, d_model=256, num_layers=8, num_heads=8, ffn_dim=None,
-                 activation="gelu", positional_encoding=False, timesteps=1000,
-                 beta_start=1e-4, beta_end=0.02, learning_rate=1e-5,
-                 batch_size=64, max_steps=1000, precision="float64",
-                 n_max=36, init_seed=0, train_seed=1):
+    def __init__(self, d_model=DenoiserConfig.d_model, num_layers=DenoiserConfig.num_layers,
+                 num_heads=DenoiserConfig.num_heads, ffn_dim=DenoiserConfig.ffn_dim,
+                 activation=DenoiserConfig.activation,
+                 positional_encoding=DenoiserConfig.positional_encoding,
+                 timesteps=DiffusionConfig.timesteps, beta_start=DiffusionConfig.beta_start,
+                 beta_end=DiffusionConfig.beta_end, learning_rate=TrainConfig.learning_rate,
+                 batch_size=TrainConfig.batch_size, max_steps=TrainConfig.max_steps,
+                 precision=TrainConfig.precision, init_seed=TrainConfig.init_seed,
+                 train_seed=TrainConfig.train_seed):
         self.d_model = d_model
         self.num_layers = num_layers
         self.num_heads = num_heads
@@ -47,7 +52,6 @@ class LayoutDiffusion:
         self.batch_size = batch_size
         self.max_steps = max_steps
         self.precision = precision
-        self.n_max = n_max
         self.init_seed = init_seed
         self.train_seed = train_seed
 
@@ -81,7 +85,7 @@ class LayoutDiffusion:
             num_heads=self.num_heads, ffn_dim=self.ffn_dim,
             num_classes=dataset.num_classes, attr_dim=dataset.feature_dim,
             activation=self.activation,
-            positional_encoding=self.positional_encoding, n_max=self.n_max)
+            positional_encoding=self.positional_encoding)
         diffusion = DiffusionConfig(timesteps=self.timesteps,
                                     beta_start=self.beta_start, beta_end=self.beta_end)
         return TrainConfig(
@@ -120,29 +124,9 @@ class LayoutDiffusion:
         seed = check_seed(seed)
         if self.label_names_ is not None:
             conditions = check_label_conditions(conditions, len(self.label_names_))
-            sizes = [len(c) for c in conditions]
         else:
-            conditions = [np.asarray(c, dtype=np.float64) for c in conditions]
-            for i, feats in enumerate(conditions):
-                if feats.ndim != 2 or feats.shape[1] != self.feature_dim_:
-                    raise DataError(f"condition {i}: expected [n, {self.feature_dim_}] features")
-                if feats.shape[0] == 0:
-                    raise DataError(f"condition {i} has no elements")
-            sizes = [c.shape[0] for c in conditions]
-
-        batch_size = len(conditions)
-        n_max = max(sizes)
-        mask = np.zeros((batch_size, n_max), dtype=bool)
-        if self.label_names_ is not None:
-            attributes = np.zeros((batch_size, n_max), dtype=np.int64)
-            for row, labels in enumerate(conditions):
-                attributes[row, : len(labels)] = labels
-                mask[row, : len(labels)] = True
-        else:
-            attributes = np.zeros((batch_size, n_max, self.feature_dim_))
-            for row, feats in enumerate(conditions):
-                attributes[row, : feats.shape[0]] = feats
-                mask[row, : feats.shape[0]] = True
+            conditions = check_feature_conditions(conditions, self.feature_dim_)
+        attributes, mask = pad_conditions(conditions)
 
         result = sample(attributes, mask, self.params_, self.config_.denoiser,
                         self.schedule_, RngStream(seed), self.config_.diffusion)
@@ -150,20 +134,12 @@ class LayoutDiffusion:
             result.geometry_clamped if result.geometry_clamped is not None
             else result.geometry_raw)
         return batch_to_layouts(geometry, attributes, mask,
-                                ids=[f"sample-{i:06d}" for i in range(batch_size)])
+                                ids=[f"sample-{i:06d}" for i in range(len(conditions))])
 
     def score(self, layouts, y=None) -> float:
         """Negative mean training objective over the given layouts (higher is better)."""
         self._check_fitted()
         dataset = check_dataset(layouts)
-        batch = pad_batch(dataset.layouts)
-        stream = RngStream(0)
-        dtype = self.params_[self.params_.names()[0]].data.dtype
-        mask_f = batch.mask.astype(dtype)[..., None]
-        t = stream.integers(1, self.schedule_.timesteps + 1, [batch.size])
-        noise = stream.gaussian(batch.geometry.shape).astype(dtype) * mask_f
-        g_t = q_sample(batch.geometry.astype(dtype), t, noise, self.schedule_, mask=batch.mask)
-        pred = denoise(g_t, t, batch.attributes, batch.mask, self.params_,
-                       self.config_.denoiser).data
-        err = ((pred - noise) ** 2 * mask_f).sum() / (batch.mask.sum() * 4.0)
-        return -float(err)
+        loss = noise_loss(pad_batch(dataset.layouts), self.params_, self.config_.denoiser,
+                          self.schedule_, RngStream(0))[0]
+        return -float(loss.data)

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from .data import Dataset, Layout
 from .exceptions import DataError
 
@@ -48,4 +50,15 @@ def check_label_conditions(conditions, num_classes: int) -> list:
         out.append(labels)
     if not out:
         raise DataError("no sampling conditions given")
+    return out
+
+
+def check_feature_conditions(conditions, feature_dim: int) -> list:
+    """Validate a list of [n, feature_dim] feature arrays used as sampling conditions."""
+    out = [np.asarray(c, dtype=np.float64) for c in conditions]
+    for i, feats in enumerate(out):
+        if feats.ndim != 2 or feats.shape[1] != feature_dim:
+            raise DataError(f"condition {i}: expected [n, {feature_dim}] features")
+        if feats.shape[0] == 0:
+            raise DataError(f"condition {i} has no elements")
     return out

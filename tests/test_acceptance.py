@@ -105,7 +105,7 @@ def test_posterior_mean_cancellation_at_t1():
 def test_gradients_match_finite_differences_on_tiny_config():
     started = time.monotonic()
     config = ld.DenoiserConfig(d_model=16, num_layers=2, num_heads=4, ffn_dim=24,
-                               num_classes=3, n_max=4)
+                               num_classes=3)
     params = ld.init_denoiser_params(config, ld.RngStream(42))
     rng = np.random.default_rng(1)
     geometry = rng.normal(size=(1, 3, 4))
@@ -144,7 +144,7 @@ def test_permutation_equivariance_and_positional_sensitivity():
     t = np.array([17, 800])
 
     config = ld.DenoiserConfig(d_model=32, num_layers=2, num_heads=4, ffn_dim=48,
-                               num_classes=3, n_max=8)
+                               num_classes=3)
     params = ld.init_denoiser_params(config, ld.RngStream(0))
     base = ld.denoise(geometry, t, labels, mask, params, config).data
     worst = 0.0
@@ -156,7 +156,7 @@ def test_permutation_equivariance_and_positional_sensitivity():
     assert worst < 1e-6, f"equivariance deviation {worst}"
 
     config_pe = ld.DenoiserConfig(d_model=32, num_layers=2, num_heads=4, ffn_dim=48,
-                                  num_classes=3, n_max=8, positional_encoding=True)
+                                  num_classes=3, positional_encoding=True)
     params_pe = ld.init_denoiser_params(config_pe, ld.RngStream(0))
     base_pe = ld.denoise(geometry, t, labels, mask, params_pe, config_pe).data
     deviations = []

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from layoutdiffusion import checkpoint
 from layoutdiffusion.checkpoint import load_checkpoint, save_checkpoint
 from layoutdiffusion.denoiser import DenoiserConfig, init_denoiser_params
 from layoutdiffusion.exceptions import DataError
@@ -12,7 +13,7 @@ from layoutdiffusion.rng import RngStream
 
 def make_state(dtype=np.float64, seed=0):
     config = DenoiserConfig(d_model=16, num_layers=2, num_heads=2, ffn_dim=16,
-                            num_classes=3, n_max=8)
+                            num_classes=3)
     params = init_denoiser_params(config, RngStream(seed), dtype=dtype)
     adam = AdamState.initialize(params, lr=1e-3)
     # make the moments non-trivial
@@ -41,6 +42,47 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
     assert header["rng"]["train"] == rng_states["train"]
     assert header["train_step"] == 7
     assert header["config"] == {"note": "t"}
+
+
+def test_failed_save_leaves_previous_checkpoint(tmp_path, monkeypatch):
+    _, params, adam = make_state(seed=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, adam, {"c": 1}, {}, step=1)
+    before = path.read_bytes()
+
+    class FailingFile:
+        """Writes the header, then fails like a full disk."""
+
+        def __init__(self, fh):
+            self.fh = fh
+            self.writes = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes > 2:
+                raise OSError("no space left on device")
+            return self.fh.write(data)
+
+    real_open = open
+    monkeypatch.setattr(checkpoint, "open", lambda p, mode: FailingFile(real_open(p, mode)),
+                        raising=False)
+    _, other_params, other_adam = make_state(seed=1)
+    with pytest.raises(OSError):
+        save_checkpoint(path, other_params, other_adam, {"c": 2}, {}, step=2)
+    monkeypatch.undo()
+
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+    loaded, _, header = load_checkpoint(path)
+    assert header["train_step"] == 1
+    for name in params.names():
+        assert np.array_equal(loaded[name].data, params[name].data)
 
 
 def test_save_load_save_produces_identical_bytes(tmp_path):

@@ -77,6 +77,9 @@ def test_train_resume_matches_uninterrupted_run(tmp_path):
     code = run(["train", "--dataset", str(data), "--checkpoint", str(part),
                 "--resume", str(part), "--max-steps", "6"])
     assert code == 0
+    # the resumed log keeps steps 1-3 and appends 4-6
+    assert ((tmp_path / "part.ckpt.loss.csv").read_bytes()
+            == (tmp_path / "full.ckpt.loss.csv").read_bytes())
     full_bytes = full.read_bytes()
     part_bytes = part.read_bytes()
     # headers differ only in the original checkpoint path echo; compare blobs
@@ -87,6 +90,32 @@ def test_train_resume_matches_uninterrupted_run(tmp_path):
     assert j1["rng"] == j2["rng"]
     assert j1["train_step"] == j2["train_step"] == 6
     assert j1["manifest"] == j2["manifest"]
+
+
+def test_train_resume_rejects_a_different_dataset(tmp_path, capsys):
+    data = synth(tmp_path)
+    ckpt = train(tmp_path, data, steps=2)
+    log = tmp_path / "model.ckpt.loss.csv"
+    before = ckpt.read_bytes(), log.read_bytes()
+    other = tmp_path / "two_classes.json"
+    assert run(["synth", "--layouts", "8", "--classes", "2", "--seed", "1",
+                "-o", str(other)]) == 0
+    code = run(["train", "--dataset", str(other), "--checkpoint", str(ckpt),
+                "--resume", str(ckpt), "--max-steps", "4"])
+    assert code == 3
+    assert "labels" in capsys.readouterr().err
+    assert (ckpt.read_bytes(), log.read_bytes()) == before
+
+
+def test_train_d_model_flag_sizes_the_default_ffn(tmp_path):
+    data = synth(tmp_path)
+    ckpt = tmp_path / "wide.ckpt"
+    code = run(["train", "--dataset", str(data), "--checkpoint", str(ckpt),
+                "--d-model", "32", "--num-layers", "1", "--max-steps", "0"])
+    assert code == 0
+    echo = json.loads(ckpt.read_bytes().split(b"\n", 1)[0])["config"]["train"]
+    assert echo["denoiser"]["d_model"] == 32
+    assert echo["denoiser"]["ffn_dim"] == 128
 
 
 def test_train_config_file_and_flag_precedence(tmp_path):
@@ -168,6 +197,35 @@ def test_sample_conditions_file(tmp_path):
     assert len(doc["layouts"]) == len(ref["layouts"])
     for gen, orig in zip(doc["layouts"], ref["layouts"]):
         assert [e["label"] for e in gen["elements"]] == [e["label"] for e in orig["elements"]]
+
+
+def test_sample_continuous_conditions_file(tmp_path, capsys):
+    def features_file(name, feature_dim):
+        doc = {"canvas": {"width": 100, "height": 100}, "feature_dim": feature_dim,
+               "layouts": [{"id": f"f{i}", "elements": [
+                   {"feature": [0.1 * (i + k)] * feature_dim, "bbox": [20 + 10 * k, 30, 10, 10]}
+                   for k in range(n)]} for i, n in enumerate((2, 3, 1, 2))]}
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return path
+
+    data = features_file("features.json", 3)
+    ckpt = train(tmp_path, data, steps=2)
+    out = tmp_path / "cont.json"
+    code = run(["sample", "--checkpoint", str(ckpt), "--conditions", str(data),
+                "--seed", "5", "-o", str(out)])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    ref = json.loads(data.read_text())
+    assert doc["feature_dim"] == 3
+    for gen, orig in zip(doc["layouts"], ref["layouts"]):
+        assert [e["feature"] for e in gen["elements"]] == [e["feature"] for e in orig["elements"]]
+
+    wrong_dim = features_file("features2.json", 2)
+    code = run(["sample", "--checkpoint", str(ckpt), "--conditions", str(wrong_dim),
+                "--seed", "5", "-o", str(tmp_path / "bad.json")])
+    assert code == 3
+    assert "expected [n, 3] features" in capsys.readouterr().err
 
 
 def test_eval_self_comparison(tmp_path):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from layoutdiffusion.data import (Element, Layout, SynthSpec, batch_to_layouts,
                                   dataset_to_dict, denormalize_layout, grid_rule_box,
                                   load_dataset, make_synthetic_dataset,
-                                  normalize_layout, pad_batch, save_dataset,
-                                  to_corner_form)
+                                  normalize_layout, pad_batch, pad_conditions,
+                                  save_dataset, to_corner_form)
 from layoutdiffusion.exceptions import DataError
 
 
@@ -212,9 +212,13 @@ def test_load_continuous_mode(tmp_path):
             {"id": "c", "elements": [{"feature": [0.1, 0.2, 0.3], "bbox": [5, 5, 2, 2]}]},
         ],
     }
-    ds = load_dataset(write_dataset_file(tmp_path, doc), mode="continuous")
+    ds = load_dataset(write_dataset_file(tmp_path, doc))
     assert ds.feature_dim == 3
     assert ds.mode == "continuous"
+    np.testing.assert_array_equal(ds.layouts[0].features, [[0.1, 0.2, 0.3]])
+    doc["labels"] = ["text"]
+    with pytest.raises(DataError, match="unknown fields"):
+        load_dataset(write_dataset_file(tmp_path, doc))
 
 
 def test_save_load_round_trip(tmp_path):
@@ -314,6 +318,25 @@ def test_pad_batch_rejects_mixed_modes():
     cont = Layout(elements=(Element(geometry=np.zeros(4), feature=np.ones(2)),), id="c")
     with pytest.raises(DataError):
         pad_batch([cat, cont])
+
+
+def test_pad_conditions_labels_and_features():
+    attributes, mask = pad_conditions([[2, 1], [0]])
+    assert attributes.dtype == np.int64
+    assert attributes.tolist() == [[2, 1], [0, 0]]
+    assert mask.tolist() == [[True, True], [True, False]]
+
+    attributes, mask = pad_conditions([np.full((1, 3), 0.5), np.full((3, 3), 0.25)])
+    assert attributes.shape == (2, 3, 3) and attributes.dtype == np.float64
+    np.testing.assert_array_equal(attributes[0, 0], 0.5)
+    np.testing.assert_array_equal(attributes[0, 1:], 0.0)
+    np.testing.assert_array_equal(attributes[1], 0.25)
+    assert mask.tolist() == [[True, False, False], [True, True, True]]
+
+    with pytest.raises(DataError):
+        pad_conditions([np.ones((1, 3)), np.ones((2, 2))])
+    with pytest.raises(DataError):
+        pad_conditions([])
 
 
 def test_pad_then_strip_round_trips():

@@ -13,8 +13,7 @@ RNG = np.random.default_rng(77)
 
 
 def tiny_config(**overrides):
-    base = dict(d_model=16, num_layers=2, num_heads=4, ffn_dim=24, num_classes=3,
-                n_max=8)
+    base = dict(d_model=16, num_layers=2, num_heads=4, ffn_dim=24, num_classes=3)
     base.update(overrides)
     return DenoiserConfig(**base)
 

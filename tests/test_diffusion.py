@@ -71,8 +71,15 @@ def test_schedule_rejects_bad_ranges():
 
 
 def test_diffusion_config_rejects_guidance():
+    # Older configs carry ``n_max`` and ``guidance_weight``; only weight 0 ever loaded.
+    denoiser = DenoiserConfig(d_model=8, num_layers=1, num_heads=2, num_classes=2)
+    legacy = TrainConfig(denoiser=denoiser).to_dict()
+    legacy["denoiser"]["n_max"] = 36
+    legacy["diffusion"]["guidance_weight"] = 0.0
+    assert TrainConfig.from_dict(legacy) == TrainConfig(denoiser=denoiser)
+    legacy["diffusion"]["guidance_weight"] = 0.5
     with pytest.raises(ValueError):
-        DiffusionConfig(guidance_weight=0.5)
+        TrainConfig.from_dict(legacy)
 
 
 # -- forward process -------------------------------------------------------------
@@ -162,7 +169,7 @@ def test_posterior_mean_perfect_denoiser_recovers_g0_at_t1():
 
 def test_p_sample_step_t1_is_deterministic():
     config = DenoiserConfig(d_model=16, num_layers=1, num_heads=2, ffn_dim=16,
-                            num_classes=2, n_max=4)
+                            num_classes=2)
     params = init_denoiser_params(config, RngStream(5))
     sched = build_schedule(50, 1e-4, 0.02)
     g = RNG.normal(size=(1, 2, 4))
@@ -175,7 +182,7 @@ def test_p_sample_step_t1_is_deterministic():
 
 def test_p_sample_step_zero_denoiser_form():
     config = DenoiserConfig(d_model=16, num_layers=1, num_heads=2, ffn_dim=16,
-                            num_classes=2, n_max=4)
+                            num_classes=2)
     params = zero_denoiser_params(config)
     sched = build_schedule(50, 1e-4, 0.02)
     g = RNG.normal(size=(1, 2, 4))
@@ -190,7 +197,7 @@ def test_p_sample_step_zero_denoiser_form():
 
 def test_p_sample_step_rerun_is_bit_identical():
     config = DenoiserConfig(d_model=16, num_layers=1, num_heads=2, ffn_dim=16,
-                            num_classes=2, n_max=4)
+                            num_classes=2)
     params = init_denoiser_params(config, RngStream(5))
     sched = build_schedule(50, 1e-4, 0.02)
     g = RNG.normal(size=(2, 2, 4))
@@ -203,7 +210,7 @@ def test_p_sample_step_rerun_is_bit_identical():
 
 def test_p_sample_step_leaves_masked_slots_untouched():
     config = DenoiserConfig(d_model=16, num_layers=1, num_heads=2, ffn_dim=16,
-                            num_classes=2, n_max=4)
+                            num_classes=2)
     params = init_denoiser_params(config, RngStream(5))
     sched = build_schedule(50, 1e-4, 0.02)
     g = RNG.normal(size=(1, 3, 4))
@@ -215,7 +222,7 @@ def test_p_sample_step_leaves_masked_slots_untouched():
 
 def test_sample_deterministic_and_shaped():
     config = DenoiserConfig(d_model=16, num_layers=1, num_heads=2, ffn_dim=16,
-                            num_classes=2, n_max=4)
+                            num_classes=2)
     params = init_denoiser_params(config, RngStream(5))
     sched = build_schedule(20, 1e-4, 0.02)
     labels = np.array([[0, 1, 1], [1, 0, 0]])
@@ -232,7 +239,7 @@ def test_sample_deterministic_and_shaped():
 
 def test_sample_builds_no_tape_and_leaves_params_tracked(monkeypatch):
     config = DenoiserConfig(d_model=16, num_layers=1, num_heads=2, ffn_dim=16,
-                            num_classes=2, n_max=4)
+                            num_classes=2)
     params = init_denoiser_params(config, RngStream(5))
     detached = ParameterStore({name: t.detach() for name, t in params.items()})
     sched = build_schedule(20, 1e-4, 0.02)
@@ -260,7 +267,7 @@ def test_sample_builds_no_tape_and_leaves_params_tracked(monkeypatch):
 
 def small_training_setup():
     config = DenoiserConfig(d_model=16, num_layers=1, num_heads=2, ffn_dim=16,
-                            num_classes=3, n_max=6)
+                            num_classes=3)
     params = init_denoiser_params(config, RngStream(5))
     sched = build_schedule(100, 1e-4, 0.02)
     dataset = make_synthetic_dataset(SynthSpec(num_layouts=8, num_classes=3), 9)
@@ -308,7 +315,7 @@ def test_training_step_advances_optimizer():
 def test_train_loop_is_deterministic_and_resumable():
     dataset = make_synthetic_dataset(SynthSpec(num_layouts=16, num_classes=3), 9)
     denoiser = DenoiserConfig(d_model=16, num_layers=1, num_heads=2, ffn_dim=16,
-                              num_classes=3, n_max=6)
+                              num_classes=3)
     config = TrainConfig(denoiser=denoiser,
                          diffusion=DiffusionConfig(timesteps=50),
                          learning_rate=1e-3, batch_size=4, max_steps=6,
@@ -329,7 +336,7 @@ def test_train_loop_is_deterministic_and_resumable():
 def test_train_config_precision_float32():
     dataset = make_synthetic_dataset(SynthSpec(num_layouts=8, num_classes=2), 3)
     denoiser = DenoiserConfig(d_model=8, num_layers=1, num_heads=2, ffn_dim=8,
-                              num_classes=2, n_max=6)
+                              num_classes=2)
     config = TrainConfig(denoiser=denoiser, diffusion=DiffusionConfig(timesteps=10),
                          learning_rate=1e-3, batch_size=2, max_steps=2,
                          init_seed=0, train_seed=1, precision="float32")

@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from layoutdiffusion.data import SynthSpec, make_synthetic_dataset
+from layoutdiffusion.denoiser import DenoiserConfig
+from layoutdiffusion.diffusion import DiffusionConfig, TrainConfig
 from layoutdiffusion.exceptions import DataError, NotFittedError
 from layoutdiffusion.model import LayoutDiffusion
 
@@ -27,6 +31,14 @@ def test_get_params_round_trip():
     assert params["beta_start"] == 1e-4
     clone = LayoutDiffusion(**params)
     assert clone.get_params() == params
+
+
+def test_default_params_are_the_config_defaults():
+    defaults = {f.name: f.default
+                for cls in (DenoiserConfig, DiffusionConfig, TrainConfig)
+                for f in dataclasses.fields(cls)}
+    params = LayoutDiffusion().get_params()
+    assert params == {name: defaults[name] for name in params}
 
 
 def test_set_params_updates_and_rejects_unknown():
