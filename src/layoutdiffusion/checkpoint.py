@@ -2,10 +2,14 @@
 
 The header carries a format version, precision, a manifest of named arrays
 (with shapes and byte offsets into the binary section), a config echo, RNG
-states, and optimizer scalars.  Optimizer moment arrays live in the same
-manifest under ``adam.m.`` / ``adam.v.`` prefixes.  Saving and re-loading
-is bit-exact.  A save writes a temporary file next to the target and moves
-it into place, so a failed save leaves the previous checkpoint intact.
+states, the optimizer's learning rate and step, and a SHA-256 digest of
+the binary section.  Optimizer moment arrays live in the same manifest under
+``adam.m.`` / ``adam.v.`` prefixes.  Saving and re-loading is bit-exact.  A
+save writes a temporary file next to the target and moves it into place, so
+a failed save leaves the previous checkpoint intact.  A load checks that the
+arrays tile the binary section exactly in manifest order, that it matches
+the digest (older checkpoints have none), and that the parameters and both
+moment sets have the same names.
 """
 from __future__ import annotations
 
@@ -21,6 +25,17 @@ from .tensor import ParameterStore, Tensor
 FORMAT_VERSION = 1
 
 _DTYPES = {"float64": "<f8", "float32": "<f4"}
+
+
+def _sha256(blobs) -> str:
+    # Imported here: loading OpenSSL adds about 3.5 MB of RSS to every process
+    # that imports the package, including those that never touch a checkpoint.
+    import hashlib
+
+    digest = hashlib.sha256()
+    for blob in blobs:
+        digest.update(blob)
+    return digest.hexdigest()
 
 
 def save_checkpoint(path, params: ParameterStore, adam_state: AdamState,
@@ -53,9 +68,8 @@ def save_checkpoint(path, params: ParameterStore, adam_state: AdamState,
         "manifest": manifest,
         "config": config_echo,
         "rng": rng_states,
-        "optimizer": {"lr": adam_state.lr, "beta1": adam_state.beta1,
-                      "beta2": adam_state.beta2, "eps": adam_state.eps,
-                      "step": adam_state.step},
+        "optimizer": {"lr": adam_state.lr, "step": adam_state.step},
+        "sha256": _sha256(blobs),
         "train_step": step,
     }
     tmp_path = os.fspath(path) + ".tmp"
@@ -88,14 +102,23 @@ def load_checkpoint(path):
 
     itemsize = np.dtype(wire).itemsize
     arrays = {}
+    offset = 0
     for entry in header["manifest"]:
-        shape = tuple(entry["shape"])
+        name, shape = entry["name"], tuple(entry["shape"])
+        if entry["offset"] != offset or name in arrays:
+            raise DataError(f"checkpoint {path}: manifest entry {name!r} at offset "
+                            f"{entry['offset']}, expected a new name at {offset}")
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        start = entry["offset"]
-        end = start + count * itemsize
+        end = offset + count * itemsize
         if end > len(blob):
-            raise DataError(f"checkpoint {path} truncated at {entry['name']}")
-        arrays[entry["name"]] = np.frombuffer(blob[start:end], dtype=wire).reshape(shape).copy()
+            raise DataError(f"checkpoint {path} truncated at {name}")
+        arrays[name] = np.frombuffer(blob[offset:end], dtype=wire).reshape(shape).copy()
+        offset = end
+    if offset != len(blob):
+        raise DataError(f"checkpoint {path}: {len(blob) - offset} bytes after the last array")
+    digest = header.get("sha256")
+    if digest is not None and _sha256([blob]) != digest:
+        raise DataError(f"checkpoint {path}: binary section does not match its SHA-256")
 
     param_arrays = {}
     m, v = {}, {}
@@ -108,10 +131,12 @@ def load_checkpoint(path):
             v[name[len("adam.v."):]] = arr
         else:
             raise DataError(f"checkpoint {path}: unexpected manifest entry {name!r}")
+    if not set(param_arrays) == set(m) == set(v):
+        raise DataError(f"checkpoint {path}: parameters and Adam moments have different names")
 
     params = ParameterStore({name: Tensor(arr, requires_grad=True)
                              for name, arr in param_arrays.items()})
+    # Older headers also carry beta1/beta2/eps, which were always Adam's constants.
     opt = header["optimizer"]
-    adam_state = AdamState(lr=opt["lr"], beta1=opt["beta1"], beta2=opt["beta2"],
-                           eps=opt["eps"], step=opt["step"], m=m, v=v)
+    adam_state = AdamState(lr=opt["lr"], step=opt["step"], m=m, v=v)
     return params, adam_state, header

@@ -50,11 +50,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset file")
     p.add_argument("--rule", choices=["grid_by_label", "random_boxes"],
-                   default="grid_by_label")
+                   default=SynthSpec.rule)
     p.add_argument("--layouts", type=_positive_int, default=512)
     p.add_argument("--classes", type=_positive_int, default=4)
-    p.add_argument("--min-elements", type=_positive_int, default=2)
-    p.add_argument("--max-elements", type=_positive_int, default=6)
+    p.add_argument("--min-elements", type=_positive_int,
+                   default=SynthSpec.elements_per_layout_range[0])
+    p.add_argument("--max-elements", type=_positive_int,
+                   default=SynthSpec.elements_per_layout_range[1])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("-o", "--output", required=True)
 
@@ -135,59 +137,33 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _field_defaults(cls) -> dict:
-    """Declared defaults of a config dataclass, before ``__post_init__`` derives
-    ``ffn_dim`` from ``d_model``, so that ``--d-model`` also sizes the FFN."""
-    return {f.name: f.default for f in dataclasses.fields(cls)
-            if f.default is not dataclasses.MISSING}
-
-
 def _merged_train_config(args, dataset: Dataset) -> TrainConfig:
-    base = {"denoiser": _field_defaults(DenoiserConfig),
-            "diffusion": _field_defaults(DiffusionConfig),
-            **_field_defaults(TrainConfig)}
+    file_cfg = {}
     if args.config:
         try:
             with open(args.config) as fh:
                 file_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise DataError(f"cannot read config {args.config}: {exc}") from exc
-        for key, value in file_cfg.items():
-            if key in ("denoiser", "diffusion"):
-                base[key].update(value)
-            elif key in base:
-                base[key] = value
-            else:
-                raise DataError(f"config {args.config}: unknown key {key!r}")
-
-    flag_map = {
-        "d_model": ("denoiser", "d_model"), "num_layers": ("denoiser", "num_layers"),
-        "num_heads": ("denoiser", "num_heads"), "ffn_dim": ("denoiser", "ffn_dim"),
-        "activation": ("denoiser", "activation"),
-        "positional_encoding": ("denoiser", "positional_encoding"),
-        "timesteps": ("diffusion", "timesteps"),
-        "beta_start": ("diffusion", "beta_start"), "beta_end": ("diffusion", "beta_end"),
-        "learning_rate": (None, "learning_rate"), "batch_size": (None, "batch_size"),
-        "max_steps": (None, "max_steps"), "precision": (None, "precision"),
-        "init_seed": (None, "init_seed"), "train_seed": (None, "train_seed"),
-        "checkpoint_every": (None, "checkpoint_every"),
-    }
-    for attr, (section, key) in flag_map.items():
-        value = getattr(args, attr)
-        if value is None:
-            continue
-        if section is None:
-            base[key] = value
-        else:
-            base[section][key] = value
-
+        if not isinstance(file_cfg, dict):
+            raise DataError(f"config {args.config}: top level must be an object")
+    fields = {f.name for cls in (DenoiserConfig, DiffusionConfig, TrainConfig)
+              for f in dataclasses.fields(cls)}
+    flags = {name: value for name, value in vars(args).items()
+             if name in fields and value is not None}
     # The attribute head is always dictated by the dataset.
-    base["denoiser"]["num_classes"] = dataset.num_classes
-    base["denoiser"]["attr_dim"] = dataset.feature_dim
+    flags.update(num_classes=dataset.num_classes, attr_dim=dataset.feature_dim)
     try:
-        return TrainConfig.from_dict(base)
+        return TrainConfig.from_flat(flags, file_cfg)
     except (TypeError, ValueError) as exc:
         raise DataError(f"invalid training configuration: {exc}") from exc
+
+
+def _checkpoint_config(header: dict, path) -> TrainConfig:
+    try:
+        return TrainConfig.from_dict(header["config"]["train"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"checkpoint {path}: invalid training configuration: {exc}") from exc
 
 
 def _dataset_echo(dataset: Dataset, path) -> dict:
@@ -215,13 +191,16 @@ def cmd_train(args) -> int:
             if dataset_echo.get(key) != trained_on.get(key):
                 raise DataError(f"dataset {args.dataset} does not match {args.resume}: {key} "
                                 f"{dataset_echo.get(key)!r} != {trained_on.get(key)!r}")
-        config = TrainConfig.from_dict(header["config"]["train"])
-        if args.max_steps is not None and args.max_steps != config.max_steps:
-            config = TrainConfig.from_dict({**config.to_dict(), "max_steps": args.max_steps})
+        config = _checkpoint_config(header, args.resume)
+        if args.max_steps is not None:
+            config = dataclasses.replace(config, max_steps=args.max_steps)
         start_stream = RngStream.from_state(header["rng"]["train"])
         start_step = header["train_step"]
-        if os.path.exists(loss_log):
-            history = [row for row in read_loss_log(loss_log) if row[0] <= start_step]
+        # The resumed run's log lives next to --resume unless --loss-log names it.
+        sources = ([args.loss_log] if args.loss_log else []) + [args.resume + ".loss.csv"]
+        existing = [path for path in sources if os.path.exists(path)]
+        if existing:
+            history = [row for row in read_loss_log(existing[0]) if row[0] <= start_step]
     else:
         config = _merged_train_config(args, dataset)
         start_params = start_adam = start_stream = None
@@ -254,7 +233,7 @@ def cmd_train(args) -> int:
 
 def cmd_sample(args) -> int:
     params, _, header = load_checkpoint(args.checkpoint)
-    config = TrainConfig.from_dict(header["config"]["train"])
+    config = _checkpoint_config(header, args.checkpoint)
     dataset_echo = header["config"]["dataset"]
     schedule = config.diffusion.schedule()
 
@@ -303,8 +282,11 @@ def _load_feature_file(path) -> FeatureSet:
         raise DataError(f"cannot read feature file {path}: {exc}") from exc
     if not isinstance(doc, dict) or "features" not in doc:
         raise DataError(f"feature file {path} must contain a 'features' matrix")
-    return FeatureSet(features=np.asarray(doc["features"], dtype=np.float64),
-                      provenance=str(doc.get("provenance", path)))
+    try:
+        features = np.asarray(doc["features"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"feature file {path}: 'features' is not a numeric matrix") from exc
+    return FeatureSet(features=features, provenance=str(doc.get("provenance", path)))
 
 
 def cmd_eval(args) -> int:

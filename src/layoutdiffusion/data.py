@@ -8,6 +8,7 @@ for sizes as well as centers).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -191,12 +192,43 @@ def to_corner_form(geometry) -> np.ndarray:
 
 
 def _require_keys(obj: dict, allowed: set, required: set, where: str):
+    if not isinstance(obj, dict):
+        raise DataError(f"{where}: expected an object, got {obj!r}")
     unknown = set(obj) - allowed
     if unknown:
         raise DataError(f"{where}: unknown fields {sorted(unknown)}")
     missing = required - set(obj)
     if missing:
         raise DataError(f"{where}: missing fields {sorted(missing)}")
+
+
+def _require_list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise DataError(f"{where}: expected a list, got {value!r}")
+    return value
+
+
+def _is_finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer literal beyond the float64 range
+        return False
+
+
+def _require_int(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DataError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _require_numbers(value, count: int, where: str) -> np.ndarray:
+    """A JSON list of ``count`` finite numbers, as float64."""
+    if not (isinstance(value, list) and len(value) == count
+            and all(_is_finite_number(v) for v in value)):
+        raise DataError(f"{where}: expected {count} finite numbers, got {value!r}")
+    return np.array(value, dtype=np.float64)
 
 
 def load_dataset(path, strict_geometry: bool = True) -> Dataset:
@@ -212,59 +244,53 @@ def load_dataset(path, strict_geometry: bool = True) -> Dataset:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
+    where = f"dataset {path}"
     if not isinstance(doc, dict):
-        raise DataError(f"dataset {path}: top level must be an object")
+        raise DataError(f"{where}: top level must be an object")
 
     mode = "continuous" if "feature_dim" in doc else "categorical"
     top_keys = _TOP_KEYS_CAT if mode == "categorical" else _TOP_KEYS_CONT
     vocab_key = "labels" if mode == "categorical" else "feature_dim"
-    _require_keys(doc, top_keys, {"canvas", vocab_key, "layouts"}, f"dataset {path}")
-    _require_keys(doc["canvas"], {"width", "height"}, {"width", "height"}, f"dataset {path} canvas")
-    canvas = (float(doc["canvas"]["width"]), float(doc["canvas"]["height"]))
-    if canvas[0] <= 0 or canvas[1] <= 0:
-        raise DataError(f"dataset {path}: canvas must be positive")
+    _require_keys(doc, top_keys, {"canvas", vocab_key, "layouts"}, where)
+    _require_keys(doc["canvas"], {"width", "height"}, {"width", "height"}, f"{where} canvas")
+    width, height = doc["canvas"]["width"], doc["canvas"]["height"]
+    if not all(_is_finite_number(v) and v > 0 for v in (width, height)):
+        raise DataError(f"{where}: canvas must be positive numbers, got {width!r} x {height!r}")
+    canvas = (float(width), float(height))
 
     if mode == "categorical":
-        label_names = tuple(str(s) for s in doc["labels"])
+        label_names = tuple(str(s) for s in _require_list(doc["labels"], f"{where} labels"))
         feature_dim = None
         elem_keys, elem_required = _ELEMENT_KEYS_CAT, {"label", "bbox"}
     else:
         label_names = None
-        feature_dim = int(doc["feature_dim"])
+        feature_dim = _require_int(doc["feature_dim"], f"{where} feature_dim")
         if feature_dim < 1:
-            raise DataError(f"dataset {path}: feature_dim must be >= 1")
+            raise DataError(f"{where}: feature_dim must be >= 1")
         elem_keys, elem_required = _ELEMENT_KEYS_CONT, {"feature", "bbox"}
 
     layouts = []
-    for raw_layout in doc["layouts"]:
-        _require_keys(raw_layout, _LAYOUT_KEYS, _LAYOUT_KEYS, "layout entry")
+    for raw_layout in _require_list(doc["layouts"], f"{where} layouts"):
+        _require_keys(raw_layout, _LAYOUT_KEYS, _LAYOUT_KEYS, f"{where} layout entry")
         lid = str(raw_layout["id"])
-        raw_elements = raw_layout["elements"]
+        at = f"{where} layout {lid!r}"
+        raw_elements = _require_list(raw_layout["elements"], f"{at} elements")
         if len(raw_elements) == 0:
-            raise DataError(f"layout {lid!r} has zero elements")
+            raise DataError(f"{at} has zero elements")
         if len(raw_elements) > DEFAULT_N_MAX:
-            raise DataError(f"layout {lid!r} has {len(raw_elements)} elements, "
-                            f"limit is {DEFAULT_N_MAX}")
+            raise DataError(f"{at} has {len(raw_elements)} elements, limit is {DEFAULT_N_MAX}")
         elements = []
         for raw_el in raw_elements:
-            _require_keys(raw_el, elem_keys, elem_required, f"layout {lid!r} element")
-            bbox = np.asarray(raw_el["bbox"], dtype=np.float64)
-            if bbox.shape != (4,) or not np.all(np.isfinite(bbox)):
-                raise DataError(f"layout {lid!r}: bbox must be 4 finite numbers")
+            _require_keys(raw_el, elem_keys, elem_required, f"{at} element")
+            bbox = _require_numbers(raw_el["bbox"], 4, f"{at} bbox")
             if mode == "categorical":
-                label = int(raw_el["label"])
+                label = _require_int(raw_el["label"], f"{at} label")
                 if not 0 <= label < len(label_names):
                     raise DataError(
-                        f"layout {lid!r}: label {label} outside vocabulary of "
-                        f"{len(label_names)} names"
-                    )
+                        f"{at}: label {label} outside vocabulary of {len(label_names)} names")
                 elements.append(Element(geometry=bbox, label=label))
             else:
-                feat = np.asarray(raw_el["feature"], dtype=np.float64)
-                if feat.shape != (feature_dim,):
-                    raise DataError(
-                        f"layout {lid!r}: feature length {feat.shape} != feature_dim {feature_dim}"
-                    )
+                feat = _require_numbers(raw_el["feature"], feature_dim, f"{at} feature")
                 elements.append(Element(geometry=bbox, feature=feat))
         raw = Layout(elements=tuple(elements), id=lid)
         layouts.append(normalize_layout(raw, canvas) if strict_geometry

@@ -14,7 +14,7 @@ import numpy as np
 from .data import Batch, Dataset, pad_batch
 from .denoiser import DenoiserConfig, denoise, init_denoiser_params
 from .exceptions import DataError, NumericError
-from .optim import AdamState, adam_step
+from .optim import BETA1, BETA2, EPS, AdamState, adam_step
 from .rng import RngStream
 from .tensor import ParameterStore, Tensor, collect_grads, mul, sub, tsum
 
@@ -28,20 +28,6 @@ class NoiseSchedule:
     alpha: np.ndarray
     alpha_bar: np.ndarray
     sigma: np.ndarray
-
-
-def build_schedule(timesteps: int = 1000, beta_start: float = 1e-4,
-                   beta_end: float = 0.02) -> NoiseSchedule:
-    if not (0.0 < beta_start < beta_end < 1.0):
-        raise ValueError(f"need 0 < beta_start < beta_end < 1, got ({beta_start}, {beta_end})")
-    if timesteps < 2:
-        raise ValueError("timesteps must be >= 2")
-    beta = np.linspace(beta_start, beta_end, timesteps, dtype=np.float64)
-    alpha = 1.0 - beta
-    alpha_bar = np.cumprod(alpha)
-    sigma = np.sqrt(beta)
-    return NoiseSchedule(timesteps=timesteps, beta=beta, alpha=alpha,
-                         alpha_bar=alpha_bar, sigma=sigma)
 
 
 @dataclass(frozen=True)
@@ -63,6 +49,21 @@ class DiffusionConfig:
         if d.pop("guidance_weight", 0.0) != 0.0:
             raise ValueError("nonzero guidance weight is not supported")
         return cls(**d)
+
+
+def build_schedule(timesteps: int = DiffusionConfig.timesteps,
+                   beta_start: float = DiffusionConfig.beta_start,
+                   beta_end: float = DiffusionConfig.beta_end) -> NoiseSchedule:
+    if not (0.0 < beta_start < beta_end < 1.0):
+        raise ValueError(f"need 0 < beta_start < beta_end < 1, got ({beta_start}, {beta_end})")
+    if timesteps < 2:
+        raise ValueError("timesteps must be >= 2")
+    beta = np.linspace(beta_start, beta_end, timesteps, dtype=np.float64)
+    alpha = 1.0 - beta
+    alpha_bar = np.cumprod(alpha)
+    sigma = np.sqrt(beta)
+    return NoiseSchedule(timesteps=timesteps, beta=beta, alpha=alpha,
+                         alpha_bar=alpha_bar, sigma=sigma)
 
 
 def _check_t(t, timesteps: int):
@@ -217,9 +218,6 @@ class TrainConfig:
     denoiser: DenoiserConfig
     diffusion: DiffusionConfig = field(default_factory=DiffusionConfig)
     learning_rate: float = 1e-5
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 64
     max_steps: int = 1000
     init_seed: int = 0
@@ -242,9 +240,29 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         d = dict(d)
+        # Legacy keys of older checkpoints, which only ever held Adam's constants.
+        for key, value in (("adam_beta1", BETA1), ("adam_beta2", BETA2), ("adam_eps", EPS)):
+            if d.pop(key, value) != value:
+                raise ValueError(f"{key} other than {value} is not supported")
         d["denoiser"] = DenoiserConfig.from_dict(d["denoiser"])
         d["diffusion"] = DiffusionConfig.from_dict(d["diffusion"])
         return cls(**d)
+
+    @classmethod
+    def from_flat(cls, values: dict, nested: Optional[dict] = None) -> "TrainConfig":
+        """:meth:`from_dict` of ``nested`` (a partial tree) with each flat name, such as
+        ``d_model`` or ``learning_rate``, set in the dataclass that declares it."""
+        d = {**(nested or {})}
+        sections = {"denoiser": DenoiserConfig, "diffusion": DiffusionConfig}
+        for key in sections:
+            d[key] = {**d.get(key, {})}
+        for name, value in values.items():
+            target = d
+            for key, section in sections.items():
+                if name in section.__dataclass_fields__:
+                    target = d[key]
+            target[name] = value
+        return cls.from_dict(d)
 
 
 @dataclass
@@ -275,9 +293,7 @@ def train(dataset: Dataset, config: TrainConfig,
     if params is None:
         params = init_denoiser_params(config.denoiser, RngStream(config.init_seed),
                                       dtype=config.dtype)
-    adam_state = start_adam or AdamState.initialize(
-        params, lr=config.learning_rate, beta1=config.adam_beta1,
-        beta2=config.adam_beta2, eps=config.adam_eps)
+    adam_state = start_adam or AdamState.initialize(params, lr=config.learning_rate)
     stream = start_stream or RngStream(config.train_seed)
 
     losses = []

@@ -80,20 +80,11 @@ class LayoutDiffusion:
     # -- fitting -----------------------------------------------------------
 
     def _make_train_config(self, dataset) -> TrainConfig:
-        denoiser = DenoiserConfig(
-            d_model=self.d_model, num_layers=self.num_layers,
-            num_heads=self.num_heads, ffn_dim=self.ffn_dim,
-            num_classes=dataset.num_classes, attr_dim=dataset.feature_dim,
-            activation=self.activation,
-            positional_encoding=self.positional_encoding)
-        diffusion = DiffusionConfig(timesteps=self.timesteps,
-                                    beta_start=self.beta_start, beta_end=self.beta_end)
-        return TrainConfig(
-            denoiser=denoiser, diffusion=diffusion,
-            learning_rate=self.learning_rate, batch_size=self.batch_size,
-            max_steps=self.max_steps, init_seed=check_seed(self.init_seed, "init_seed"),
-            train_seed=check_seed(self.train_seed, "train_seed"),
-            precision=self.precision)
+        return TrainConfig.from_flat({
+            **self.get_params(), "num_classes": dataset.num_classes,
+            "attr_dim": dataset.feature_dim,
+            "init_seed": check_seed(self.init_seed, "init_seed"),
+            "train_seed": check_seed(self.train_seed, "train_seed")})
 
     def fit(self, layouts, y=None):
         """Train the denoiser on a Dataset or a sequence of Layout objects."""

@@ -1,51 +1,50 @@
 """Adam optimizer and the finite-difference gradient oracle."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import NumericError
 from .tensor import ParameterStore
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
     """Optimizer state; updated functionally by :func:`adam_step`."""
 
-    lr: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    lr: float
+    step: int
+    m: dict
+    v: dict
 
     @classmethod
-    def initialize(cls, params: ParameterStore, lr=1e-5, beta1=0.9, beta2=0.999, eps=1e-8):
+    def initialize(cls, params: ParameterStore, lr):
         m = {name: np.zeros_like(t.data) for name, t in params.items()}
         v = {name: np.zeros_like(t.data) for name, t in params.items()}
-        return cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps, step=0, m=m, v=v)
+        return cls(lr=lr, step=0, m=m, v=v)
 
 
 def adam_step(params: ParameterStore, grads: dict, state: AdamState):
     """One Adam update with bias correction; returns (new_params, new_state)."""
     t = state.step + 1
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    c1 = 1.0 - BETA1**t
+    c2 = 1.0 - BETA2**t
     new_arrays, new_m, new_v = {}, {}, {}
     for name, p in params.items():
         g = np.asarray(grads[name])
         if g.shape != p.data.shape:
             raise NumericError(f"gradient shape {g.shape} != parameter shape {p.data.shape} for {name!r}")
-        m = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
-        update = state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m = BETA1 * state.m[name] + (1.0 - BETA1) * g
+        v = BETA2 * state.v[name] + (1.0 - BETA2) * (g * g)
+        update = state.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
         new_arrays[name] = p.data - update
         new_m[name] = m
         new_v[name] = v
-    new_state = AdamState(lr=state.lr, beta1=state.beta1, beta2=state.beta2,
-                          eps=state.eps, step=t, m=new_m, v=new_v)
+    new_state = AdamState(lr=state.lr, step=t, m=new_m, v=new_v)
     return params.replace(new_arrays), new_state
 
 

@@ -136,3 +136,85 @@ def test_corrupt_header_rejected(tmp_path):
     path.write_bytes(b"\x00\x01 not json\n\x00\x00")
     with pytest.raises(DataError):
         load_checkpoint(path)
+
+
+def rewrite(path, edit):
+    """Let ``edit(header, blob)`` change a saved checkpoint; it returns the new blob."""
+    head, blob = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    blob = edit(header, blob)
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + blob)
+
+
+@pytest.fixture
+def saved(tmp_path):
+    _, params, adam = make_state()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, adam, {}, {"train": RngStream(0).state()}, step=0)
+    return path, params
+
+
+def test_checkpoint_without_digest_still_loads(saved):
+    path, params = saved
+
+    def older_format(header, blob):
+        del header["sha256"]
+        header["optimizer"].update(beta1=0.9, beta2=0.999, eps=1e-8)
+        return blob
+
+    rewrite(path, older_format)
+    loaded, adam, _ = load_checkpoint(path)
+    assert adam.step == 1
+    for name in params.names():
+        assert np.array_equal(loaded[name].data, params[name].data)
+
+
+def test_digest_mismatch_rejected(saved):
+    path, _ = saved
+    rewrite(path, lambda header, blob: blob[:-1] + bytes([blob[-1] ^ 1]))
+    with pytest.raises(DataError, match="SHA-256"):
+        load_checkpoint(path)
+
+
+def test_overlapping_offsets_rejected(saved):
+    path, _ = saved
+
+    def all_at_zero(header, blob):
+        for entry in header["manifest"]:
+            entry["offset"] = 0
+        return blob
+
+    rewrite(path, all_at_zero)
+    with pytest.raises(DataError, match="offset"):
+        load_checkpoint(path)
+
+
+def test_trailing_bytes_rejected(saved):
+    path, _ = saved
+
+    def append(header, blob):
+        del header["sha256"]
+        return blob + bytes(8)
+
+    rewrite(path, append)
+    with pytest.raises(DataError, match="8 bytes after"):
+        load_checkpoint(path)
+
+
+def test_missing_moment_entry_rejected(saved):
+    path, _ = saved
+
+    def drop_first_m(header, blob):
+        del header["sha256"]
+        manifest = header["manifest"]
+        index = next(i for i, e in enumerate(manifest) if e["name"].startswith("adam.m."))
+        start = manifest[index]["offset"]
+        end = manifest[index + 1]["offset"]
+        del manifest[index]
+        for entry in manifest[index:]:
+            entry["offset"] -= end - start
+        return blob[:start] + blob[end:]
+
+    rewrite(path, drop_first_m)
+    with pytest.raises(DataError, match="different names"):
+        load_checkpoint(path)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from layoutdiffusion.cli import main
+from layoutdiffusion.denoiser import DenoiserConfig
+from layoutdiffusion.diffusion import DiffusionConfig, TrainConfig
 
 TRAIN_FLAGS = ["--d-model", "16", "--num-layers", "1", "--num-heads", "2",
                "--ffn-dim", "16", "--timesteps", "20", "--learning-rate", "1e-3",
@@ -92,6 +94,67 @@ def test_train_resume_matches_uninterrupted_run(tmp_path):
     assert j1["manifest"] == j2["manifest"]
 
 
+def blob_of(ckpt):
+    return ckpt.read_bytes().split(b"\n", 1)[1]
+
+
+def test_train_resume_into_another_checkpoint_keeps_history(tmp_path):
+    data = synth(tmp_path)
+    train(tmp_path, data, steps=6, name="full.ckpt")
+    full_log = (tmp_path / "full.ckpt.loss.csv").read_bytes()
+    part = train(tmp_path, data, steps=3, name="part.ckpt")
+    other = tmp_path / "other.ckpt"
+    assert run(["train", "--dataset", str(data), "--checkpoint", str(other),
+                "--resume", str(part), "--max-steps", "6"]) == 0
+    assert (tmp_path / "other.ckpt.loss.csv").read_bytes() == full_log
+    assert blob_of(other) == blob_of(tmp_path / "full.ckpt")
+
+    # An explicit --loss-log is read before the log next to --resume.
+    log = tmp_path / "custom.csv"
+    logged = train(tmp_path, data, steps=3, name="logged.ckpt", extra=["--loss-log", str(log)])
+    (tmp_path / "logged.ckpt.loss.csv").write_text("step,loss\n1,0.0\n2,0.0\n3,0.0\n")
+    assert run(["train", "--dataset", str(data), "--checkpoint", str(tmp_path / "c.ckpt"),
+                "--resume", str(logged), "--max-steps", "6", "--loss-log", str(log)]) == 0
+    assert log.read_bytes() == full_log
+
+
+def legacy_header(ckpt, **train_echo):
+    """Rewrite a checkpoint header as older versions wrote it: Adam's betas and
+    eps in the optimizer block and in the config echo, and no digest."""
+    head, blob = ckpt.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    header.pop("sha256", None)
+    header["optimizer"].update(beta1=0.9, beta2=0.999, eps=1e-8)
+    header["config"]["train"].update({"adam_beta1": 0.9, "adam_beta2": 0.999,
+                                      "adam_eps": 1e-8, **train_echo})
+    ckpt.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + blob)
+
+
+def test_train_resumes_a_legacy_checkpoint_bit_identically(tmp_path):
+    data = synth(tmp_path)
+    full = train(tmp_path, data, steps=6, name="full.ckpt")
+    part = train(tmp_path, data, steps=3, name="part.ckpt")
+    legacy_header(part)
+    assert run(["train", "--dataset", str(data), "--checkpoint", str(part),
+                "--resume", str(part), "--max-steps", "6"]) == 0
+    assert blob_of(part) == blob_of(full)
+    assert ((tmp_path / "part.ckpt.loss.csv").read_bytes()
+            == (tmp_path / "full.ckpt.loss.csv").read_bytes())
+
+
+def test_unsupported_legacy_adam_beta_is_a_data_error(tmp_path, capsys):
+    data = synth(tmp_path)
+    ckpt = train(tmp_path, data, steps=2)
+    legacy_header(ckpt)
+    assert run(sample_args(ckpt, tmp_path / "ok.json")) == 0
+    legacy_header(ckpt, adam_beta1=0.8)
+    assert run(sample_args(ckpt, tmp_path / "bad.json")) == 3
+    assert "adam_beta1" in capsys.readouterr().err
+    assert run(["train", "--dataset", str(data), "--checkpoint", str(ckpt),
+                "--resume", str(ckpt), "--max-steps", "4"]) == 3
+    assert "adam_beta1" in capsys.readouterr().err
+
+
 def test_train_resume_rejects_a_different_dataset(tmp_path, capsys):
     data = synth(tmp_path)
     ckpt = train(tmp_path, data, steps=2)
@@ -136,6 +199,37 @@ def test_train_config_file_and_flag_precedence(tmp_path):
     assert echo["max_steps"] == 2  # flag wins over file
     assert echo["denoiser"]["d_model"] == 16  # file wins over default
     assert echo["diffusion"]["timesteps"] == 20
+
+
+def test_train_flags_reach_their_config_sections(tmp_path):
+    data = synth(tmp_path)
+    ckpt = tmp_path / "flags.ckpt"
+    code = run(["train", "--dataset", str(data), "--checkpoint", str(ckpt),
+                "--d-model", "24", "--num-layers", "2", "--num-heads", "3", "--ffn-dim", "40",
+                "--activation", "relu", "--positional-encoding", "--timesteps", "30",
+                "--beta-start", "2e-4", "--beta-end", "0.03", "--learning-rate", "3e-3",
+                "--batch-size", "5", "--max-steps", "0", "--precision", "float32",
+                "--init-seed", "7", "--train-seed", "8", "--checkpoint-every", "9"])
+    assert code == 0
+    echo = json.loads(ckpt.read_bytes().split(b"\n", 1)[0])["config"]["train"]
+    assert echo == TrainConfig(
+        denoiser=DenoiserConfig(d_model=24, num_layers=2, num_heads=3, ffn_dim=40,
+                                num_classes=3, activation="relu", positional_encoding=True),
+        diffusion=DiffusionConfig(timesteps=30, beta_start=2e-4, beta_end=0.03),
+        learning_rate=3e-3, batch_size=5, max_steps=0, precision="float32",
+        init_seed=7, train_seed=8, checkpoint_every=9).to_dict()
+
+
+@pytest.mark.parametrize("doc", [[], None, 5, {"denoiser": 5}, {"denoiser": None},
+                                 {"diffusion": [1, 2]}])
+def test_train_config_must_be_objects(tmp_path, capsys, doc):
+    data = synth(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code = run(["train", "--dataset", str(data), "--checkpoint",
+                str(tmp_path / "x.ckpt"), "--config", str(cfg), "--max-steps", "0"])
+    assert code == 3
+    assert "error" in capsys.readouterr().err
 
 
 def test_train_unknown_config_key_rejected(tmp_path, capsys):
@@ -276,6 +370,24 @@ def test_eval_malformed_generated_fails_before_output(tmp_path, capsys):
                 "-o", str(report_path)])
     assert code == 3
     assert not report_path.exists()
+
+
+def test_eval_malformed_values_are_data_errors(tmp_path, capsys):
+    data = synth(tmp_path, layouts=8)
+    bad = json.loads(data.read_text())
+    bad["layouts"][2]["elements"][0]["label"] = "zz"
+    bad_path = tmp_path / "bad_label.json"
+    bad_path.write_text(json.dumps(bad))
+    assert run(["eval", "--generated", str(bad_path), "--reference", str(data)]) == 3
+    assert "synth-000002" in capsys.readouterr().err
+
+    features = tmp_path / "features.json"
+    features.write_text(json.dumps({"features": [["a", "b"], ["c", "d"], ["e", "f"]]}))
+    code = run(["eval", "--generated", str(data), "--reference", str(data),
+                "--frechet", "files", "--features-generated", str(features),
+                "--features-reference", str(features)])
+    assert code == 3
+    assert "features.json" in capsys.readouterr().err
 
 
 def test_eval_incompatible_vocabularies(tmp_path, capsys):

@@ -221,6 +221,51 @@ def test_load_continuous_mode(tmp_path):
         load_dataset(write_dataset_file(tmp_path, doc))
 
 
+def continuous_doc():
+    return {
+        "canvas": {"width": 10, "height": 10},
+        "feature_dim": 2,
+        "layouts": [
+            {"id": "c", "elements": [{"feature": [0.1, 0.2], "bbox": [5, 5, 2, 2]}]},
+        ],
+    }
+
+
+def element(doc):
+    return doc["layouts"][0]["elements"][0]
+
+
+MALFORMED = {
+    "label string": (minimal_doc, lambda d: element(d).update(label="zz")),
+    "label float": (minimal_doc, lambda d: element(d).update(label=1.7)),
+    "label bool": (minimal_doc, lambda d: element(d).update(label=True)),
+    "bbox strings": (minimal_doc, lambda d: element(d).update(bbox=["a", "b", "c", "d"])),
+    "bbox string": (minimal_doc, lambda d: element(d).update(bbox="50 50 20 10")),
+    "bbox three numbers": (minimal_doc, lambda d: element(d).update(bbox=[50, 50, 20])),
+    "bbox huge integer": (minimal_doc, lambda d: element(d).update(bbox=[10**400, 50, 20, 10])),
+    "element not an object": (minimal_doc, lambda d: d["layouts"][0].update(elements=[5])),
+    "elements not a list": (minimal_doc, lambda d: d["layouts"][0].update(elements=5)),
+    "layout not an object": (minimal_doc, lambda d: d.update(layouts=["a"])),
+    "layouts not a list": (minimal_doc, lambda d: d.update(layouts=5)),
+    "canvas not an object": (minimal_doc, lambda d: d.update(canvas=5)),
+    "canvas width string": (minimal_doc, lambda d: d["canvas"].update(width="wide")),
+    "labels not a list": (minimal_doc, lambda d: d.update(labels=3)),
+    "feature strings": (continuous_doc, lambda d: element(d).update(feature=["x", "y"])),
+    "feature_dim string": (continuous_doc, lambda d: d.update(feature_dim="x")),
+    "feature_dim float": (continuous_doc, lambda d: d.update(feature_dim=2.5)),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_load_rejects_malformed_values_naming_the_file(tmp_path, case):
+    make_doc, edit = MALFORMED[case]
+    doc = make_doc()
+    edit(doc)
+    path = write_dataset_file(tmp_path, doc)
+    with pytest.raises(DataError, match=str(path)):
+        load_dataset(path)
+
+
 def test_save_load_round_trip(tmp_path):
     spec = SynthSpec(num_layouts=12, num_classes=3, rule="random_boxes")
     ds = make_synthetic_dataset(spec, 5)

@@ -9,7 +9,7 @@ from layoutdiffusion.denoiser import DenoiserConfig, denoise, init_denoiser_para
 from layoutdiffusion.diffusion import (DiffusionConfig, TrainConfig, build_schedule,
                                        p_sample_step, posterior_mean, q_sample,
                                        sample, train, training_step)
-from layoutdiffusion.optim import AdamState
+from layoutdiffusion.optim import BETA1, BETA2, EPS, AdamState
 from layoutdiffusion.rng import RngStream
 from layoutdiffusion.tensor import ParameterStore, Tensor
 
@@ -80,6 +80,44 @@ def test_diffusion_config_rejects_guidance():
     legacy["diffusion"]["guidance_weight"] = 0.5
     with pytest.raises(ValueError):
         TrainConfig.from_dict(legacy)
+
+
+@pytest.mark.parametrize("key", ["adam_beta1", "adam_beta2", "adam_eps"])
+def test_train_config_accepts_legacy_adam_keys_only_at_the_constants(key):
+    # Older configs carry Adam's betas and eps, which were never set to anything else.
+    denoiser = DenoiserConfig(d_model=8, num_layers=1, num_heads=2, num_classes=2)
+    legacy = {**TrainConfig(denoiser=denoiser).to_dict(),
+              "adam_beta1": BETA1, "adam_beta2": BETA2, "adam_eps": EPS}
+    assert TrainConfig.from_dict(legacy) == TrainConfig(denoiser=denoiser)
+    legacy[key] = 0.8
+    with pytest.raises(ValueError, match=key):
+        TrainConfig.from_dict(legacy)
+
+
+def test_from_flat_routes_every_name_to_its_declaring_section():
+    config = TrainConfig(
+        denoiser=DenoiserConfig(d_model=24, num_layers=2, num_heads=3, ffn_dim=40, attr_dim=5,
+                                activation="relu", positional_encoding=True),
+        diffusion=DiffusionConfig(timesteps=30, beta_start=2e-4, beta_end=0.03,
+                                  clamp_output=False),
+        learning_rate=3e-3, batch_size=5, max_steps=6, init_seed=7, train_seed=8,
+        checkpoint_every=9, precision="float32")
+    tree = config.to_dict()
+    flat = {**tree.pop("denoiser"), **tree.pop("diffusion"), **tree}
+    assert len(flat) == 8 + 4 + 7
+    assert TrainConfig.from_flat(flat) == config
+
+    # Flat names win over the nested tree; fields set in neither keep their
+    # defaults, and ffn_dim follows the final d_model.
+    nested = {"denoiser": {"d_model": 16, "num_layers": 1, "num_heads": 2},
+              "diffusion": {"beta_end": 0.05}, "max_steps": 4, "batch_size": 3}
+    merged = TrainConfig.from_flat({"d_model": 32, "timesteps": 40, "batch_size": 2,
+                                    "num_classes": 3}, nested)
+    assert merged == TrainConfig(
+        denoiser=DenoiserConfig(d_model=32, num_layers=1, num_heads=2, num_classes=3),
+        diffusion=DiffusionConfig(timesteps=40, beta_end=0.05), batch_size=2, max_steps=4)
+    assert merged.denoiser.ffn_dim == 128
+    assert nested["denoiser"] == {"d_model": 16, "num_layers": 1, "num_heads": 2}
 
 
 # -- forward process -------------------------------------------------------------

@@ -41,6 +41,21 @@ def test_default_params_are_the_config_defaults():
     assert params == {name: defaults[name] for name in params}
 
 
+def test_every_param_reaches_its_config_section():
+    params = dict(d_model=24, num_layers=2, num_heads=3, ffn_dim=40, activation="relu",
+                  positional_encoding=True, timesteps=30, beta_start=2e-4, beta_end=0.03,
+                  learning_rate=3e-3, batch_size=5, max_steps=6, precision="float32",
+                  init_seed=7, train_seed=8)
+    assert set(params) == set(LayoutDiffusion().get_params())
+    dataset = make_synthetic_dataset(SynthSpec(num_layouts=4, num_classes=3), 0)
+    assert LayoutDiffusion(**params)._make_train_config(dataset) == TrainConfig(
+        denoiser=DenoiserConfig(d_model=24, num_layers=2, num_heads=3, ffn_dim=40,
+                                num_classes=3, activation="relu", positional_encoding=True),
+        diffusion=DiffusionConfig(timesteps=30, beta_start=2e-4, beta_end=0.03),
+        learning_rate=3e-3, batch_size=5, max_steps=6, precision="float32",
+        init_seed=7, train_seed=8)
+
+
 def test_set_params_updates_and_rejects_unknown():
     model = desk_model()
     assert model.set_params(d_model=32).d_model == 32

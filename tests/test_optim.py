@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from layoutdiffusion.exceptions import NumericError
-from layoutdiffusion.optim import AdamState, adam_step, finite_difference_grad
+from layoutdiffusion.optim import EPS, AdamState, adam_step, finite_difference_grad
 from layoutdiffusion.tensor import ParameterStore, Tensor
 
 
@@ -25,7 +25,7 @@ def test_first_step_is_signed_lr():
     lr = 0.01
     state = AdamState.initialize(store, lr=lr)
     new_store, _ = adam_step(store, {"w": g}, state)
-    expected = -lr * g / (np.abs(g) + state.eps)
+    expected = -lr * g / (np.abs(g) + EPS)
     np.testing.assert_allclose(new_store["w"].data, expected, atol=lr * 1e-6)
 
 
@@ -51,7 +51,7 @@ def test_quadratic_descent_matches_reference_recurrence():
 
 def test_shape_mismatch_rejected():
     store = make_store(w=[1.0, 2.0])
-    state = AdamState.initialize(store)
+    state = AdamState.initialize(store, lr=0.1)
     with pytest.raises(NumericError):
         adam_step(store, {"w": np.zeros(3)}, state)
 
