@@ -9,11 +9,13 @@ save writes a temporary file next to the target and moves it into place, so
 a failed save leaves the previous checkpoint intact.  A load checks that the
 arrays tile the binary section exactly in manifest order, that it matches
 the digest (older checkpoints have none), and that the parameters and both
-moment sets have the same names.
+moment sets have the same names.  A header whose manifest or optimizer
+entries are missing or of the wrong type is a :class:`DataError`.
 """
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -36,6 +38,27 @@ def _sha256(blobs) -> str:
     for blob in blobs:
         digest.update(blob)
     return digest.hexdigest()
+
+
+def _is_count(value) -> bool:
+    """A JSON integer >= 0; ``true``/``false`` are ints to Python, not here."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _manifest_entry(entry, path) -> tuple:
+    """``(name, shape, offset)`` of one manifest entry, with their types checked."""
+    if not isinstance(entry, dict):
+        raise DataError(f"checkpoint {path}: manifest entry {entry!r} is not an object")
+    name, shape, offset = entry.get("name"), entry.get("shape"), entry.get("offset")
+    if not isinstance(name, str):
+        raise DataError(f"checkpoint {path}: manifest name {name!r} is not a string")
+    if not isinstance(shape, list) or not all(_is_count(dim) for dim in shape):
+        raise DataError(f"checkpoint {path}: shape {shape!r} of {name!r} is not a list "
+                        f"of non-negative integers")
+    if not _is_count(offset):
+        raise DataError(f"checkpoint {path}: offset {offset!r} of {name!r} is not a "
+                        f"non-negative integer")
+    return name, tuple(shape), offset
 
 
 def save_checkpoint(path, params: ParameterStore, adam_state: AdamState,
@@ -94,22 +117,37 @@ def load_checkpoint(path):
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"corrupt checkpoint header in {path}: {exc}") from exc
+    if not isinstance(header, dict):
+        raise DataError(f"checkpoint {path}: header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise DataError(f"unsupported checkpoint version {header.get('format_version')}")
     wire = _DTYPES.get(header.get("precision"))
     if wire is None:
         raise DataError(f"unsupported checkpoint precision {header.get('precision')}")
 
+    manifest = header.get("manifest")
+    if not isinstance(manifest, list):
+        raise DataError(f"checkpoint {path}: manifest is not a list")
+    opt = header.get("optimizer")
+    lr = opt.get("lr") if isinstance(opt, dict) else None
+    finite_lr = (isinstance(lr, float) and math.isfinite(lr)
+                 or isinstance(lr, int) and not isinstance(lr, bool))
+    if not finite_lr or not _is_count(opt.get("step")):
+        raise DataError(f"checkpoint {path}: optimizer entry {opt!r} needs a finite lr "
+                        f"and a non-negative integer step")
+    if not _is_count(header.get("train_step")):
+        raise DataError(f"checkpoint {path}: train_step {header.get('train_step')!r} is not "
+                        f"a non-negative integer")
+
     itemsize = np.dtype(wire).itemsize
     arrays = {}
     offset = 0
-    for entry in header["manifest"]:
-        name, shape = entry["name"], tuple(entry["shape"])
-        if entry["offset"] != offset or name in arrays:
+    for entry in manifest:
+        name, shape, entry_offset = _manifest_entry(entry, path)
+        if entry_offset != offset or name in arrays:
             raise DataError(f"checkpoint {path}: manifest entry {name!r} at offset "
-                            f"{entry['offset']}, expected a new name at {offset}")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        end = offset + count * itemsize
+                            f"{entry_offset}, expected a new name at {offset}")
+        end = offset + math.prod(shape) * itemsize
         if end > len(blob):
             raise DataError(f"checkpoint {path} truncated at {name}")
         arrays[name] = np.frombuffer(blob[offset:end], dtype=wire).reshape(shape).copy()
@@ -137,6 +175,5 @@ def load_checkpoint(path):
     params = ParameterStore({name: Tensor(arr, requires_grad=True)
                              for name, arr in param_arrays.items()})
     # Older headers also carry beta1/beta2/eps, which were always Adam's constants.
-    opt = header["optimizer"]
     adam_state = AdamState(lr=opt["lr"], step=opt["step"], m=m, v=v)
     return params, adam_state, header

@@ -166,6 +166,30 @@ def _checkpoint_config(header: dict, path) -> TrainConfig:
         raise DataError(f"checkpoint {path}: invalid training configuration: {exc}") from exc
 
 
+def _trained_dataset(header: dict, path) -> Dataset:
+    """An empty dataset with the canvas and attributes a checkpoint was trained on."""
+    config = header.get("config")
+    echo = config.get("dataset") if isinstance(config, dict) else None
+    if not isinstance(echo, dict):
+        raise DataError(f"checkpoint {path}: header has no config.dataset object")
+    try:
+        return Dataset(layouts=(), canvas=echo["canvas"], label_names=echo.get("labels"),
+                       feature_dim=echo.get("feature_dim"))
+    except (DataError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"checkpoint {path}: invalid config.dataset: {exc!r}") from exc
+
+
+def _train_stream(header: dict, path) -> RngStream:
+    rng = header.get("rng")
+    state = rng.get("train") if isinstance(rng, dict) else None
+    if not isinstance(state, dict):
+        raise DataError(f"checkpoint {path}: header has no rng.train object")
+    try:
+        return RngStream.from_state(state)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"checkpoint {path}: invalid rng.train: {exc!r}") from exc
+
+
 def _dataset_echo(dataset: Dataset, path) -> dict:
     echo = {"path": str(path), "canvas": [dataset.canvas[0], dataset.canvas[1]],
             "num_layouts": len(dataset)}
@@ -186,15 +210,16 @@ def cmd_train(args) -> int:
     history = []
     if args.resume:
         start_params, start_adam, header = load_checkpoint(args.resume)
-        trained_on = header["config"]["dataset"]
-        for key in ("labels", "feature_dim"):
-            if dataset_echo.get(key) != trained_on.get(key):
+        trained = _trained_dataset(header, args.resume)
+        for key, ours, theirs in (("labels", dataset.label_names, trained.label_names),
+                                  ("feature_dim", dataset.feature_dim, trained.feature_dim)):
+            if ours != theirs:
                 raise DataError(f"dataset {args.dataset} does not match {args.resume}: {key} "
-                                f"{dataset_echo.get(key)!r} != {trained_on.get(key)!r}")
+                                f"{ours!r} != {theirs!r}")
         config = _checkpoint_config(header, args.resume)
         if args.max_steps is not None:
             config = dataclasses.replace(config, max_steps=args.max_steps)
-        start_stream = RngStream.from_state(header["rng"]["train"])
+        start_stream = _train_stream(header, args.resume)
         start_step = header["train_step"]
         # The resumed run's log lives next to --resume unless --loss-log names it.
         sources = ([args.loss_log] if args.loss_log else []) + [args.resume + ".loss.csv"]
@@ -234,26 +259,25 @@ def cmd_train(args) -> int:
 def cmd_sample(args) -> int:
     params, _, header = load_checkpoint(args.checkpoint)
     config = _checkpoint_config(header, args.checkpoint)
-    dataset_echo = header["config"]["dataset"]
+    trained = _trained_dataset(header, args.checkpoint)
     schedule = config.diffusion.schedule()
 
     if args.labels is not None:
-        if "labels" not in dataset_echo:
+        if trained.mode != "categorical":
             raise DataError("checkpoint was trained on continuous attributes; "
                             "use --conditions")
         try:
             labels = [int(tok) for tok in args.labels.split(",") if tok != ""]
         except ValueError as exc:
             raise DataError(f"bad --labels value {args.labels!r}") from exc
-        conditions = check_label_conditions([labels] * args.num_samples,
-                                            len(dataset_echo["labels"]))
+        conditions = check_label_conditions([labels] * args.num_samples, trained.num_classes)
     else:
         cond_dataset = load_dataset(args.conditions, strict_geometry=False)
-        if (cond_dataset.mode == "categorical") != ("labels" in dataset_echo):
+        if cond_dataset.mode != trained.mode:
             raise DataError("condition file attribute mode does not match checkpoint")
         if cond_dataset.mode == "categorical":
             conditions = check_label_conditions(
-                [l.labels.tolist() for l in cond_dataset.layouts], len(dataset_echo["labels"]))
+                [l.labels.tolist() for l in cond_dataset.layouts], trained.num_classes)
         else:
             conditions = check_feature_conditions(
                 [l.features for l in cond_dataset.layouts], config.denoiser.attr_dim)
@@ -263,9 +287,7 @@ def cmd_sample(args) -> int:
                     RngStream(args.seed), config.diffusion)
     layouts = batch_to_layouts(result.geometry_raw, attributes, mask,
                                ids=[f"sample-{i:06d}" for i in range(mask.shape[0])])
-    out_dataset = Dataset(layouts=tuple(layouts), canvas=dataset_echo["canvas"],
-                          label_names=dataset_echo.get("labels"),
-                          feature_dim=dataset_echo.get("feature_dim"))
+    out_dataset = dataclasses.replace(trained, layouts=tuple(layouts))
     meta = {"command": "sample", "seed": args.seed, "checkpoint": args.checkpoint,
             "num_samples": mask.shape[0], "config": header["config"],
             "version": __version__}

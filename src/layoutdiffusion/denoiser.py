@@ -16,7 +16,8 @@ import numpy as np
 from .exceptions import DataError
 from .rng import RngStream
 from .tensor import (ParameterStore, Tensor, as_tensor, concat, embedding, gelu,
-                     layer_norm, masked_softmax, matmul, relu, reshape, transpose)
+                     layer_norm, masked_softmax, matmul, put_rows, relu, reshape,
+                     take_rows, transpose)
 
 
 @dataclass(frozen=True)
@@ -131,8 +132,13 @@ def embed_geometry(geometry, params: ParameterStore) -> Tensor:
     return _affine(as_tensor(geometry), params, "geom")
 
 
-def embed_attributes(attributes, params: ParameterStore, config: DenoiserConfig) -> Tensor:
-    """Table lookup for label ids, affine projection for feature vectors."""
+def embed_attributes(attributes, index, params: ParameterStore,
+                     config: DenoiserConfig) -> Tensor:
+    """Table lookup for label ids, affine projection for feature vectors.
+
+    ``attributes`` is padded ([B, N] ids or [B, N, attr_dim] features) and
+    checked as such; only the flat slots ``index`` are embedded, as [T, d].
+    """
     if config.num_classes is not None:
         ids = np.asarray(attributes)
         if ids.ndim != 2:
@@ -140,48 +146,54 @@ def embed_attributes(attributes, params: ParameterStore, config: DenoiserConfig)
         if ids.min() < 0 or ids.max() >= config.num_classes:
             bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
             raise DataError(f"label id {bad} outside vocabulary of {config.num_classes}")
-        return embedding(params["attr.weight"], ids)
+        return embedding(params["attr.weight"], ids.reshape(-1)[index])
     feats = as_tensor(attributes)
     if feats.data.shape[-1] != config.attr_dim:
         raise DataError(f"feature dim {feats.data.shape[-1]} != configured {config.attr_dim}")
-    return _affine(feats, params, "attr")
+    return _affine(take_rows(reshape(feats, (-1, config.attr_dim)), index), params, "attr")
 
 
 def fuse_tokens(h_attr: Tensor, h_geom: Tensor, te, params: ParameterStore) -> Tensor:
     """Concatenate the two embeddings, fuse with an affine map, add TE(t).
 
-    ``te`` is one timestep embedding per batch row, broadcast over slots.
+    All three are packed per token: ``te`` [T, d] holds each token's
+    timestep embedding.
     """
     fused = _affine(concat(h_attr, h_geom, axis=-1), params, "fuse")
     te = np.asarray(te)
-    if te.ndim != 2 or te.shape[0] != fused.data.shape[0]:
-        raise DataError(f"timestep embedding shape {te.shape} does not match batch")
-    return fused + Tensor(te[:, None, :].astype(fused.data.dtype))
+    if te.shape != fused.data.shape:
+        raise DataError(f"timestep embedding shape {te.shape} does not match tokens "
+                        f"{fused.data.shape}")
+    return fused + Tensor(te.astype(fused.data.dtype))
 
 
 def transformer_layer(tokens: Tensor, mask, params: ParameterStore, layer_index: int,
                       config: DenoiserConfig) -> Tensor:
     """Post-norm block: self-attention + residual + LN, then FFN + residual + LN.
 
-    Masked slots are excluded as attention keys; their own outputs are
-    finite but carry no meaning and get zeroed at the network output.
+    ``tokens`` [T, d] are the valid slots of the [B, N] ``mask`` in
+    row-major order.  Only the attention product runs on the padded
+    [B, N] layout, where masked slots are excluded as keys; every other op
+    sees valid tokens alone.
     """
     p = f"layers.{layer_index:02d}"
-    b, n, d = tokens.data.shape
+    mask = np.asarray(mask, dtype=bool)
+    b, n = mask.shape
+    index = np.flatnonzero(mask)
+    d = tokens.data.shape[-1]
     heads, hd = config.num_heads, config.head_dim
 
     def split_heads(x):
-        return transpose(reshape(x, (b, n, heads, hd)), (0, 2, 1, 3))
+        return transpose(reshape(put_rows(x, index, b * n), (b, n, heads, hd)), (0, 2, 1, 3))
 
     q = split_heads(_affine(tokens, params, f"{p}.attn.wq"))
     k = split_heads(_affine(tokens, params, f"{p}.attn.wk"))
     v = split_heads(_affine(tokens, params, f"{p}.attn.wv"))
 
     logits = matmul(q, transpose(k, (0, 1, 3, 2))) * float(1.0 / np.sqrt(hd))
-    key_mask = np.asarray(mask, dtype=bool)[:, None, None, :]
-    weights = masked_softmax(logits, key_mask)
-    context = reshape(transpose(matmul(weights, v), (0, 2, 1, 3)), (b, n, d))
-    attended = _affine(context, params, f"{p}.attn.wo")
+    weights = masked_softmax(logits, mask[:, None, None, :])
+    context = reshape(transpose(matmul(weights, v), (0, 2, 1, 3)), (b * n, d))
+    attended = _affine(take_rows(context, index), params, f"{p}.attn.wo")
 
     normed = layer_norm(tokens + attended, params[f"{p}.ln1.scale"], params[f"{p}.ln1.shift"])
 
@@ -197,23 +209,24 @@ def denoise(geometry, t, attributes, mask, params: ParameterStore,
 
     ``geometry`` is [B, N, 4], ``t`` one integer step per batch row,
     ``attributes`` label ids [B, N] or features [B, N, attr_dim],
-    ``mask`` [B, N] booleans marking real elements.
+    ``mask`` [B, N] booleans marking real elements.  The network runs on
+    the valid slots only, so its cost follows the element count, not B * N.
     """
     geometry = as_tensor(geometry)
     b, n, _ = geometry.data.shape
     t = np.broadcast_to(np.asarray(t), (b,))
+    index = np.flatnonzero(np.asarray(mask, dtype=bool))
 
-    h_geom = embed_geometry(geometry, params)
-    h_attr = embed_attributes(attributes, params, config)
-    te = timestep_embedding(t, config.d_model)
+    h_geom = embed_geometry(take_rows(reshape(geometry, (b * n, 4)), index), params)
+    h_attr = embed_attributes(attributes, index, params, config)
+    te = timestep_embedding(t, config.d_model)[index // n]
     tokens = fuse_tokens(h_attr, h_geom, te, params)
     if config.positional_encoding:
-        pe = element_position_encoding(n, config.d_model)[None, :, :]
+        pe = element_position_encoding(n, config.d_model)[index % n]
         tokens = tokens + Tensor(pe.astype(tokens.data.dtype))
 
     for layer_index in range(config.num_layers):
         tokens = transformer_layer(tokens, mask, params, layer_index, config)
 
     noise_pred = _affine(tokens, params, "head")
-    mask_f = np.asarray(mask, dtype=noise_pred.data.dtype)[:, :, None]
-    return noise_pred * Tensor(mask_f)
+    return reshape(put_rows(noise_pred, index, b * n), (b, n, 4))

@@ -1,12 +1,15 @@
 """Dense tensors with reverse-mode gradients for the denoiser graph.
 
 This is a deliberately small tape: it covers exactly the operations the
-denoiser and its loss need (affine maps, concatenation, residual adds,
-layer normalization, masked softmax attention, GELU/ReLU feedforward,
+denoiser and its loss need (affine maps, concatenation, row gather and
+scatter between packed and padded tokens, residual adds, layer
+normalization, masked softmax attention, GELU/ReLU feedforward,
 squared-error reduction).  It is not a general autodiff system.
 
 Data is never mutated in place; every operation returns a new tensor.
 Gradients accumulate on leaves after calling :func:`backward` on a scalar.
+Gradients, like data, are never mutated in place either, so a gradient may
+share memory with another tensor's gradient and is stored without a copy.
 """
 from __future__ import annotations
 
@@ -101,7 +104,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 def _accumulate(t: Tensor, g: np.ndarray):
     if t.grad is None:
-        t.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g)
+        t.grad = np.asarray(g)
     else:
         t.grad = t.grad + g
 
@@ -242,6 +245,35 @@ def concat(a, b, axis=-1) -> Tensor:
             _accumulate(b, gb)
 
     return _result(out_data, (a, b), bwd)
+
+
+def take_rows(a, index) -> Tensor:
+    """Rows ``a[index]`` along the first axis; ``index`` holds distinct row numbers."""
+    a = as_tensor(a)
+    index = np.asarray(index)
+    out_data = a.data[index]
+
+    def bwd(g):
+        if a.requires_grad:
+            ga = np.zeros_like(a.data)
+            ga[index] = g  # distinct rows, so assignment needs no np.add.at
+            _accumulate(a, ga)
+
+    return _result(out_data, (a,), bwd)
+
+
+def put_rows(a, index, rows: int) -> Tensor:
+    """``rows`` zero rows holding the rows of ``a`` at ``index``; inverse of take_rows."""
+    a = as_tensor(a)
+    index = np.asarray(index)
+    out_data = np.zeros((rows,) + a.data.shape[1:], dtype=a.data.dtype)
+    out_data[index] = a.data
+
+    def bwd(g):
+        if a.requires_grad:
+            _accumulate(a, g[index])
+
+    return _result(out_data, (a,), bwd)
 
 
 def tsum(a, axis=None, keepdims=False) -> Tensor:

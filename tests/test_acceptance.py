@@ -102,16 +102,15 @@ def test_posterior_mean_cancellation_at_t1():
 # -- criterion: gradient correctness ----------------------------------------------
 
 
-def test_gradients_match_finite_differences_on_tiny_config():
-    started = time.monotonic()
+def worst_gradient_error(labels, mask):
+    """Largest relative error of the tape's parameter gradients against
+    central differences, for a squared-error loss on a tiny denoiser."""
     config = ld.DenoiserConfig(d_model=16, num_layers=2, num_heads=4, ffn_dim=24,
                                num_classes=3)
     params = ld.init_denoiser_params(config, ld.RngStream(42))
     rng = np.random.default_rng(1)
-    geometry = rng.normal(size=(1, 3, 4))
-    labels = np.array([[0, 1, 2]])
-    mask = np.ones((1, 3), dtype=bool)
-    target = rng.normal(size=(1, 3, 4))
+    geometry = rng.normal(size=mask.shape + (4,))
+    target = rng.normal(size=mask.shape + (4,))
 
     def loss_fn(store):
         pred = ld.denoise(geometry, [5], labels, mask, store, config)
@@ -125,10 +124,28 @@ def test_gradients_match_finite_differences_on_tiny_config():
         a, b = grads[name], fd[name]
         rel = np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-4)
         worst = max(worst, float(rel.max()))
+    return worst
+
+
+def test_gradients_match_finite_differences_on_tiny_config():
+    started = time.monotonic()
+    worst = worst_gradient_error(np.array([[0, 1, 2]]), np.ones((1, 3), dtype=bool))
     assert worst < 1e-4, f"max relative gradient error {worst}"
     elapsed = time.monotonic() - started
     assert elapsed < 60.0
     announce("gradient-correctness", started)
+
+
+def test_gradients_match_finite_differences_on_a_ragged_batch():
+    # Two layouts of 2 and 4 elements padded to 4: the packed path.
+    started = time.monotonic()
+    labels = np.array([[2, 0, 0, 0], [0, 1, 2, 1]])
+    mask = np.array([[True, False, True, False], [True, True, True, True]])
+    worst = worst_gradient_error(labels, mask)
+    assert worst < 1e-4, f"max relative gradient error {worst}"
+    elapsed = time.monotonic() - started
+    assert elapsed < 60.0
+    announce("gradient-correctness-ragged", started)
 
 
 # -- criterion: permutation equivariance --------------------------------------------

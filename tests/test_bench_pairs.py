@@ -1,0 +1,50 @@
+import importlib.util
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SPEC = importlib.util.spec_from_file_location("bench_pairs",
+                                              os.path.join(ROOT, "tools", "bench_pairs.py"))
+bench_pairs = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(bench_pairs)
+
+DECLARED = {"rate": {"unit": "1/s", "better": "higher", "bound": 0.25},
+            "rss": {"unit": "MB", "better": "lower", "bound": 0.1}}
+
+
+def summary(parent, change):
+    """Both declared metrics of each run take the same value."""
+    runs = [{"pair": pair, "side": side, "metrics": {"rate": value, "rss": value}}
+            for pair, values in enumerate(zip(parent, change))
+            for side, value in zip(("parent", "change"), values)]
+    return bench_pairs.summarize(runs, DECLARED)
+
+
+def test_gain_needs_nine_wins_in_ten_and_a_gap_beyond_the_parent_iqr():
+    parent = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]
+    s = summary(parent, [p + 20 for p in parent])["rate"]
+    assert s["wins"] == 10 and s["gain_holds"] and s["within_bound"]
+    assert s["parent"]["median"] == pytest.approx(104.5)
+    assert s["gain_pct"] == pytest.approx(100 * 20 / 104.5)
+
+    # Eight wins, one tie, one loss: ties count for neither side.
+    change = [p + 20 for p in parent[:8]] + [parent[8], parent[9] - 1]
+    s = summary(parent, change)["rate"]
+    assert s["wins"] == 8 and not s["gain_holds"]
+
+    # Every pair won, but by less than the parent's interquartile range.
+    s = summary(parent, [p + 1 for p in parent])["rate"]
+    assert s["wins"] == 10 and not s["gain_holds"]
+
+    # Five pairs won by far are too few to claim a gain.
+    s = summary(parent[:5], [p + 20 for p in parent[:5]])["rate"]
+    assert s["wins"] == 5 and not s["gain_holds"] and s["within_bound"]
+
+
+def test_lower_is_better_and_the_bound_is_relative():
+    parent = [50.0] * 10
+    s = summary(parent, [40.0] * 10)["rss"]
+    assert s["wins"] == 10 and s["gain_holds"]
+    assert summary(parent, [54.9] * 10)["rss"]["within_bound"]
+    assert not summary(parent, [55.1] * 10)["rss"]["within_bound"]

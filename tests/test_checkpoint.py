@@ -218,3 +218,54 @@ def test_missing_moment_entry_rejected(saved):
     rewrite(path, drop_first_m)
     with pytest.raises(DataError, match="different names"):
         load_checkpoint(path)
+
+
+DROP = object()
+
+
+def set_entry(keys, value=DROP):
+    """An edit for ``rewrite`` that sets (or, with ``DROP``, deletes) one header entry."""
+    def edit(header, blob):
+        *parents, last = keys
+        target = header
+        for key in parents:
+            target = target[key]
+        if value is DROP:
+            del target[last]
+        else:
+            target[last] = value
+        return blob
+    return edit
+
+
+MALFORMED_HEADERS = [
+    (("manifest",), DROP), (("manifest",), {}), (("manifest", 0), "params.x"),
+    (("manifest", 0, "name"), DROP), (("manifest", 0, "name"), 7),
+    (("manifest", 0, "shape"), DROP), (("manifest", 0, "shape"), 4),
+    (("manifest", 0, "shape"), [2.5]), (("manifest", 0, "shape"), [-1, 4]),
+    (("manifest", 0, "shape"), [True]), (("manifest", 0, "offset"), DROP),
+    (("manifest", 0, "offset"), 0.0), (("manifest", 1, "offset"), -8),
+    (("optimizer",), DROP), (("optimizer", "lr"), "0.001"),
+    (("optimizer", "lr"), float("inf")), (("optimizer", "step"), -1),
+    (("optimizer", "step"), 1.5), (("train_step",), DROP), (("train_step",), "0"),
+]
+
+
+@pytest.mark.parametrize("keys, value", MALFORMED_HEADERS,
+                         ids=[f"{'.'.join(map(str, k))}={'drop' if v is DROP else v!r}"
+                              for k, v in MALFORMED_HEADERS])
+def test_malformed_header_entry_is_a_data_error_naming_the_file(saved, keys, value):
+    path, _ = saved
+    rewrite(path, set_entry(keys, value))
+    with pytest.raises(DataError, match=str(keys[-1]) if isinstance(keys[-1], str)
+                       else "manifest entry") as excinfo:
+        load_checkpoint(path)
+    assert str(path) in str(excinfo.value)
+
+
+def test_header_that_is_not_an_object_is_a_data_error(saved):
+    path, _ = saved
+    blob = path.read_bytes().split(b"\n", 1)[1]
+    path.write_bytes(b"[1, 2]\n" + blob)
+    with pytest.raises(DataError, match="not a JSON object"):
+        load_checkpoint(path)

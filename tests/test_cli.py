@@ -170,6 +170,38 @@ def test_train_resume_rejects_a_different_dataset(tmp_path, capsys):
     assert (ckpt.read_bytes(), log.read_bytes()) == before
 
 
+def drop_header_entry(ckpt, keys):
+    head, blob = ckpt.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    *parents, last = keys
+    target = header
+    for key in parents:
+        target = target[key]
+    del target[last]
+    ckpt.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + blob)
+
+
+def header_entry_id(keys):
+    return ".".join(map(str, keys))
+
+
+@pytest.mark.parametrize("keys", [("manifest", 0, "shape"), ("optimizer",),
+                                  ("config", "dataset"), ("config", "dataset", "canvas"),
+                                  ("rng", "train"), ("rng", "train", "seed"), ("train_step",)],
+                         ids=header_entry_id)
+def test_train_resume_rejects_a_header_without_an_entry(tmp_path, capsys, keys):
+    data = synth(tmp_path)
+    ckpt = train(tmp_path, data, steps=2)
+    drop_header_entry(ckpt, keys)
+    log = tmp_path / "model.ckpt.loss.csv"
+    before = ckpt.read_bytes(), log.read_bytes()
+    code = run(["train", "--dataset", str(data), "--checkpoint", str(ckpt),
+                "--resume", str(ckpt), "--max-steps", "4"])
+    assert code == 3
+    assert str(ckpt) in capsys.readouterr().err
+    assert (ckpt.read_bytes(), log.read_bytes()) == before
+
+
 def test_train_d_model_flag_sizes_the_default_ffn(tmp_path):
     data = synth(tmp_path)
     ckpt = tmp_path / "wide.ckpt"
@@ -260,6 +292,19 @@ def test_sample_is_deterministic_and_shaped(tmp_path):
     first = doc["layouts"][0]["elements"][0]
     assert "bbox" in first and "bbox_clamped" in first
     assert [e["label"] for e in doc["layouts"][0]["elements"]] == [0, 1, 1, 2]
+
+
+@pytest.mark.parametrize("keys", [("manifest", 0, "shape"), ("optimizer",),
+                                  ("config", "dataset"), ("config", "dataset", "canvas"),
+                                  ("config", "dataset", "labels")], ids=header_entry_id)
+def test_sample_rejects_a_header_without_an_entry(tmp_path, capsys, keys):
+    data = synth(tmp_path)
+    ckpt = train(tmp_path, data)
+    drop_header_entry(ckpt, keys)
+    out = tmp_path / "s.json"
+    assert run(sample_args(ckpt, out)) == 3
+    assert str(ckpt) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sample_seed_changes_output(tmp_path):

@@ -7,7 +7,7 @@ from layoutdiffusion.denoiser import (DenoiserConfig, denoise, element_position_
                                       transformer_layer)
 from layoutdiffusion.exceptions import DataError
 from layoutdiffusion.rng import RngStream
-from layoutdiffusion.tensor import ParameterStore, Tensor
+from layoutdiffusion.tensor import ParameterStore, Tensor, backward, mul, tsum
 
 RNG = np.random.default_rng(77)
 
@@ -86,23 +86,27 @@ def test_embed_geometry_matches_matmul_oracle(setup):
 def test_embed_attributes_repeats_rows(setup):
     config, params = setup
     ids = np.array([[1, 1, 0]])
-    out = embed_attributes(ids, params, config).data
-    np.testing.assert_array_equal(out[0, 0], out[0, 1])
-    assert not np.array_equal(out[0, 0], out[0, 2])
+    out = embed_attributes(ids, np.arange(3), params, config).data
+    np.testing.assert_array_equal(out[0], out[1])
+    assert not np.array_equal(out[0], out[2])
 
 
 def test_embed_attributes_rejects_out_of_vocabulary(setup):
     config, params = setup
     with pytest.raises(DataError):
-        embed_attributes(np.array([[config.num_classes]]), params, config)
+        embed_attributes(np.array([[config.num_classes]]), np.arange(1), params, config)
     with pytest.raises(DataError):
-        embed_attributes(np.array([[-1]]), params, config)
+        embed_attributes(np.array([[-1]]), np.arange(1), params, config)
+    # The check covers the padded ids, masked slots included.
+    with pytest.raises(DataError):
+        embed_attributes(np.array([[0, config.num_classes]]), np.arange(1), params, config)
 
 
 def test_embed_attributes_continuous_zero_gives_bias():
     config = tiny_config(num_classes=None, attr_dim=5)
     params = init_denoiser_params(config, RngStream(3))
-    out = embed_attributes(np.zeros((2, 3, 5)), params, config).data
+    out = embed_attributes(np.zeros((2, 3, 5)), np.array([0, 2, 5]), params, config).data
+    assert out.shape == (3, config.d_model)
     np.testing.assert_allclose(out, np.broadcast_to(params["attr.bias"].data, out.shape))
 
 
@@ -110,7 +114,7 @@ def test_embed_attributes_continuous_rejects_wrong_dim():
     config = tiny_config(num_classes=None, attr_dim=5)
     params = init_denoiser_params(config, RngStream(3))
     with pytest.raises(DataError):
-        embed_attributes(np.zeros((2, 3, 4)), params, config)
+        embed_attributes(np.zeros((2, 3, 4)), np.arange(6), params, config)
 
 
 # -- token fusion --------------------------------------------------------------
@@ -118,9 +122,9 @@ def test_embed_attributes_continuous_rejects_wrong_dim():
 
 def test_fuse_tokens_zero_te_is_pure_fusion(setup):
     config, params = setup
-    h_attr = Tensor(RNG.normal(size=(2, 3, config.d_model)))
-    h_geom = Tensor(RNG.normal(size=(2, 3, config.d_model)))
-    te0 = np.zeros((2, config.d_model))
+    h_attr = Tensor(RNG.normal(size=(5, config.d_model)))
+    h_geom = Tensor(RNG.normal(size=(5, config.d_model)))
+    te0 = np.zeros((5, config.d_model))
     out = fuse_tokens(h_attr, h_geom, te0, params).data
     oracle = (np.concatenate([h_attr.data, h_geom.data], axis=-1)
               @ params["fuse.weight"].data + params["fuse.bias"].data)
@@ -129,19 +133,20 @@ def test_fuse_tokens_zero_te_is_pure_fusion(setup):
 
 def test_fuse_tokens_te_shift_hits_every_token(setup):
     config, params = setup
-    h_attr = Tensor(RNG.normal(size=(2, 3, config.d_model)))
-    h_geom = Tensor(RNG.normal(size=(2, 3, config.d_model)))
+    # Two layouts of 3 tokens each; every token carries its layout's TE.
+    h_attr = Tensor(RNG.normal(size=(6, config.d_model)))
+    h_geom = Tensor(RNG.normal(size=(6, config.d_model)))
     te = RNG.normal(size=(2, config.d_model))
     delta = RNG.normal(size=(2, config.d_model))
-    base = fuse_tokens(h_attr, h_geom, te, params).data
-    shifted = fuse_tokens(h_attr, h_geom, te + delta, params).data
-    np.testing.assert_allclose(shifted - base, np.repeat(delta[:, None, :], 3, axis=1),
-                               atol=1e-12)
+    rows = np.arange(6) // 3
+    base = fuse_tokens(h_attr, h_geom, te[rows], params).data
+    shifted = fuse_tokens(h_attr, h_geom, (te + delta)[rows], params).data
+    np.testing.assert_allclose(shifted - base, np.repeat(delta, 3, axis=0), atol=1e-12)
 
 
 def test_fuse_tokens_rejects_bad_te_shape(setup):
     config, params = setup
-    h = Tensor(np.zeros((2, 3, config.d_model)))
+    h = Tensor(np.zeros((6, config.d_model)))
     with pytest.raises(DataError):
         fuse_tokens(h, h, np.zeros((3, config.d_model)), params)
 
@@ -187,19 +192,17 @@ def test_transformer_layer_matches_oracle(setup):
     config, params = setup
     x = RNG.normal(size=(2, 4, config.d_model))
     mask = np.array([[True, True, True, False], [True, False, True, True]])
-    out = transformer_layer(Tensor(x), mask, params, 0, config).data
-    np.testing.assert_allclose(out, layer_oracle(x, mask, params, 0, config), atol=1e-5)
+    out = transformer_layer(Tensor(x[mask]), mask, params, 0, config).data
+    np.testing.assert_allclose(out, layer_oracle(x, mask, params, 0, config)[mask], atol=1e-5)
 
 
 def test_masked_slot_cannot_influence_valid_outputs(setup):
     config, params = setup
-    x = RNG.normal(size=(1, 4, config.d_model))
-    mask = np.array([[True, True, True, False]])
-    base = transformer_layer(Tensor(x), mask, params, 1, config).data
-    x2 = x.copy()
-    x2[0, 3] += 10.0
-    poked = transformer_layer(Tensor(x2), mask, params, 1, config).data
-    np.testing.assert_allclose(poked[0, :3], base[0, :3], atol=1e-6)
+    tokens = Tensor(RNG.normal(size=(3, config.d_model)))
+    base = transformer_layer(tokens, np.array([[True, True, True]]), params, 1, config).data
+    padded = transformer_layer(tokens, np.array([[True, True, True, False]]), params, 1,
+                               config).data
+    np.testing.assert_allclose(padded, base, atol=1e-6)
 
 
 def test_single_valid_element_attends_to_itself(setup):
@@ -210,8 +213,8 @@ def test_single_valid_element_attends_to_itself(setup):
     v = x[0, 0] @ params[f"{p}.attn.wv.weight"].data + params[f"{p}.attn.wv.bias"].data
     attended = v @ params[f"{p}.attn.wo.weight"].data + params[f"{p}.attn.wo.bias"].data
     oracle = layer_oracle(x, mask, params, 0, config)
-    out = transformer_layer(Tensor(x), mask, params, 0, config).data
-    np.testing.assert_allclose(out, oracle, atol=1e-8)
+    out = transformer_layer(Tensor(x[mask]), mask, params, 0, config).data
+    np.testing.assert_allclose(out, oracle[mask], atol=1e-8)
     # softmax over a single key is the identity: context is its own V row
     z = x[0, 0] + attended
     mu, var = z.mean(), ((z - z.mean()) ** 2).mean()
@@ -224,7 +227,7 @@ def test_single_valid_element_attends_to_itself(setup):
     mu2, var2 = z2.mean(), ((z2 - z2.mean()) ** 2).mean()
     y2 = (z2 - mu2) / np.sqrt(var2 + 1e-12)
     expected = y2 * params[f"{p}.ln2.scale"].data + params[f"{p}.ln2.shift"].data
-    np.testing.assert_allclose(out[0, 0], expected, atol=1e-8)
+    np.testing.assert_allclose(out[0], expected, atol=1e-8)
 
 
 # -- full forward -----------------------------------------------------------------
@@ -275,6 +278,77 @@ def test_denoise_deterministic_and_masked_zero(setup):
     np.testing.assert_array_equal(a[0, 2:], np.zeros((2, 4)))
     assert a.shape == (2, 4, 4)
     assert np.all(np.isfinite(a))
+
+
+def ragged_inputs(config):
+    """A batch whose layouts have 2, 5 and 3 elements at scattered slots."""
+    mask = np.array([[True, False, False, True, False],
+                     [True, True, True, True, True],
+                     [False, True, True, False, True]])
+    geometry = RNG.normal(size=(3, 5, 4))
+    if config.num_classes is not None:
+        attributes = RNG.integers(0, config.num_classes, size=(3, 5))
+    else:
+        attributes = RNG.normal(size=(3, 5, config.attr_dim))
+    return geometry, np.array([3, 250, 999]), attributes, mask
+
+
+MODES = {"categorical": {}, "continuous": {"num_classes": None, "attr_dim": 5},
+         "positional": {"positional_encoding": True}}
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+def test_denoise_ragged_batch_matches_each_layout_alone(mode):
+    config = tiny_config(**MODES[mode])
+    params = init_denoiser_params(config, RngStream(9))
+    geometry, t, attributes, mask = ragged_inputs(config)
+    out = denoise(geometry, t, attributes, mask, params, config).data
+    for row in range(mask.shape[0]):
+        keep = mask[row]
+        alone = denoise(geometry[row:row + 1], t[row:row + 1], attributes[row:row + 1],
+                        mask[row:row + 1], params, config).data
+        np.testing.assert_allclose(out[row], alone[0], rtol=0, atol=1e-12)
+        assert np.all(out[row, ~keep] == 0.0)
+        if not config.positional_encoding:
+            # Without slot positions, padding itself changes nothing either.
+            packed = denoise(geometry[row:row + 1, keep], t[row:row + 1],
+                             attributes[row:row + 1, keep],
+                             np.ones((1, keep.sum()), dtype=bool), params, config).data
+            np.testing.assert_allclose(out[row, keep], packed[0], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+def test_masked_slots_leave_the_output_bit_identical(mode):
+    config = tiny_config(**MODES[mode])
+    params = init_denoiser_params(config, RngStream(9))
+    geometry, t, attributes, mask = ragged_inputs(config)
+    base = denoise(geometry, t, attributes, mask, params, config).data
+    geometry2, attributes2 = geometry.copy(), attributes.copy()
+    geometry2[~mask] = 1e3
+    attributes2[~mask] = -7.0 if config.attr_dim else 1
+    changed = denoise(geometry2, t, attributes2, mask, params, config).data
+    assert np.array_equal(changed, base)
+
+
+def test_tracked_geometry_gets_gradients_on_valid_slots(setup):
+    config, params = setup
+    geometry, t, labels, mask = ragged_inputs(config)
+    proj = RNG.normal(size=geometry.shape)
+    g = Tensor(geometry.copy(), requires_grad=True)
+    backward(tsum(mul(denoise(g, t, labels, mask, params, config), Tensor(proj))))
+
+    def scalar(x):
+        return float((denoise(x, t, labels, mask, params, config).data * proj).sum())
+
+    fd = np.zeros_like(geometry)
+    h = 1e-6
+    for i in np.ndindex(geometry.shape):
+        plus, minus = geometry.copy(), geometry.copy()
+        plus[i] += h
+        minus[i] -= h
+        fd[i] = (scalar(plus) - scalar(minus)) / (2 * h)
+    np.testing.assert_allclose(g.grad, fd, atol=1e-7)
+    assert np.all(g.grad[~mask] == 0.0)
 
 
 def test_denoise_on_detached_params_records_no_tape(setup):

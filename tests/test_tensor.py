@@ -4,8 +4,8 @@ import pytest
 from layoutdiffusion.exceptions import NumericError
 from layoutdiffusion.tensor import (ParameterStore, Tensor, backward, collect_grads,
                                     concat, embedding, gelu, layer_norm,
-                                    masked_softmax, matmul, mul, relu, reshape,
-                                    transpose, tsum)
+                                    masked_softmax, matmul, mul, put_rows, relu,
+                                    reshape, take_rows, transpose, tsum)
 
 RNG = np.random.default_rng(20240)
 
@@ -87,6 +87,20 @@ def test_reshape_transpose_concat_grad():
     other = RNG.normal(size=(2, 3, 2))
     check_op(lambda t: concat(t, Tensor(other), axis=-1), (2, 3, 4))
     check_op(lambda t: concat(Tensor(other), t, axis=-1), (2, 3, 4))
+
+
+def test_take_rows_put_rows_grads():
+    # Unsorted rows with gaps: the rows left out get exactly zero gradient.
+    index = np.array([4, 0, 2])
+    check_op(lambda t: take_rows(t, index), (6, 3))
+    check_op(lambda t: take_rows(t, index), (5, 2, 2))
+    check_op(lambda t: put_rows(t, index, 6), (3, 3))
+    check_op(lambda t: put_rows(take_rows(t, index), index, 5), (5, 2))
+    x = RNG.normal(size=(3, 2))
+    padded = put_rows(Tensor(x), index, 6).data
+    np.testing.assert_array_equal(padded[index], x)
+    np.testing.assert_array_equal(padded[[1, 3, 5]], np.zeros((3, 2)))
+    np.testing.assert_array_equal(take_rows(Tensor(padded), index).data, x)
 
 
 def test_sum_grads():
