@@ -2,15 +2,17 @@
 
 The header carries a format version, precision, a manifest of named arrays
 (with shapes and byte offsets into the binary section), a config echo, RNG
-states, the optimizer's learning rate and step, and a SHA-256 digest of
-the binary section.  Optimizer moment arrays live in the same manifest under
-``adam.m.`` / ``adam.v.`` prefixes.  Saving and re-loading is bit-exact.  A
-save writes a temporary file next to the target and moves it into place, so
-a failed save leaves the previous checkpoint intact.  A load checks that the
-arrays tile the binary section exactly in manifest order, that it matches
-the digest (older checkpoints have none), and that the parameters and both
-moment sets have the same names.  A header whose manifest or optimizer
-entries are missing or of the wrong type is a :class:`DataError`.
+states, the optimizer's learning rate and step, and a SHA-256 digest of the
+rest of the header together with the binary section.  Optimizer moment
+arrays live in the same manifest under ``adam.m.`` / ``adam.v.`` prefixes.
+Saving and re-loading is bit-exact.  A save writes a temporary file next to
+the target and moves it into place, so a failed save leaves the previous
+checkpoint intact.  A load checks that the arrays tile the binary section
+exactly in manifest order, that the file matches its digest, and that the
+parameters and both moment sets have the same names.  A file without a
+digest still loads; in version 1 files the digest covers the binary section
+only.  A header whose manifest or optimizer entries are missing or of the
+wrong type is a :class:`DataError`.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from .exceptions import DataError
 from .optim import AdamState
 from .tensor import ParameterStore, Tensor
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # 2: the digest covers the header too
 
 _DTYPES = {"float64": "<f8", "float32": "<f4"}
 
@@ -38,6 +40,12 @@ def _sha256(blobs) -> str:
     for blob in blobs:
         digest.update(blob)
     return digest.hexdigest()
+
+
+def _signed_header(header: dict) -> bytes:
+    """The header as its digest covers it: sorted keys, without the digest."""
+    return json.dumps({k: v for k, v in header.items() if k != "sha256"},
+                      sort_keys=True).encode("utf-8")
 
 
 def _is_count(value) -> bool:
@@ -92,9 +100,11 @@ def save_checkpoint(path, params: ParameterStore, adam_state: AdamState,
         "config": config_echo,
         "rng": rng_states,
         "optimizer": {"lr": adam_state.lr, "step": adam_state.step},
-        "sha256": _sha256(blobs),
         "train_step": step,
     }
+    # Sign the header as a load reads it back: integer keys become strings.
+    header = json.loads(json.dumps(header))
+    header["sha256"] = _sha256([_signed_header(header), *blobs])
     tmp_path = os.fspath(path) + ".tmp"
     try:
         with open(tmp_path, "wb") as fh:
@@ -119,8 +129,9 @@ def load_checkpoint(path):
         raise DataError(f"corrupt checkpoint header in {path}: {exc}") from exc
     if not isinstance(header, dict):
         raise DataError(f"checkpoint {path}: header is not a JSON object")
-    if header.get("format_version") != FORMAT_VERSION:
-        raise DataError(f"unsupported checkpoint version {header.get('format_version')}")
+    version = header.get("format_version")
+    if version not in (1, FORMAT_VERSION):
+        raise DataError(f"unsupported checkpoint version {version}")
     wire = _DTYPES.get(header.get("precision"))
     if wire is None:
         raise DataError(f"unsupported checkpoint precision {header.get('precision')}")
@@ -155,8 +166,10 @@ def load_checkpoint(path):
     if offset != len(blob):
         raise DataError(f"checkpoint {path}: {len(blob) - offset} bytes after the last array")
     digest = header.get("sha256")
-    if digest is not None and _sha256([blob]) != digest:
-        raise DataError(f"checkpoint {path}: binary section does not match its SHA-256")
+    signed = [blob] if version == 1 else [_signed_header(header), blob]
+    if digest is not None and _sha256(signed) != digest:
+        raise DataError(f"checkpoint {path}: header or binary section does not match "
+                        f"its SHA-256")
 
     param_arrays = {}
     m, v = {}, {}

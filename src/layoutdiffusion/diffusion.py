@@ -144,7 +144,8 @@ def sample(attributes, mask, params: ParameterStore, denoiser_config: DenoiserCo
 
     Returns the raw trajectory endpoint and, when clamping is enabled, a
     [-1, 1]-clamped copy intended for rendering only.  The reverse steps run
-    on untracked copies of the parameters, so they record no tape.
+    on untracked copies of the parameters, so they record no tape.  The first
+    step that leaves a non-finite value raises :class:`NumericError`.
     """
     params = ParameterStore({name: t.detach() for name, t in params.items()})
     mask = np.asarray(mask, dtype=bool)
@@ -153,8 +154,9 @@ def sample(attributes, mask, params: ParameterStore, denoiser_config: DenoiserCo
     g = stream.gaussian((b, n, 4)).astype(dtype) * mask[..., None]
     for t in range(schedule.timesteps, 0, -1):
         g = p_sample_step(g, t, attributes, mask, params, denoiser_config, schedule, stream)
-    if not np.all(np.isfinite(g)):
-        raise NumericError("sampling produced non-finite geometry")
+        bad = int(np.count_nonzero(~np.isfinite(g)))
+        if bad:
+            raise NumericError(f"sampling produced {bad} non-finite values at reverse step {t}")
     clamp = config.clamp_output if config is not None else True
     clamped = np.clip(g, -1.0, 1.0) * mask[..., None] if clamp else None
     return SampleResult(geometry_raw=g, geometry_clamped=clamped, mask=mask)

@@ -104,11 +104,11 @@ def alignment_blt(layouts: Sequence[Layout], include_y: bool = False) -> float:
     return total / len(layouts)
 
 
-def _pairwise_intersection(frame: MetricFrame) -> np.ndarray:
-    ix = np.clip(np.minimum(frame.right[:, None], frame.right[None, :])
-                 - np.maximum(frame.left[:, None], frame.left[None, :]), 0.0, None)
-    iy = np.clip(np.minimum(frame.bottom[:, None], frame.bottom[None, :])
-                 - np.maximum(frame.top[:, None], frame.top[None, :]), 0.0, None)
+def _pairwise_intersection(frame_a: MetricFrame, frame_b: MetricFrame) -> np.ndarray:
+    ix = np.clip(np.minimum(frame_a.right[:, None], frame_b.right[None, :])
+                 - np.maximum(frame_a.left[:, None], frame_b.left[None, :]), 0.0, None)
+    iy = np.clip(np.minimum(frame_a.bottom[:, None], frame_b.bottom[None, :])
+                 - np.maximum(frame_a.top[:, None], frame_b.top[None, :]), 0.0, None)
     return ix * iy
 
 
@@ -120,7 +120,7 @@ def overlap_kikuchi(layout: Layout) -> float:
 def overlap_blt(layout: Layout) -> float:
     """Same double sum as the Kikuchi convention, unnormalized and unscaled."""
     frame = MetricFrame.from_layout(layout)
-    inter = _pairwise_intersection(frame)
+    inter = _pairwise_intersection(frame, frame)
     np.fill_diagonal(inter, 0.0)
     ratios = inter / frame.area[:, None]
     return float(ratios.sum())
@@ -154,8 +154,6 @@ def _coverage_iou(left, top, right, bottom) -> float:
 
 # ---------------------------------------------------------------------------
 # assignment machinery for Max IoU
-
-GREEDY_MATCH_THRESHOLD = 2000
 
 
 def _hungarian_min_cost(cost: np.ndarray) -> list:
@@ -210,25 +208,10 @@ def _hungarian_min_cost(cost: np.ndarray) -> list:
     return row_to_col
 
 
-def _greedy_assignment(weights: np.ndarray):
-    order = np.argsort(weights, axis=None)[::-1]
-    rows_used = np.zeros(weights.shape[0], dtype=bool)
-    cols_used = np.zeros(weights.shape[1], dtype=bool)
-    assignment = [-1] * weights.shape[0]
-    for flat in order:
-        r, c = divmod(int(flat), weights.shape[1])
-        if not rows_used[r] and not cols_used[c]:
-            assignment[r] = c
-            rows_used[r] = True
-            cols_used[c] = True
-    return assignment
-
-
 def max_weight_assignment(weights: np.ndarray):
     """Maximum-weight one-to-one assignment of rows to columns.
 
-    Exact (Hungarian) up to GREEDY_MATCH_THRESHOLD per side; a greedy
-    fallback is used beyond that.  Weights must be non-negative, so a
+    Exact (Hungarian) at every size.  Weights must be non-negative, so a
     forced perfect matching of the smaller side is also a maximum-weight
     matching.  Returns (row_to_col list, total weight).
     """
@@ -240,9 +223,7 @@ def max_weight_assignment(weights: np.ndarray):
     if min(weights.shape) == 0:
         return [-1] * weights.shape[0], 0.0
 
-    if max(weights.shape) > GREEDY_MATCH_THRESHOLD:
-        assignment = _greedy_assignment(weights)
-    elif weights.shape[0] <= weights.shape[1]:
+    if weights.shape[0] <= weights.shape[1]:
         assignment = _hungarian_min_cost(-weights)
     else:
         col_to_row = _hungarian_min_cost(-weights.T)
@@ -253,19 +234,13 @@ def max_weight_assignment(weights: np.ndarray):
     return assignment, float(total)
 
 
-def box_iou_matrix(frame_a: MetricFrame, frame_b: MetricFrame,
-                   idx_a, idx_b) -> np.ndarray:
-    ix = np.clip(np.minimum(frame_a.right[idx_a][:, None], frame_b.right[idx_b][None, :])
-                 - np.maximum(frame_a.left[idx_a][:, None], frame_b.left[idx_b][None, :]),
-                 0.0, None)
-    iy = np.clip(np.minimum(frame_a.bottom[idx_a][:, None], frame_b.bottom[idx_b][None, :])
-                 - np.maximum(frame_a.top[idx_a][:, None], frame_b.top[idx_b][None, :]),
-                 0.0, None)
-    inter = ix * iy
+def box_iou_matrix(frame_a: MetricFrame, frame_b: MetricFrame) -> np.ndarray:
+    """IoU of every box of ``frame_a`` (rows) with every box of ``frame_b`` (columns)."""
+    inter = _pairwise_intersection(frame_a, frame_b)
     # Areas from the same corner differences as the intersection, so a box
     # matched with itself scores exactly 1.
-    area_a = ((frame_a.right - frame_a.left) * (frame_a.bottom - frame_a.top))[idx_a]
-    area_b = ((frame_b.right - frame_b.left) * (frame_b.bottom - frame_b.top))[idx_b]
+    area_a = (frame_a.right - frame_a.left) * (frame_a.bottom - frame_a.top)
+    area_b = (frame_b.right - frame_b.left) * (frame_b.bottom - frame_b.top)
     union = area_a[:, None] + area_b[None, :] - inter
     return inter / np.maximum(union, 1e-12)
 
@@ -278,21 +253,20 @@ def _label_multiset(layout: Layout) -> tuple:
 
 
 def pair_max_iou(layout_a: Layout, layout_b: Layout) -> float:
-    """Best-assignment mean box IoU between two layouts with equal label multisets."""
+    """Best-assignment mean box IoU between two layouts with equal label multisets.
+
+    One assignment over all boxes, with the IoU of every pair of different
+    labels set to 0.  This is the sum of the per-label optima: IoUs are
+    non-negative and the label multisets are equal, so the same-label edges
+    of any matching extend to a label-respecting perfect matching of at
+    least the same value.
+    """
     if _label_multiset(layout_a) != _label_multiset(layout_b):
         raise DataError("pair_max_iou requires identical label multisets")
-    frame_a = MetricFrame.from_layout(layout_a)
-    frame_b = MetricFrame.from_layout(layout_b)
-    labels_a = layout_a.labels
-    labels_b = layout_b.labels
-    total = 0.0
-    for label in np.unique(labels_a):
-        idx_a = np.where(labels_a == label)[0]
-        idx_b = np.where(labels_b == label)[0]
-        weights = box_iou_matrix(frame_a, frame_b, idx_a, idx_b)
-        _, value = max_weight_assignment(weights)
-        total += value
-    return total / len(layout_a)
+    weights = box_iou_matrix(MetricFrame.from_layout(layout_a), MetricFrame.from_layout(layout_b))
+    weights[layout_a.labels[:, None] != layout_b.labels[None, :]] = 0.0
+    _, value = max_weight_assignment(weights)
+    return value / len(layout_a)
 
 
 def max_iou(generated: Sequence[Layout], reference: Sequence[Layout]) -> float:

@@ -426,13 +426,6 @@ class ParameterStore:
     def arrays(self) -> dict:
         return {name: t.data for name, t in self._params.items()}
 
-    def num_values(self) -> int:
-        return sum(t.data.size for t in self._params.values())
-
-    @classmethod
-    def from_arrays(cls, arrays: dict) -> "ParameterStore":
-        return cls({name: Tensor(a, requires_grad=True) for name, a in arrays.items()})
-
     def replace(self, arrays: dict) -> "ParameterStore":
         """New store with the given arrays substituted (shapes must match)."""
         out = dict(self._params)

@@ -13,11 +13,14 @@ DECLARED = {"rate": {"unit": "1/s", "better": "higher", "bound": 0.25},
             "rss": {"unit": "MB", "better": "lower", "bound": 0.1}}
 
 
-def summary(parent, change):
-    """Both declared metrics of each run take the same value."""
-    runs = [{"pair": pair, "side": side, "metrics": {"rate": value, "rss": value}}
+def summary(parent, change, failed=(0, 0)):
+    """Both declared metrics of each run take the same value; each run attempts
+    10 operations, of which the parent's fail ``failed[0]`` and the change's
+    ``failed[1]``."""
+    runs = [{"pair": pair, "side": side, "metrics": {"rate": value, "rss": value},
+             "attempted": 10, "failed": fails}
             for pair, values in enumerate(zip(parent, change))
-            for side, value in zip(("parent", "change"), values)]
+            for side, value, fails in zip(("parent", "change"), values, failed)]
     return bench_pairs.summarize(runs, DECLARED)
 
 
@@ -48,3 +51,23 @@ def test_lower_is_better_and_the_bound_is_relative():
     assert s["wins"] == 10 and s["gain_holds"]
     assert summary(parent, [54.9] * 10)["rss"]["within_bound"]
     assert not summary(parent, [55.1] * 10)["rss"]["within_bound"]
+
+
+def test_a_larger_failed_share_voids_a_gain():
+    parent = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]
+    change = [p + 20 for p in parent]
+    assert summary(parent, change, failed=(1, 1))["rate"]["gain_holds"]
+    assert not summary(parent, change, failed=(0, 1))["rate"]["gain_holds"]
+
+
+def test_a_parent_spread_beyond_the_bound_is_unresolved():
+    narrow = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]
+    assert not summary(narrow, narrow)["rate"]["unresolved"]
+    # Interquartile range 100 on a median of 100: wider than both bounds.
+    wide = [50, 150] * 5
+    s = summary(wide, [100] * 10)
+    assert s["rate"]["within_bound"] and s["rate"]["unresolved"]
+    assert s["rss"]["within_bound"] and s["rss"]["unresolved"]
+    # Unless every change run reads better than every parent run.
+    assert not summary(wide, [151] * 10)["rate"]["unresolved"]
+    assert not summary(wide, [49] * 10)["rss"]["unresolved"]

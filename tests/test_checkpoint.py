@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -113,7 +114,7 @@ def test_header_is_json_first_line(tmp_path):
     save_checkpoint(path, params, adam, {}, {"train": RngStream(0).state()}, step=0)
     with open(path, "rb") as fh:
         header = json.loads(fh.readline())
-    assert header["format_version"] == 1
+    assert header["format_version"] == 2
     names = [e["name"] for e in header["manifest"]]
     assert names == sorted(names)
     offsets = [e["offset"] for e in header["manifest"]]
@@ -174,6 +175,42 @@ def test_digest_mismatch_rejected(saved):
     rewrite(path, lambda header, blob: blob[:-1] + bytes([blob[-1] ^ 1]))
     with pytest.raises(DataError, match="SHA-256"):
         load_checkpoint(path)
+
+
+def test_edited_header_fails_the_digest(tmp_path):
+    _, params, adam = make_state()
+    path = tmp_path / "model.ckpt"
+    # Integer keys are written as strings; the digest covers the header as written.
+    save_checkpoint(path, params, adam, {"counts": {2: 1, 10: 2}},
+                    {"train": RngStream(0).state()}, step=3)
+    assert load_checkpoint(path)[2]["config"] == {"counts": {"2": 1, "10": 2}}
+
+    def retune(header, blob):
+        header["optimizer"]["lr"] = 0.5
+        header["train_step"] = 999
+        return blob
+
+    rewrite(path, retune)
+    with pytest.raises(DataError, match="SHA-256"):
+        load_checkpoint(path)
+
+
+def test_version_1_digest_covers_the_binary_section_only(saved):
+    path, params = saved
+    # A version 2 digest relabelled as version 1 does not match the binary section.
+    rewrite(path, set_entry(("format_version",), 1))
+    with pytest.raises(DataError, match="SHA-256"):
+        load_checkpoint(path)
+
+    def version_1(header, blob):
+        header["sha256"] = hashlib.sha256(blob).hexdigest()
+        return blob
+
+    rewrite(path, version_1)
+    loaded, _, header = load_checkpoint(path)
+    assert header["format_version"] == 1
+    for name in params.names():
+        assert np.array_equal(loaded[name].data, params[name].data)
 
 
 def test_overlapping_offsets_rejected(saved):

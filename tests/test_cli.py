@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from layoutdiffusion.checkpoint import load_checkpoint, save_checkpoint
 from layoutdiffusion.cli import main
 from layoutdiffusion.denoiser import DenoiserConfig
 from layoutdiffusion.diffusion import DiffusionConfig, TrainConfig
@@ -171,8 +172,10 @@ def test_train_resume_rejects_a_different_dataset(tmp_path, capsys):
 
 
 def drop_header_entry(ckpt, keys):
+    """Delete one header entry, and the digest, so the load reaches the check of that entry."""
     head, blob = ckpt.read_bytes().split(b"\n", 1)
     header = json.loads(head)
+    del header["sha256"]
     *parents, last = keys
     target = header
     for key in parents:
@@ -304,6 +307,18 @@ def test_sample_rejects_a_header_without_an_entry(tmp_path, capsys, keys):
     out = tmp_path / "s.json"
     assert run(sample_args(ckpt, out)) == 3
     assert str(ckpt) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sample_with_non_finite_parameters_exits_4_without_output(tmp_path, capsys):
+    data = synth(tmp_path)
+    ckpt = train(tmp_path, data)
+    params, adam, header = load_checkpoint(ckpt)
+    params = params.replace({"head.bias": np.full(4, np.nan)})
+    save_checkpoint(ckpt, params, adam, header["config"], header["rng"], header["train_step"])
+    out = tmp_path / "s.json"
+    assert run(sample_args(ckpt, out)) == 4
+    assert "non-finite values at reverse step 20" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -9,6 +9,7 @@ from layoutdiffusion.denoiser import DenoiserConfig, denoise, init_denoiser_para
 from layoutdiffusion.diffusion import (DiffusionConfig, TrainConfig, build_schedule,
                                        p_sample_step, posterior_mean, q_sample,
                                        sample, train, training_step)
+from layoutdiffusion.exceptions import NumericError
 from layoutdiffusion.optim import BETA1, BETA2, EPS, AdamState
 from layoutdiffusion.rng import RngStream
 from layoutdiffusion.tensor import ParameterStore, Tensor
@@ -298,6 +299,25 @@ def test_sample_builds_no_tape_and_leaves_params_tracked(monkeypatch):
     for name, t in params.items():
         assert t.requires_grad, name
         assert t.grad is None, name
+
+
+def test_sample_stops_at_the_first_non_finite_step(monkeypatch):
+    config = DenoiserConfig(d_model=16, num_layers=1, num_heads=2, ffn_dim=16,
+                            num_classes=2)
+    params = init_denoiser_params(config, RngStream(5))
+    params = params.replace({"head.bias": np.full(4, np.nan)})
+    sched = build_schedule(20, 1e-4, 0.02)
+    steps = []
+
+    def counting_step(g, t, *args):
+        steps.append(t)
+        return p_sample_step(g, t, *args)
+
+    monkeypatch.setattr(diffusion, "p_sample_step", counting_step)
+    with pytest.raises(NumericError, match="8 non-finite values at reverse step 20"):
+        sample(np.array([[0, 1, 1]]), np.array([[True, True, False]]), params, config, sched,
+               RngStream(42))
+    assert steps == [20]
 
 
 # -- training step ----------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from layoutdiffusion.data import Element, Layout
 from layoutdiffusion.exceptions import DataError
 from layoutdiffusion.metrics import (FeatureSet, MetricFrame, alignment_blt,
-                                     alignment_kikuchi, evaluate_collections,
+                                     alignment_kikuchi, box_iou_matrix, evaluate_collections,
                                      frechet_distance, frechet_gaussian, max_iou,
                                      max_weight_assignment, overlap_blt,
                                      overlap_kikuchi, pair_max_iou, perceptual_iou,
@@ -210,12 +210,22 @@ def test_assignment_matches_brute_force_random():
 
 def test_assignment_matches_scipy():
     scipy_optimize = pytest.importorskip("scipy.optimize")
+    cases = []
     for seed in range(10):
         rng = np.random.default_rng(100 + seed)
-        weights = rng.uniform(0, 1, (7, 7))
-        _, total = max_weight_assignment(weights)
-        rows, cols = scipy_optimize.linear_sum_assignment(-weights)
+        cases += [rng.uniform(0, 1, (7, 7)), rng.uniform(0, 1, (4, 9)), rng.uniform(0, 1, (9, 4)),
+                  rng.integers(0, 3, (6, 8)).astype(float), rng.integers(0, 3, (8, 6)).astype(float)]
+    # Taking the largest weight first scores 1.0 here; the optimum pairs the two 0.9s.
+    trap = np.zeros((2, 2001))
+    trap[0, :2] = 1.0, 0.9
+    trap[1, 0] = 0.9
+    cases += [trap, trap.T]
+    for weights in cases:
+        assignment, total = max_weight_assignment(weights)
+        rows, cols = scipy_optimize.linear_sum_assignment(weights, maximize=True)
         assert total == pytest.approx(weights[rows, cols].sum(), abs=1e-12)
+        matched = [c for c in assignment if c >= 0]
+        assert len(set(matched)) == len(matched) == min(weights.shape)
 
 
 def test_assignment_validates_input():
@@ -249,23 +259,32 @@ def test_pair_max_iou_disjoint_zero():
 
 def test_pair_max_iou_matches_permutation_brute_force():
     rng = np.random.default_rng(12)
-    for _ in range(10):
-        def same_label_layout():
+    mixed = [((0, 0, 1, 1, 2), (2, 1, 0, 1, 0)), ((0, 1, 1, 1, 2, 2), (1, 2, 1, 0, 2, 1)),
+             ((2, 0, 1, 0), (0, 0, 2, 1))]
+    label_blind_wins = 0
+    for labels_a, labels_b in [((0, 0, 0), (0, 0, 0))] * 10 + mixed * 4:
+        def random_layout(labels):
             boxes = []
-            for _ in range(3):
+            for label in labels:
                 w, h = rng.uniform(0.1, 0.5, 2)
                 cx = rng.uniform(w / 2, 1 - w / 2)
                 cy = rng.uniform(h / 2, 1 - h / 2)
-                boxes.append((cx, cy, w, h))
+                boxes.append((cx, cy, w, h, label))
             return unit_layout(*boxes)
 
-        a, b = same_label_layout(), same_label_layout()
-        frame_a, frame_b = MetricFrame.from_layout(a), MetricFrame.from_layout(b)
-        from layoutdiffusion.metrics import box_iou_matrix
-        ious = box_iou_matrix(frame_a, frame_b, np.arange(3), np.arange(3))
-        oracle = max(sum(ious[i, p[i]] for i in range(3))
-                     for p in itertools.permutations(range(3))) / 3.0
+        a, b = random_layout(labels_a), random_layout(labels_b)
+        ious = box_iou_matrix(MetricFrame.from_layout(a), MetricFrame.from_layout(b))
+        n = len(labels_a)
+
+        def best(perms):
+            return max(sum(ious[i, p[i]] for i in range(n)) for p in perms) / n
+
+        perms = list(itertools.permutations(range(n)))
+        oracle = best(p for p in perms if all(labels_a[i] == labels_b[p[i]] for i in range(n)))
         assert pair_max_iou(a, b) == pytest.approx(oracle, abs=1e-12)
+        label_blind_wins += best(perms) > oracle + 1e-9
+    # The inputs tell a label-respecting assignment from one that ignores labels.
+    assert label_blind_wins > 0
 
 
 def test_pair_max_iou_rejects_mismatched_multisets():

@@ -15,10 +15,13 @@ side's median and quartiles and the change's win count.  An existing
 a change.
 
 A gain counts only over at least ten pairs, when the change wins at least
-nine pairs in ten (ties count for neither side) and the medians differ by
-more than the parent's interquartile range; a metric is "within bound" when the change's median is
-no worse than the parent's by more than the bound in ``BENCHMARK.json``.
-Uses numpy and the standard library only.
+nine pairs in ten (ties count for neither side), the medians differ by more
+than the parent's interquartile range, and the change's runs fail no larger
+share of their operations than the parent's.  A metric is "within bound"
+when the change's median is no worse than the parent's by more than the
+bound in ``BENCHMARK.json``, and "unresolved" when the parent's
+interquartile range exceeds that bound and not every change run reads
+better than every parent run.  Uses numpy and the standard library only.
 """
 from __future__ import annotations
 
@@ -64,10 +67,17 @@ def quartiles(values) -> dict:
     return {"median": float(median), "q1": float(q1), "q3": float(q3)}
 
 
+def failed_share(runs, side) -> float:
+    """Failed operations over attempted ones, across one side's runs."""
+    attempted = sum(run["attempted"] for run in runs if run["side"] == side)
+    return sum(run["failed"] for run in runs if run["side"] == side) / max(attempted, 1)
+
+
 def summarize(runs, declared) -> dict:
-    """Per metric: both sides' quartiles, the change's wins and the two rules."""
+    """Per metric: both sides' quartiles, the change's wins and the three rules."""
     pairs = sorted({run["pair"] for run in runs})
     side = {(run["pair"], run["side"]): run["metrics"] for run in runs}
+    fails_no_more = failed_share(runs, "change") <= failed_share(runs, "parent")
     out = {}
     for name, spec in declared.items():
         sign = 1.0 if spec["better"] == "higher" else -1.0
@@ -81,8 +91,10 @@ def summarize(runs, declared) -> dict:
             "gain_pct": 100.0 * gain / abs(a["median"]) if a["median"] else None,
             "wins": int(wins), "pairs": len(pairs),
             "gain_holds": bool(len(pairs) >= MIN_PAIRS and wins >= WIN_SHARE * len(pairs)
-                               and gain > a["q3"] - a["q1"]),
+                               and gain > a["q3"] - a["q1"] and fails_no_more),
             "within_bound": bool(gain >= -spec["bound"] * abs(a["median"])),
+            "unresolved": bool(a["q3"] - a["q1"] > spec["bound"] * abs(a["median"])
+                               and min(sign * c for c in change) <= max(sign * p for p in parent)),
         }
     return out
 
@@ -140,7 +152,7 @@ def main(argv=None) -> int:
         print(f"  {name:18s} parent {a['median']:.6g} [{a['q1']:.6g}-{a['q3']:.6g}]  "
               f"change {b['median']:.6g} [{b['q1']:.6g}-{b['q3']:.6g}]  "
               f"wins {s['wins']}/{s['pairs']}  gain holds: {s['gain_holds']}  "
-              f"within bound: {s['within_bound']}")
+              f"within bound: {s['within_bound']}  unresolved: {s['unresolved']}")
     return 0
 
 
