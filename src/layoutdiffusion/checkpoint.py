@@ -22,6 +22,7 @@ import os
 
 import numpy as np
 
+from .data import is_finite_number
 from .exceptions import DataError
 from .optim import AdamState
 from .tensor import ParameterStore, Tensor
@@ -49,8 +50,8 @@ def _signed_header(header: dict) -> bytes:
 
 
 def _is_count(value) -> bool:
-    """A JSON integer >= 0; ``true``/``false`` are ints to Python, not here."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    """A JSON integer in [0, 2**63); ``true``/``false`` are ints to Python, not here."""
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**63
 
 
 def _manifest_entry(entry, path) -> tuple:
@@ -131,19 +132,18 @@ def load_checkpoint(path):
         raise DataError(f"checkpoint {path}: header is not a JSON object")
     version = header.get("format_version")
     if version not in (1, FORMAT_VERSION):
-        raise DataError(f"unsupported checkpoint version {version}")
-    wire = _DTYPES.get(header.get("precision"))
+        raise DataError(f"checkpoint {path}: unsupported version {version!r}")
+    precision = header.get("precision")
+    wire = _DTYPES.get(precision) if isinstance(precision, str) else None
     if wire is None:
-        raise DataError(f"unsupported checkpoint precision {header.get('precision')}")
+        raise DataError(f"checkpoint {path}: unsupported precision {precision!r}")
 
     manifest = header.get("manifest")
     if not isinstance(manifest, list):
         raise DataError(f"checkpoint {path}: manifest is not a list")
     opt = header.get("optimizer")
     lr = opt.get("lr") if isinstance(opt, dict) else None
-    finite_lr = (isinstance(lr, float) and math.isfinite(lr)
-                 or isinstance(lr, int) and not isinstance(lr, bool))
-    if not finite_lr or not _is_count(opt.get("step")):
+    if not is_finite_number(lr) or not _is_count(opt.get("step")):
         raise DataError(f"checkpoint {path}: optimizer entry {opt!r} needs a finite lr "
                         f"and a non-negative integer step")
     if not _is_count(header.get("train_step")):

@@ -18,7 +18,7 @@ from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (Dataset, batch_to_layouts, load_dataset, make_synthetic_dataset,
                    pad_conditions, save_dataset, SynthSpec)
-from .denoiser import DenoiserConfig
+from .denoiser import DenoiserConfig, param_shapes
 from .diffusion import (DiffusionConfig, TrainConfig, read_loss_log, sample, train,
                         write_loss_log)
 from .exceptions import DataError, LayoutDiffusionError, NumericError
@@ -159,35 +159,33 @@ def _merged_train_config(args, dataset: Dataset) -> TrainConfig:
         raise DataError(f"invalid training configuration: {exc}") from exc
 
 
-def _checkpoint_config(header: dict, path) -> TrainConfig:
+def _load_run(path):
+    """``(params, adam_state, header, config, trained, stream)`` of a run checkpoint, whose
+    arrays must have the configured denoiser's names and shapes and the configured dtype.
+    ``trained`` is an empty dataset with the run's canvas and attributes.  A header entry
+    that does not fit is a :class:`DataError` naming the file."""
+    params, adam_state, header = load_checkpoint(path)
     try:
-        return TrainConfig.from_dict(header["config"]["train"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"checkpoint {path}: invalid training configuration: {exc}") from exc
-
-
-def _trained_dataset(header: dict, path) -> Dataset:
-    """An empty dataset with the canvas and attributes a checkpoint was trained on."""
-    config = header.get("config")
-    echo = config.get("dataset") if isinstance(config, dict) else None
-    if not isinstance(echo, dict):
-        raise DataError(f"checkpoint {path}: header has no config.dataset object")
-    try:
-        return Dataset(layouts=(), canvas=echo["canvas"], label_names=echo.get("labels"),
-                       feature_dim=echo.get("feature_dim"))
-    except (DataError, IndexError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"checkpoint {path}: invalid config.dataset: {exc!r}") from exc
-
-
-def _train_stream(header: dict, path) -> RngStream:
-    rng = header.get("rng")
-    state = rng.get("train") if isinstance(rng, dict) else None
-    if not isinstance(state, dict):
-        raise DataError(f"checkpoint {path}: header has no rng.train object")
-    try:
-        return RngStream.from_state(state)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"checkpoint {path}: invalid rng.train: {exc!r}") from exc
+        config = TrainConfig.from_dict(header["config"]["train"])
+        echo = header["config"]["dataset"]
+        trained = Dataset(layouts=(), canvas=echo["canvas"], label_names=echo.get("labels"),
+                          feature_dim=echo.get("feature_dim"))
+        stream = RngStream.from_state(header["rng"]["train"])
+    except (AttributeError, DataError, IndexError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
+        raise DataError(f"checkpoint {path}: invalid run header: {exc!r}") from exc
+    if config.denoiser.num_layers > len(params):  # each layer has arrays of its own
+        raise DataError(f"checkpoint {path}: {len(params)} arrays cannot hold the layers")
+    want = {name: (shape, np.dtype(config.dtype))
+            for name, shape in param_shapes(config.denoiser).items()}
+    for kind, arrays in (("params", params.arrays()), ("adam.m", adam_state.m),
+                         ("adam.v", adam_state.v)):
+        got = {name: (arr.shape, arr.dtype) for name, arr in arrays.items()}
+        for name in sorted(got.keys() | want.keys()):
+            if got.get(name) != want.get(name):
+                raise DataError(f"checkpoint {path}: {kind}.{name} has (shape, dtype) "
+                                f"{got.get(name)}, the config needs {want.get(name)}")
+    return params, adam_state, header, config, trained, stream
 
 
 def _dataset_echo(dataset: Dataset, path) -> dict:
@@ -209,17 +207,14 @@ def cmd_train(args) -> int:
 
     history = []
     if args.resume:
-        start_params, start_adam, header = load_checkpoint(args.resume)
-        trained = _trained_dataset(header, args.resume)
+        start_params, start_adam, header, config, trained, start_stream = _load_run(args.resume)
         for key, ours, theirs in (("labels", dataset.label_names, trained.label_names),
                                   ("feature_dim", dataset.feature_dim, trained.feature_dim)):
             if ours != theirs:
                 raise DataError(f"dataset {args.dataset} does not match {args.resume}: {key} "
                                 f"{ours!r} != {theirs!r}")
-        config = _checkpoint_config(header, args.resume)
         if args.max_steps is not None:
             config = dataclasses.replace(config, max_steps=args.max_steps)
-        start_stream = _train_stream(header, args.resume)
         start_step = header["train_step"]
         # The resumed run's log lives next to --resume unless --loss-log names it.
         sources = ([args.loss_log] if args.loss_log else []) + [args.resume + ".loss.csv"]
@@ -257,9 +252,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    params, _, header = load_checkpoint(args.checkpoint)
-    config = _checkpoint_config(header, args.checkpoint)
-    trained = _trained_dataset(header, args.checkpoint)
+    params, _, header, config, trained, _ = _load_run(args.checkpoint)
     schedule = config.diffusion.schedule()
 
     if args.labels is not None:

@@ -208,7 +208,7 @@ def _require_list(value, where: str) -> list:
     return value
 
 
-def _is_finite_number(value) -> bool:
+def is_finite_number(value) -> bool:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
     try:
@@ -226,7 +226,7 @@ def _require_int(value, where: str) -> int:
 def _require_numbers(value, count: int, where: str) -> np.ndarray:
     """A JSON list of ``count`` finite numbers, as float64."""
     if not (isinstance(value, list) and len(value) == count
-            and all(_is_finite_number(v) for v in value)):
+            and all(is_finite_number(v) for v in value)):
         raise DataError(f"{where}: expected {count} finite numbers, got {value!r}")
     return np.array(value, dtype=np.float64)
 
@@ -254,7 +254,7 @@ def load_dataset(path, strict_geometry: bool = True) -> Dataset:
     _require_keys(doc, top_keys, {"canvas", vocab_key, "layouts"}, where)
     _require_keys(doc["canvas"], {"width", "height"}, {"width", "height"}, f"{where} canvas")
     width, height = doc["canvas"]["width"], doc["canvas"]["height"]
-    if not all(_is_finite_number(v) and v > 0 for v in (width, height)):
+    if not all(is_finite_number(v) and v > 0 for v in (width, height)):
         raise DataError(f"{where}: canvas must be positive numbers, got {width!r} x {height!r}")
     canvas = (float(width), float(height))
 

@@ -18,6 +18,7 @@ from .rng import RngStream
 from .tensor import (ParameterStore, Tensor, as_tensor, concat, embedding, gelu,
                      layer_norm, masked_softmax, matmul, put_rows, relu, reshape,
                      take_rows, transpose)
+from .validation import check_field_types
 
 
 @dataclass(frozen=True)
@@ -32,12 +33,15 @@ class DenoiserConfig:
     positional_encoding: bool = False
 
     def __post_init__(self):
+        check_field_types(self)
+        sizes = (self.d_model, self.num_layers, self.num_heads, self.ffn_dim, self.num_classes,
+                 self.attr_dim)
+        if min(size for size in sizes if size is not None) < 1:
+            raise ValueError(f"sizes must be >= 1, got {sizes}")
         if self.d_model % self.num_heads != 0:
             raise ValueError("d_model must be divisible by num_heads")
         if self.d_model % 2 != 0:
             raise ValueError("d_model must be even for sinusoidal embeddings")
-        if self.num_layers < 1:
-            raise ValueError("num_layers must be >= 1")
         if (self.num_classes is None) == (self.attr_dim is None):
             raise ValueError("set exactly one of num_classes or attr_dim")
         if self.activation not in ("gelu", "relu"):
@@ -83,25 +87,17 @@ def element_position_encoding(n: int, d_model: int) -> np.ndarray:
 # parameter initialization
 
 
-def _glorot(stream: RngStream, fan_in: int, fan_out: int, dtype) -> np.ndarray:
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    u = stream.uniform([fan_in, fan_out])
-    return ((2.0 * u - 1.0) * bound).astype(dtype)
-
-
-def init_denoiser_params(config: DenoiserConfig, stream: RngStream,
-                         dtype=np.float64) -> ParameterStore:
+def param_shapes(config: DenoiserConfig) -> dict:
+    """Name -> shape of every denoiser parameter, in the order they are initialized."""
     d = config.d_model
-    params = {}
+    shapes = {}
 
     def affine(prefix, fan_in, fan_out):
-        params[f"{prefix}.weight"] = Tensor(_glorot(stream, fan_in, fan_out, dtype),
-                                            requires_grad=True)
-        params[f"{prefix}.bias"] = Tensor(np.zeros(fan_out, dtype=dtype), requires_grad=True)
+        shapes[f"{prefix}.weight"] = (fan_in, fan_out)
+        shapes[f"{prefix}.bias"] = (fan_out,)
 
     if config.num_classes is not None:
-        table = (0.02 * stream.gaussian([config.num_classes, d])).astype(dtype)
-        params["attr.weight"] = Tensor(table, requires_grad=True)
+        shapes["attr.weight"] = (config.num_classes, d)
     else:
         affine("attr", config.attr_dim, d)
     affine("geom", 4, d)
@@ -111,11 +107,27 @@ def init_denoiser_params(config: DenoiserConfig, stream: RngStream,
         for name in ("wq", "wk", "wv", "wo"):
             affine(f"{p}.attn.{name}", d, d)
         for ln in ("ln1", "ln2"):
-            params[f"{p}.{ln}.scale"] = Tensor(np.ones(d, dtype=dtype), requires_grad=True)
-            params[f"{p}.{ln}.shift"] = Tensor(np.zeros(d, dtype=dtype), requires_grad=True)
+            shapes[f"{p}.{ln}.scale"] = shapes[f"{p}.{ln}.shift"] = (d,)
         affine(f"{p}.ffn.lin1", d, config.ffn_dim)
         affine(f"{p}.ffn.lin2", config.ffn_dim, d)
     affine("head", d, 4)
+    return shapes
+
+
+def init_denoiser_params(config: DenoiserConfig, stream: RngStream,
+                         dtype=np.float64) -> ParameterStore:
+    """Label table 0.02 * N(0, 1), other weights Glorot uniform, LN scales 1, the rest 0."""
+    params = {}
+    for name, shape in param_shapes(config).items():
+        if name == "attr.weight" and config.num_classes is not None:
+            value = 0.02 * stream.gaussian(shape)
+        elif name.endswith(".weight"):
+            value = (2.0 * stream.uniform(shape) - 1.0) * np.sqrt(6.0 / sum(shape))
+        elif name.endswith(".scale"):
+            value = np.ones(shape)
+        else:
+            value = np.zeros(shape)
+        params[name] = Tensor(value.astype(dtype), requires_grad=True)
     return ParameterStore(params)
 
 

@@ -17,6 +17,7 @@ from .exceptions import DataError, NumericError
 from .optim import BETA1, BETA2, EPS, AdamState, adam_step
 from .rng import RngStream
 from .tensor import ParameterStore, Tensor, collect_grads, mul, sub, tsum
+from .validation import check_field_types
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,10 @@ class DiffusionConfig:
     beta_end: float = 0.02
     clamp_output: bool = True
 
+    def __post_init__(self):
+        check_field_types(self)
+        _check_schedule_range(self.timesteps, self.beta_start, self.beta_end)
+
     def schedule(self) -> NoiseSchedule:
         return build_schedule(self.timesteps, self.beta_start, self.beta_end)
 
@@ -51,13 +56,17 @@ class DiffusionConfig:
         return cls(**d)
 
 
-def build_schedule(timesteps: int = DiffusionConfig.timesteps,
-                   beta_start: float = DiffusionConfig.beta_start,
-                   beta_end: float = DiffusionConfig.beta_end) -> NoiseSchedule:
+def _check_schedule_range(timesteps, beta_start, beta_end):
     if not (0.0 < beta_start < beta_end < 1.0):
         raise ValueError(f"need 0 < beta_start < beta_end < 1, got ({beta_start}, {beta_end})")
     if timesteps < 2:
         raise ValueError("timesteps must be >= 2")
+
+
+def build_schedule(timesteps: int = DiffusionConfig.timesteps,
+                   beta_start: float = DiffusionConfig.beta_start,
+                   beta_end: float = DiffusionConfig.beta_end) -> NoiseSchedule:
+    _check_schedule_range(timesteps, beta_start, beta_end)
     beta = np.linspace(beta_start, beta_end, timesteps, dtype=np.float64)
     alpha = 1.0 - beta
     alpha_bar = np.cumprod(alpha)
@@ -228,6 +237,7 @@ class TrainConfig:
     precision: str = "float64"
 
     def __post_init__(self):
+        check_field_types(self)
         if self.precision not in ("float64", "float32"):
             raise ValueError(f"unknown precision {self.precision!r}")
         if self.batch_size < 1 or self.max_steps < 0:

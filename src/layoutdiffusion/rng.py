@@ -54,6 +54,10 @@ class RngStream:
     def from_state(cls, state: dict) -> "RngStream":
         if state.get("algorithm", ALGORITHM) != ALGORITHM:
             raise ValueError(f"unknown rng algorithm: {state.get('algorithm')!r}")
+        for key, end in (("seed", 2**64), ("counter", 2**63)):
+            value = state[key]
+            if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < end:
+                raise ValueError(f"rng {key} {value!r} is not an integer in [0, {end})")
         return cls(state["seed"], state["counter"])
 
     def words(self, n: int) -> np.ndarray:

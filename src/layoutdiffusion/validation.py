@@ -1,12 +1,40 @@
 """Input validation helpers for the estimator and CLI surfaces."""
 from __future__ import annotations
 
+import typing
 from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, Layout
+from .data import Dataset, Layout, is_finite_number
 from .exceptions import DataError
+
+def _holds(kind, value) -> bool:
+    if kind is int:
+        return isinstance(value, int) and not isinstance(value, bool) and -2**63 <= value < 2**63
+    if kind is float:
+        return is_finite_number(value)
+    return isinstance(value, kind)
+
+
+def check_field_types(config):
+    """Raise TypeError unless each field of the dataclass ``config`` holds its annotated type.
+
+    int fields take integers within int64 but not bools, float fields finite
+    real numbers, and ``Optional`` fields also ``None``.  A numpy scalar is
+    stored as its Python value, so the config stays JSON-serializable.
+    """
+    for name, kind in typing.get_type_hints(type(config)).items():
+        value = getattr(config, name)
+        if isinstance(value, np.generic):
+            value = value.item()
+            object.__setattr__(config, name, value)
+        if value is None and type(None) in typing.get_args(kind):
+            continue
+        kind = next((k for k in typing.get_args(kind) if k is not type(None)), kind)
+        if not _holds(kind, value):
+            raise TypeError(f"{type(config).__name__}.{name} must be {kind.__name__}, "
+                            f"got {value!r}")
 
 
 def check_seed(value, name: str = "seed") -> int:

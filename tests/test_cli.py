@@ -7,6 +7,7 @@ from layoutdiffusion.checkpoint import load_checkpoint, save_checkpoint
 from layoutdiffusion.cli import main
 from layoutdiffusion.denoiser import DenoiserConfig
 from layoutdiffusion.diffusion import DiffusionConfig, TrainConfig
+from layoutdiffusion.tensor import ParameterStore, Tensor
 
 TRAIN_FLAGS = ["--d-model", "16", "--num-layers", "1", "--num-heads", "2",
                "--ffn-dim", "16", "--timesteps", "20", "--learning-rate", "1e-3",
@@ -171,8 +172,12 @@ def test_train_resume_rejects_a_different_dataset(tmp_path, capsys):
     assert (ckpt.read_bytes(), log.read_bytes()) == before
 
 
-def drop_header_entry(ckpt, keys):
-    """Delete one header entry, and the digest, so the load reaches the check of that entry."""
+DROP = object()
+
+
+def set_header_entry(ckpt, keys, value=DROP):
+    """Set (or, with ``DROP``, delete) one header entry, and delete the digest, so the
+    load reaches the check of that entry."""
     head, blob = ckpt.read_bytes().split(b"\n", 1)
     header = json.loads(head)
     del header["sha256"]
@@ -180,7 +185,10 @@ def drop_header_entry(ckpt, keys):
     target = header
     for key in parents:
         target = target[key]
-    del target[last]
+    if value is DROP:
+        del target[last]
+    else:
+        target[last] = value
     ckpt.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + blob)
 
 
@@ -195,7 +203,7 @@ def header_entry_id(keys):
 def test_train_resume_rejects_a_header_without_an_entry(tmp_path, capsys, keys):
     data = synth(tmp_path)
     ckpt = train(tmp_path, data, steps=2)
-    drop_header_entry(ckpt, keys)
+    set_header_entry(ckpt, keys)
     log = tmp_path / "model.ckpt.loss.csv"
     before = ckpt.read_bytes(), log.read_bytes()
     code = run(["train", "--dataset", str(data), "--checkpoint", str(ckpt),
@@ -203,6 +211,51 @@ def test_train_resume_rejects_a_header_without_an_entry(tmp_path, capsys, keys):
     assert code == 3
     assert str(ckpt) in capsys.readouterr().err
     assert (ckpt.read_bytes(), log.read_bytes()) == before
+
+
+def assert_both_commands_exit_3(tmp_path, capsys, data, ckpt):
+    """``sample`` and ``train --resume`` on ``ckpt`` exit 3 naming it, and write nothing."""
+    log = tmp_path / "model.ckpt.loss.csv"
+    before = ckpt.read_bytes(), log.read_bytes()
+    out = tmp_path / "s.json"
+    assert run(sample_args(ckpt, out)) == 3
+    assert str(ckpt) in capsys.readouterr().err
+    assert not out.exists()
+    assert run(["train", "--dataset", str(data), "--checkpoint", str(ckpt),
+                "--resume", str(ckpt), "--max-steps", "4"]) == 3
+    assert str(ckpt) in capsys.readouterr().err
+    assert (ckpt.read_bytes(), log.read_bytes()) == before
+
+
+ODD_HEADER_VALUES = [(("config", "train", "diffusion", "timesteps"), "10"),
+                     (("optimizer", "lr"), 10**400), (("rng", "train", "counter"), 2**70),
+                     (("precision",), ["float64"])]
+
+
+@pytest.mark.parametrize("keys, value", ODD_HEADER_VALUES,
+                         ids=["timesteps='10'", "lr=10**400", "counter=2**70",
+                              "precision=['float64']"])
+def test_an_odd_header_value_exits_3_without_output(tmp_path, capsys, keys, value):
+    data = synth(tmp_path)
+    ckpt = train(tmp_path, data, steps=2)
+    set_header_entry(ckpt, keys, value)
+    assert_both_commands_exit_3(tmp_path, capsys, data, ckpt)
+
+
+@pytest.mark.parametrize("case", ["head.bias of shape [3]", "head.bias missing"])
+def test_parameters_that_do_not_fit_the_config_exit_3_without_output(tmp_path, capsys, case):
+    data = synth(tmp_path)
+    ckpt = train(tmp_path, data, steps=2)
+    params, adam, header = load_checkpoint(ckpt)
+    arrays = dict(params.items())
+    if case == "head.bias missing":
+        for store in (arrays, adam.m, adam.v):
+            del store["head.bias"]
+    else:
+        arrays["head.bias"] = Tensor(np.zeros(3))
+    save_checkpoint(ckpt, ParameterStore(arrays), adam, header["config"], header["rng"],
+                    header["train_step"])
+    assert_both_commands_exit_3(tmp_path, capsys, data, ckpt)
 
 
 def test_train_d_model_flag_sizes_the_default_ffn(tmp_path):
@@ -267,6 +320,25 @@ def test_train_config_must_be_objects(tmp_path, capsys, doc):
     assert "error" in capsys.readouterr().err
 
 
+MISTYPED_CONFIGS = [{"diffusion": {"timesteps": "10"}},
+                    {"diffusion": {"beta_start": 0.5, "beta_end": 0.1}},
+                    {"learning_rate": "x"}, {"batch_size": 2.5}, {"denoiser": {"ffn_dim": "8"}}]
+
+
+@pytest.mark.parametrize("doc", MISTYPED_CONFIGS, ids=[json.dumps(d) for d in MISTYPED_CONFIGS])
+def test_train_config_values_are_checked_before_training(tmp_path, capsys, doc):
+    data = synth(tmp_path)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    before = sorted(tmp_path.iterdir())
+    code = run(["train", "--dataset", str(data), "--checkpoint", str(tmp_path / "x.ckpt"),
+                "--config", str(cfg), "--d-model", "8", "--num-layers", "1",
+                "--num-heads", "2", "--max-steps", "1"])
+    assert code == 3
+    assert "invalid training configuration" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_train_unknown_config_key_rejected(tmp_path, capsys):
     data = synth(tmp_path)
     cfg = tmp_path / "bad.json"
@@ -299,11 +371,12 @@ def test_sample_is_deterministic_and_shaped(tmp_path):
 
 @pytest.mark.parametrize("keys", [("manifest", 0, "shape"), ("optimizer",),
                                   ("config", "dataset"), ("config", "dataset", "canvas"),
-                                  ("config", "dataset", "labels")], ids=header_entry_id)
+                                  ("config", "dataset", "labels"), ("rng", "train")],
+                         ids=header_entry_id)
 def test_sample_rejects_a_header_without_an_entry(tmp_path, capsys, keys):
     data = synth(tmp_path)
     ckpt = train(tmp_path, data)
-    drop_header_entry(ckpt, keys)
+    set_header_entry(ckpt, keys)
     out = tmp_path / "s.json"
     assert run(sample_args(ckpt, out)) == 3
     assert str(ckpt) in capsys.readouterr().err

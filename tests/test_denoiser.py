@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from layoutdiffusion.data import Batch
 from layoutdiffusion.denoiser import (DenoiserConfig, denoise, element_position_encoding,
                                       embed_attributes, embed_geometry, fuse_tokens,
-                                      init_denoiser_params, timestep_embedding,
+                                      init_denoiser_params, param_shapes, timestep_embedding,
                                       transformer_layer)
+from layoutdiffusion.diffusion import build_schedule, noise_loss
 from layoutdiffusion.exceptions import DataError
 from layoutdiffusion.rng import RngStream
-from layoutdiffusion.tensor import ParameterStore, Tensor, backward, mul, tsum
+from layoutdiffusion.tensor import ParameterStore, Tensor, backward, collect_grads, mul, tsum
 
 RNG = np.random.default_rng(77)
 
@@ -328,6 +330,20 @@ def test_masked_slots_leave_the_output_bit_identical(mode):
     attributes2[~mask] = -7.0 if config.attr_dim else 1
     changed = denoise(geometry2, t, attributes2, mask, params, config).data
     assert np.array_equal(changed, base)
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+def test_every_parameter_of_the_layout_is_read_by_the_forward_pass(mode):
+    config = tiny_config(**MODES[mode])
+    params = init_denoiser_params(config, RngStream(9))
+    assert {name: t.data.shape for name, t in params.items()} == param_shapes(config)
+    # A parameter that denoise never reads gets a zero gradient, both
+    # analytically and by finite differences, so only this check sees it.
+    geometry, _, attributes, mask = ragged_inputs(config)
+    loss = noise_loss(Batch(geometry=geometry, attributes=attributes, mask=mask), params,
+                      config, build_schedule(100), RngStream(1))[0]
+    grads = collect_grads(loss, params)
+    assert [name for name, grad in grads.items() if not np.any(grad)] == []
 
 
 def test_tracked_geometry_gets_gradients_on_valid_slots(setup):

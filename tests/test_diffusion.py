@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -93,6 +94,36 @@ def test_train_config_accepts_legacy_adam_keys_only_at_the_constants(key):
     legacy[key] = 0.8
     with pytest.raises(ValueError, match=key):
         TrainConfig.from_dict(legacy)
+
+
+MISTYPED_VALUES = [
+    ("denoiser", "d_model", True), ("denoiser", "d_model", 8.0), ("denoiser", "ffn_dim", "8"),
+    ("denoiser", "num_layers", 2**63), ("denoiser", "positional_encoding", 1),
+    ("denoiser", "activation", None), ("diffusion", "timesteps", "10"),
+    ("diffusion", "beta_end", float("nan")), ("diffusion", "beta_end", float("inf")),
+    ("diffusion", "clamp_output", "yes"), (None, "learning_rate", "x"),
+    (None, "batch_size", 2.5), (None, "init_seed", None), (None, "precision", ["float64"])]
+
+
+@pytest.mark.parametrize("section, name, value", MISTYPED_VALUES,
+                         ids=[f"{name}={value!r}"[:32] for _, name, value in MISTYPED_VALUES])
+def test_config_values_must_have_their_field_type(section, name, value):
+    tree = TrainConfig(denoiser=DenoiserConfig(d_model=8, num_layers=1, num_heads=2,
+                                               num_classes=2)).to_dict()
+    (tree[section] if section else tree)[name] = value
+    with pytest.raises(TypeError, match=name):
+        TrainConfig.from_dict(tree)
+
+
+def test_numpy_scalars_are_stored_as_python_values():
+    config = TrainConfig(
+        denoiser=DenoiserConfig(d_model=np.int64(8), num_layers=1, num_heads=2,
+                                num_classes=2, positional_encoding=np.bool_(True)),
+        diffusion=DiffusionConfig(beta_end=np.float32(0.5)), batch_size=np.int32(3))
+    values = [config.denoiser.d_model, config.denoiser.positional_encoding,
+              config.diffusion.beta_end, config.batch_size]
+    assert [type(v) for v in values] == [int, bool, float, int]
+    assert json.loads(json.dumps(config.to_dict())) == config.to_dict()
 
 
 def test_from_flat_routes_every_name_to_its_declaring_section():
