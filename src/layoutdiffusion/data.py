@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -26,70 +26,68 @@ _ELEMENT_KEYS_CAT = {"label", "bbox", "bbox_clamped"}
 _ELEMENT_KEYS_CONT = {"feature", "bbox", "bbox_clamped"}
 
 
-@dataclass(frozen=True)
-class Element:
-    """One design element: a box plus a categorical label or feature vector."""
+class Element(NamedTuple):
+    """One row of a :class:`Layout`, as :attr:`Layout.elements` returns it; not validated."""
 
     geometry: np.ndarray
-    label: Optional[int] = None
-    feature: Optional[np.ndarray] = None
+    label: Optional[int]
+    feature: Optional[np.ndarray]
 
-    def __post_init__(self):
-        geom = np.asarray(self.geometry, dtype=np.float64)
-        if geom.shape != (4,):
-            raise DataError(f"element geometry must have 4 components, got shape {geom.shape}")
-        if not np.all(np.isfinite(geom)):
-            raise DataError("element geometry must be finite")
-        object.__setattr__(self, "geometry", geom)
-        if (self.label is None) == (self.feature is None):
-            raise DataError("element needs exactly one of label or feature")
-        if self.label is not None and self.label < 0:
-            raise DataError(f"element label must be non-negative, got {self.label}")
-        if self.feature is not None:
-            feat = np.asarray(self.feature, dtype=np.float64)
-            if feat.ndim != 1 or not np.all(np.isfinite(feat)):
-                raise DataError("element feature must be a finite 1-d vector")
-            object.__setattr__(self, "feature", feat)
+
+def _read_only(values, dtype) -> np.ndarray:
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
 class Layout:
-    """A set of elements; storage order is preserved but carries no meaning."""
+    """A set of elements: ``geometry`` ``[n, 4]`` plus ``labels`` ``[n]`` or ``features``
+    ``[n, d]``, stored as read-only copies.  Row order is preserved but carries no meaning."""
 
-    elements: tuple
+    geometry: np.ndarray
+    labels: Optional[np.ndarray] = None
+    features: Optional[np.ndarray] = None
     id: str = ""
 
     def __post_init__(self):
-        elements = tuple(self.elements)
-        if len(elements) == 0:
+        geometry = _read_only(self.geometry, np.float64)
+        if geometry.ndim != 2 or geometry.shape[1] != 4 or not np.all(np.isfinite(geometry)):
+            raise DataError(f"layout {self.id!r}: geometry must be a finite [n, 4] array, "
+                            f"got shape {geometry.shape}")
+        n = len(geometry)
+        if n == 0:
             raise DataError(f"layout {self.id!r} has no elements")
-        modes = {("categorical" if e.label is not None else "continuous") for e in elements}
-        if len(modes) != 1:
-            raise DataError(f"layout {self.id!r} mixes categorical and continuous attributes")
-        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "geometry", geometry)
+        if (self.labels is None) == (self.features is None):
+            raise DataError(f"layout {self.id!r} needs exactly one of labels or features")
+        if self.labels is not None:
+            labels = np.asarray(self.labels)
+            if labels.shape != (n,) or labels.dtype.kind not in "iu" or np.any(labels < 0):
+                raise DataError(f"layout {self.id!r}: labels must be {n} non-negative "
+                                f"integers, got {labels.tolist()!r}")
+            object.__setattr__(self, "labels", _read_only(labels, np.int64))
+        else:
+            features = _read_only(self.features, np.float64)
+            if features.ndim != 2 or len(features) != n or not np.all(np.isfinite(features)):
+                raise DataError(f"layout {self.id!r}: features must be a finite [{n}, d] "
+                                f"array, got shape {features.shape}")
+            object.__setattr__(self, "features", features)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.geometry)
 
     @property
     def attribute_mode(self) -> str:
-        return "categorical" if self.elements[0].label is not None else "continuous"
+        return "categorical" if self.labels is not None else "continuous"
 
     @property
-    def geometry(self) -> np.ndarray:
-        return np.stack([e.geometry for e in self.elements])
-
-    @property
-    def labels(self) -> Optional[np.ndarray]:
-        if self.attribute_mode != "categorical":
-            return None
-        return np.array([e.label for e in self.elements], dtype=np.int64)
-
-    @property
-    def features(self) -> Optional[np.ndarray]:
-        if self.attribute_mode != "continuous":
-            return None
-        return np.stack([e.feature for e in self.elements])
+    def elements(self) -> tuple:
+        """One :class:`Element` per row, in storage order."""
+        none = [None] * len(self)
+        labels = none if self.labels is None else self.labels.tolist()
+        features = none if self.features is None else self.features
+        return tuple(map(Element, self.geometry, labels, features))
 
 
 @dataclass(frozen=True)
@@ -148,31 +146,26 @@ def _canvas_ranges(canvas) -> np.ndarray:
 
 
 def _normalize_unchecked(raw: Layout, ranges: np.ndarray) -> Layout:
-    elements = [Element(geometry=2.0 * e.geometry / ranges - 1.0, label=e.label, feature=e.feature)
-                for e in raw.elements]
-    return Layout(elements=tuple(elements), id=raw.id)
+    return replace(raw, geometry=2.0 * raw.geometry / ranges - 1.0)
 
 
 def normalize_layout(raw: Layout, canvas) -> Layout:
     """Map canvas-unit geometry affinely onto [-1, 1] per component."""
     ranges = _canvas_ranges(canvas)
-    for idx, e in enumerate(raw.elements):
-        if np.any(e.geometry < 0) or np.any(e.geometry > ranges):
-            raise DataError(
-                f"layout {raw.id!r} element {idx}: geometry {e.geometry.tolist()} "
-                f"outside canvas {canvas}"
-            )
+    outside = np.flatnonzero(np.any((raw.geometry < 0) | (raw.geometry > ranges), axis=1))
+    if len(outside):
+        idx = outside[0]
+        raise DataError(
+            f"layout {raw.id!r} element {idx}: geometry {raw.geometry[idx].tolist()} "
+            f"outside canvas {canvas}"
+        )
     return _normalize_unchecked(raw, ranges)
 
 
 def denormalize_layout(layout: Layout, canvas) -> Layout:
     """Exact inverse of :func:`normalize_layout`; no clamping, overshoot passes through."""
     ranges = _canvas_ranges(canvas)
-    elements = [
-        Element(geometry=(e.geometry + 1.0) * ranges / 2.0, label=e.label, feature=e.feature)
-        for e in layout.elements
-    ]
-    return Layout(elements=tuple(elements), id=layout.id)
+    return replace(layout, geometry=(layout.geometry + 1.0) * ranges / 2.0)
 
 
 def to_corner_form(geometry) -> np.ndarray:
@@ -217,18 +210,19 @@ def is_finite_number(value) -> bool:
         return False
 
 
-def _require_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+def require_int(value, where: str) -> int:
+    """``value`` as an int; a bool, a float or a string raises :class:`DataError`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise DataError(f"{where}: expected an integer, got {value!r}")
-    return value
+    return int(value)
 
 
-def _require_numbers(value, count: int, where: str) -> np.ndarray:
-    """A JSON list of ``count`` finite numbers, as float64."""
+def _require_numbers(value, count: int, where: str) -> list:
+    """A JSON list of ``count`` finite numbers."""
     if not (isinstance(value, list) and len(value) == count
             and all(is_finite_number(v) for v in value)):
         raise DataError(f"{where}: expected {count} finite numbers, got {value!r}")
-    return np.array(value, dtype=np.float64)
+    return value
 
 
 def load_dataset(path, strict_geometry: bool = True) -> Dataset:
@@ -264,10 +258,11 @@ def load_dataset(path, strict_geometry: bool = True) -> Dataset:
         elem_keys, elem_required = _ELEMENT_KEYS_CAT, {"label", "bbox"}
     else:
         label_names = None
-        feature_dim = _require_int(doc["feature_dim"], f"{where} feature_dim")
+        feature_dim = require_int(doc["feature_dim"], f"{where} feature_dim")
         if feature_dim < 1:
             raise DataError(f"{where}: feature_dim must be >= 1")
         elem_keys, elem_required = _ELEMENT_KEYS_CONT, {"feature", "bbox"}
+    attribute_key = "labels" if mode == "categorical" else "features"
 
     layouts = []
     for raw_layout in _require_list(doc["layouts"], f"{where} layouts"):
@@ -279,20 +274,20 @@ def load_dataset(path, strict_geometry: bool = True) -> Dataset:
             raise DataError(f"{at} has zero elements")
         if len(raw_elements) > DEFAULT_N_MAX:
             raise DataError(f"{at} has {len(raw_elements)} elements, limit is {DEFAULT_N_MAX}")
-        elements = []
+        bboxes, attributes = [], []
         for raw_el in raw_elements:
             _require_keys(raw_el, elem_keys, elem_required, f"{at} element")
-            bbox = _require_numbers(raw_el["bbox"], 4, f"{at} bbox")
+            bboxes.append(_require_numbers(raw_el["bbox"], 4, f"{at} bbox"))
             if mode == "categorical":
-                label = _require_int(raw_el["label"], f"{at} label")
+                label = require_int(raw_el["label"], f"{at} label")
                 if not 0 <= label < len(label_names):
                     raise DataError(
                         f"{at}: label {label} outside vocabulary of {len(label_names)} names")
-                elements.append(Element(geometry=bbox, label=label))
+                attributes.append(label)
             else:
-                feat = _require_numbers(raw_el["feature"], feature_dim, f"{at} feature")
-                elements.append(Element(geometry=bbox, feature=feat))
-        raw = Layout(elements=tuple(elements), id=lid)
+                attributes.append(_require_numbers(raw_el["feature"], feature_dim,
+                                                   f"{at} feature"))
+        raw = Layout(geometry=bboxes, id=lid, **{attribute_key: attributes})
         layouts.append(normalize_layout(raw, canvas) if strict_geometry
                        else _normalize_unchecked(raw, _canvas_ranges(canvas)))
 
@@ -310,17 +305,17 @@ def dataset_to_dict(dataset: Dataset, meta: Optional[dict] = None, include_clamp
     ranges = _canvas_ranges(dataset.canvas)
     entries = []
     for layout in dataset.layouts:
-        raw = denormalize_layout(layout, dataset.canvas)
+        bboxes = denormalize_layout(layout, dataset.canvas).geometry.tolist()
+        if include_clamped:
+            clamped = ((np.clip(layout.geometry, -1.0, 1.0) + 1.0) * ranges / 2.0).tolist()
+        attribute_key, attributes = (("label", layout.labels) if layout.labels is not None
+                                     else ("feature", layout.features))
         elements = []
-        for e_norm, e_raw in zip(layout.elements, raw.elements):
-            entry = {"bbox": [float(v) for v in e_raw.geometry]}
+        for row, attribute in enumerate(attributes.tolist()):
+            entry = {"bbox": bboxes[row]}
             if include_clamped:
-                clamped_norm = np.clip(e_norm.geometry, -1.0, 1.0)
-                entry["bbox_clamped"] = [float(v) for v in (clamped_norm + 1.0) * ranges / 2.0]
-            if e_norm.label is not None:
-                entry["label"] = int(e_norm.label)
-            else:
-                entry["feature"] = [float(v) for v in e_norm.feature]
+                entry["bbox_clamped"] = clamped[row]
+            entry[attribute_key] = attribute
             elements.append(entry)
         entries.append({"id": layout.id, "elements": elements})
     doc["layouts"] = entries
@@ -385,18 +380,17 @@ def make_synthetic_dataset(spec: SynthSpec, seed: int) -> Dataset:
     for i in range(spec.num_layouts):
         n = int(stream.integers(lo, hi + 1)[()]) if lo < hi else lo
         labels = stream.integers(0, spec.num_classes, [n])
-        elements = []
-        for label in labels:
+        geometry = np.empty((n, 4))
+        for row, label in enumerate(labels):
             if spec.rule == "grid_by_label":
-                geom = grid_rule_box(int(label), spec.num_classes)
+                geometry[row] = grid_rule_box(int(label), spec.num_classes)
             else:
                 # Box fully inside the unit frame: size first, then center.
                 wh = 0.05 + 0.45 * stream.uniform([2])
                 cx = wh[0] / 2 + (1 - wh[0]) * stream.uniform()[()]
                 cy = wh[1] / 2 + (1 - wh[1]) * stream.uniform()[()]
-                geom = np.array([2 * cx - 1, 2 * cy - 1, 2 * wh[0] - 1, 2 * wh[1] - 1])
-            elements.append(Element(geometry=geom, label=int(label)))
-        layouts.append(Layout(elements=tuple(elements), id=f"synth-{i:06d}"))
+                geometry[row] = [2 * cx - 1, 2 * cy - 1, 2 * wh[0] - 1, 2 * wh[1] - 1]
+        layouts.append(Layout(geometry=geometry, labels=labels, id=f"synth-{i:06d}"))
     label_names = tuple(f"class_{k}" for k in range(spec.num_classes))
     return Dataset(layouts=tuple(layouts), canvas=(100.0, 100.0), label_names=label_names)
 
@@ -441,23 +435,14 @@ def pad_batch(layouts: Sequence[Layout]) -> Batch:
 def batch_to_layouts(geometry, attributes, mask, ids=None) -> list:
     """Strip padding and rebuild layouts from batch-shaped arrays."""
     geometry = np.asarray(geometry)
+    attributes = np.asarray(attributes)
     mask = np.asarray(mask, dtype=bool)
-    categorical = np.asarray(attributes).ndim == 2
+    attribute_key = "labels" if attributes.ndim == 2 else "features"
     layouts = []
-    for row in range(geometry.shape[0]):
-        n = int(mask[row].sum())
-        elements = []
-        for slot in range(geometry.shape[1]):
-            if not mask[row, slot]:
-                continue
-            if categorical:
-                elements.append(Element(geometry=geometry[row, slot],
-                                        label=int(attributes[row, slot])))
-            else:
-                elements.append(Element(geometry=geometry[row, slot],
-                                        feature=np.asarray(attributes[row, slot])))
-        lid = ids[row] if ids is not None else f"layout-{row:06d}"
-        if n == 0:
+    for row, valid in enumerate(mask):
+        if not valid.any():
             raise DataError(f"batch row {row} has an all-false mask")
-        layouts.append(Layout(elements=tuple(elements), id=lid))
+        lid = ids[row] if ids is not None else f"layout-{row:06d}"
+        layouts.append(Layout(geometry=geometry[row, valid], id=lid,
+                              **{attribute_key: attributes[row, valid]}))
     return layouts

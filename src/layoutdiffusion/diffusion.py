@@ -6,7 +6,7 @@ variance at each reverse step is the (constant) forward variance.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -251,19 +251,17 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        # Legacy keys of older checkpoints, which only ever held Adam's constants.
-        for key, value in (("adam_beta1", BETA1), ("adam_beta2", BETA2), ("adam_eps", EPS)):
-            if d.pop(key, value) != value:
-                raise ValueError(f"{key} other than {value} is not supported")
-        d["denoiser"] = DenoiserConfig.from_dict(d["denoiser"])
-        d["diffusion"] = DiffusionConfig.from_dict(d["diffusion"])
-        return cls(**d)
+        """The config as :meth:`to_dict` writes it: each section an object with every field."""
+        _require_fields(d, cls, "train config")
+        for key, section in (("denoiser", DenoiserConfig), ("diffusion", DiffusionConfig)):
+            _require_fields(d[key], section, f"train config {key}")
+        return cls.from_flat({}, d)
 
     @classmethod
     def from_flat(cls, values: dict, nested: Optional[dict] = None) -> "TrainConfig":
-        """:meth:`from_dict` of ``nested`` (a partial tree) with each flat name, such as
-        ``d_model`` or ``learning_rate``, set in the dataclass that declares it."""
+        """The config of ``nested`` (a partial tree; fields set nowhere keep their defaults)
+        with each flat name, such as ``d_model`` or ``learning_rate``, set in the dataclass
+        that declares it."""
         d = {**(nested or {})}
         sections = {"denoiser": DenoiserConfig, "diffusion": DiffusionConfig}
         for key in sections:
@@ -274,7 +272,21 @@ class TrainConfig:
                 if name in section.__dataclass_fields__:
                     target = d[key]
             target[name] = value
-        return cls.from_dict(d)
+        # Legacy keys of older checkpoints, which only ever held Adam's constants.
+        for key, value in (("adam_beta1", BETA1), ("adam_beta2", BETA2), ("adam_eps", EPS)):
+            if d.pop(key, value) != value:
+                raise ValueError(f"{key} other than {value} is not supported")
+        d["denoiser"] = DenoiserConfig.from_dict(d["denoiser"])
+        d["diffusion"] = DiffusionConfig.from_dict(d["diffusion"])
+        return cls(**d)
+
+
+def _require_fields(d, cls, where: str):
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be an object, got {d!r}")
+    missing = [f.name for f in fields(cls) if f.name not in d]
+    if missing:
+        raise ValueError(f"{where} lacks fields {missing}")
 
 
 @dataclass

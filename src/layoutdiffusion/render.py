@@ -35,14 +35,15 @@ def render_svg(layout: Layout, canvas=(100.0, 100.0),
         f'<rect x="0" y="0" width="{width:g}" height="{height:g}" '
         f'fill="white" stroke="#333333" stroke-width="0.5"/>',
     ]
-    for i, e in enumerate(layout.elements):
+    labels = None if layout.labels is None else layout.labels.tolist()
+    for i in range(len(layout)):
         x0 = float(np.clip(corners[i, 0], 0.0, 1.0) * width)
         y0 = float(np.clip(corners[i, 1], 0.0, 1.0) * height)
         x1 = float(np.clip(corners[i, 4], 0.0, 1.0) * width)
         y1 = float(np.clip(corners[i, 5], 0.0, 1.0) * height)
-        if e.label is not None:
-            color = label_color(e.label, palette)
-            name = label_names[e.label] if label_names else f"class_{e.label}"
+        if labels is not None:
+            color = label_color(labels[i], palette)
+            name = label_names[labels[i]] if label_names else f"class_{labels[i]}"
         else:
             color = palette[i % len(palette)]
             name = f"element_{i}"

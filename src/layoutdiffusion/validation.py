@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, Layout, is_finite_number
+from .data import Dataset, Layout, is_finite_number, require_int
 from .exceptions import DataError
 
 def _holds(kind, value) -> bool:
@@ -40,7 +40,7 @@ def check_field_types(config):
 def check_seed(value, name: str = "seed") -> int:
     if value is None:
         raise DataError(f"{name} must be set explicitly (no wall-clock defaults)")
-    return int(value)
+    return require_int(value, name)
 
 
 def check_dataset(data) -> Dataset:
@@ -68,7 +68,7 @@ def check_label_conditions(conditions, num_classes: int) -> list:
     """Validate a list of label-id lists used as sampling conditions."""
     out = []
     for i, labels in enumerate(conditions):
-        labels = [int(l) for l in labels]
+        labels = [require_int(label, f"condition {i} label") for label in labels]
         if not labels:
             raise DataError(f"condition {i} has no elements")
         for label in labels:

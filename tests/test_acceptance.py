@@ -189,25 +189,24 @@ def test_permutation_equivariance_and_positional_sensitivity():
 # -- criterion: metric oracle pins ------------------------------------------------------
 
 
-def unit_box(cx, cy, w, h, label=0):
-    return ld.Element(geometry=2.0 * np.array([cx, cy, w, h]) - 1.0, label=label)
+def unit_layout(*boxes, id="r"):
+    """Layout from unit-square frame boxes ``(cx, cy, w, h)`` or ``(cx, cy, w, h, label)``."""
+    geometry = 2.0 * np.array([b[:4] for b in boxes], dtype=float) - 1.0
+    return ld.Layout(geometry=geometry, labels=[b[4] if len(b) > 4 else 0 for b in boxes], id=id)
 
 
 def test_metric_oracle_pins():
     started = time.monotonic()
-    toy = ld.Layout(elements=(unit_box(0.25, 0.05, 0.5, 0.1),
-                              unit_box(0.65, 0.05, 0.1, 0.1),
-                              unit_box(0.70, 0.05, 0.1, 0.1)), id="toy")
+    toy = unit_layout((0.25, 0.05, 0.5, 0.1), (0.65, 0.05, 0.1, 0.1), (0.70, 0.05, 0.1, 0.1),
+                      id="toy")
     assert ld.perceptual_iou(toy) == pytest.approx(1.0 / 13.0, abs=1e-9)
 
-    twins = ld.Layout(elements=(unit_box(0.5, 0.5, 0.3, 0.3),
-                                unit_box(0.5, 0.5, 0.3, 0.3)), id="twins")
+    twins = unit_layout((0.5, 0.5, 0.3, 0.3), (0.5, 0.5, 0.3, 0.3), id="twins")
     assert ld.overlap_kikuchi(twins) == pytest.approx(100.0, abs=1e-9)
     assert ld.overlap_blt(twins) == pytest.approx(2.0, abs=1e-12)
 
-    grid = ld.Layout(elements=tuple(
-        unit_box(0.25 + 0.5 * c, 0.25 + 0.5 * r, 0.2, 0.2)
-        for r in range(2) for c in range(2)), id="grid")
+    grid = unit_layout(*[(0.25 + 0.5 * c, 0.25 + 0.5 * r, 0.2, 0.2)
+                         for r in range(2) for c in range(2)], id="grid")
     assert ld.alignment_kikuchi(grid) == 0.0
     assert ld.alignment_blt([grid]) == 0.0
 
@@ -219,8 +218,8 @@ def test_metric_oracle_pins():
             w, h = rng.uniform(0.1, 0.4, 2)
             cx = rng.uniform(w / 2, 1 - w / 2)
             cy = rng.uniform(h / 2, 1 - h / 2)
-            boxes.append(unit_box(cx, cy, w, h, label=label))
-        return ld.Layout(elements=tuple(boxes), id="r")
+            boxes.append((cx, cy, w, h, label))
+        return unit_layout(*boxes)
 
     collection = [rand_layout() for _ in range(4)]
     assert ld.max_iou(collection, collection) == 1.0

@@ -229,12 +229,15 @@ def assert_both_commands_exit_3(tmp_path, capsys, data, ckpt):
 
 ODD_HEADER_VALUES = [(("config", "train", "diffusion", "timesteps"), "10"),
                      (("optimizer", "lr"), 10**400), (("rng", "train", "counter"), 2**70),
-                     (("precision",), ["float64"])]
+                     (("precision",), ["float64"]),
+                     # A config echo without a field must not fall back to its default.
+                     (("config", "train", "diffusion", "timesteps"), DROP),
+                     (("config", "train", "diffusion"), [])]
 
 
 @pytest.mark.parametrize("keys, value", ODD_HEADER_VALUES,
                          ids=["timesteps='10'", "lr=10**400", "counter=2**70",
-                              "precision=['float64']"])
+                              "precision=['float64']", "timesteps missing", "diffusion=[]"])
 def test_an_odd_header_value_exits_3_without_output(tmp_path, capsys, keys, value):
     data = synth(tmp_path)
     ckpt = train(tmp_path, data, steps=2)

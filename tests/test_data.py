@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layoutdiffusion.data import (Element, Layout, SynthSpec, batch_to_layouts,
+from layoutdiffusion.data import (Layout, SynthSpec, batch_to_layouts,
                                   dataset_to_dict, denormalize_layout, grid_rule_box,
                                   load_dataset, make_synthetic_dataset,
                                   normalize_layout, pad_batch, pad_conditions,
@@ -13,12 +13,8 @@ from layoutdiffusion.data import (Element, Layout, SynthSpec, batch_to_layouts,
 from layoutdiffusion.exceptions import DataError
 
 
-def box(cx, cy, w, h, label=0):
-    return Element(geometry=np.array([cx, cy, w, h], dtype=float), label=label)
-
-
 def layout_of(*geoms, label=0, id="l0"):
-    return Layout(elements=tuple(box(*g, label=label) for g in geoms), id=id)
+    return Layout(geometry=np.array(geoms, dtype=float), labels=[label] * len(geoms), id=id)
 
 
 # -- normalization ----------------------------------------------------------
@@ -43,7 +39,7 @@ def test_normalize_hand_case():
 
 
 def test_normalize_rejects_out_of_range_naming_element():
-    raw = Layout(elements=(box(10, 10, 5, 5), box(150, 10, 5, 5)), id="bad")
+    raw = layout_of((10, 10, 5, 5), (150, 10, 5, 5), id="bad")
     with pytest.raises(DataError, match="element 1"):
         normalize_layout(raw, (100, 100))
 
@@ -99,26 +95,64 @@ def test_corner_form_hand_case():
 
 def test_element_requires_exactly_one_attribute():
     with pytest.raises(DataError):
-        Element(geometry=np.zeros(4))
+        Layout(geometry=np.zeros((1, 4)))
     with pytest.raises(DataError):
-        Element(geometry=np.zeros(4), label=1, feature=np.zeros(3))
+        Layout(geometry=np.zeros((1, 4)), labels=[1], features=np.zeros((1, 3)))
 
 
 def test_element_rejects_non_finite_geometry():
     with pytest.raises(DataError):
-        Element(geometry=np.array([0.0, np.nan, 0.0, 0.0]), label=0)
+        Layout(geometry=np.array([[0.0, np.nan, 0.0, 0.0]]), labels=[0])
 
 
 def test_layout_rejects_empty():
     with pytest.raises(DataError):
-        Layout(elements=(), id="empty")
+        Layout(geometry=np.zeros((0, 4)), labels=np.zeros(0, dtype=np.int64), id="empty")
 
 
 def test_layout_rejects_mixed_modes():
-    a = Element(geometry=np.zeros(4), label=0)
-    b = Element(geometry=np.zeros(4), feature=np.ones(2))
+    # Labels and features together are rejected.
     with pytest.raises(DataError):
-        Layout(elements=(a, b), id="mixed")
+        Layout(geometry=np.zeros((2, 4)), labels=[0, 0], features=np.ones((2, 2)), id="mixed")
+
+
+MALFORMED_ARRAYS = {
+    "geometry of 3 columns": dict(geometry=np.zeros((2, 3)), labels=[0, 0]),
+    "geometry 1-d": dict(geometry=np.zeros(4), labels=[0]),
+    "geometry infinite": dict(geometry=[[0.0, 0.0, np.inf, 0.0]], labels=[0]),
+    "negative label": dict(geometry=np.zeros((2, 4)), labels=[0, -1]),
+    "fractional labels": dict(geometry=np.zeros((2, 4)), labels=[0.0, 1.5]),
+    "one label for two rows": dict(geometry=np.zeros((2, 4)), labels=[0]),
+    "features 1-d": dict(geometry=np.zeros((2, 4)), features=np.ones(2)),
+    "features NaN": dict(geometry=np.zeros((1, 4)), features=[[0.5, np.nan]]),
+    "one feature row for two rows": dict(geometry=np.zeros((2, 4)), features=np.ones((1, 2))),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_ARRAYS)
+def test_layout_rejects_malformed_arrays(case):
+    with pytest.raises(DataError, match="'bad'"):
+        Layout(**MALFORMED_ARRAYS[case], id="bad")
+
+
+def test_layout_arrays_are_read_only_copies():
+    geometry = np.zeros((2, 4))
+    layout = Layout(geometry=geometry, labels=np.array([1, 0]))
+    geometry[0, 0] = 0.5
+    assert layout.geometry[0, 0] == 0.0
+    with pytest.raises(ValueError):
+        layout.labels[0] = 2
+
+
+def test_elements_view_yields_each_row():
+    layout = Layout(geometry=[[0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8]], labels=[2, 0])
+    elements = layout.elements
+    assert [e.label for e in elements] == [2, 0]
+    assert all(type(e.label) is int and e.feature is None for e in elements)
+    np.testing.assert_array_equal([e.geometry for e in elements], layout.geometry)
+    continuous = Layout(geometry=np.zeros((2, 4)), features=[[1.0], [2.0]])
+    assert [(e.label, e.feature.tolist()) for e in continuous.elements] == [(None, [1.0]),
+                                                                           (None, [2.0])]
 
 
 # -- file I/O -----------------------------------------------------------------
@@ -274,9 +308,7 @@ def test_save_load_round_trip(tmp_path):
     loaded = load_dataset(path)
     assert len(loaded) == len(ds)
     for a, b in zip(ds.layouts, loaded.layouts):
-        np.testing.assert_allclose(
-            np.stack([e.geometry for e in a.elements]),
-            np.stack([e.geometry for e in b.elements]), atol=1e-12)
+        np.testing.assert_allclose(a.geometry, b.geometry, atol=1e-12)
 
 
 # -- synthetic datasets --------------------------------------------------------
@@ -360,7 +392,7 @@ def test_pad_batch_mask_counts_elements():
 
 def test_pad_batch_rejects_mixed_modes():
     cat = layout_of((0, 0, 0.1, 0.1))
-    cont = Layout(elements=(Element(geometry=np.zeros(4), feature=np.ones(2)),), id="c")
+    cont = Layout(geometry=np.zeros((1, 4)), features=np.ones((1, 2)), id="c")
     with pytest.raises(DataError):
         pad_batch([cat, cont])
 
@@ -385,17 +417,22 @@ def test_pad_conditions_labels_and_features():
 
 
 def test_pad_then_strip_round_trips():
-    spec = SynthSpec(num_layouts=9, num_classes=3, rule="random_boxes")
-    ds = make_synthetic_dataset(spec, 2)
-    batch = pad_batch(ds.layouts)
-    back = batch_to_layouts(batch.geometry, batch.attributes, batch.mask,
-                            ids=[l.id for l in ds.layouts])
-    assert len(back) == len(ds.layouts)
-    for orig, rebuilt in zip(ds.layouts, back):
-        assert rebuilt.id == orig.id
-        assert len(rebuilt) == len(orig)
-        np.testing.assert_array_equal(rebuilt.geometry, orig.geometry)
-        np.testing.assert_array_equal(rebuilt.labels, orig.labels)
+    categorical = make_synthetic_dataset(SynthSpec(num_layouts=9, num_classes=3,
+                                                   rule="random_boxes"), 2).layouts
+    rng = np.random.default_rng(2)
+    continuous = [Layout(geometry=rng.uniform(-1, 1, (n, 4)), features=rng.normal(size=(n, 3)),
+                         id=f"c{i}") for i, n in enumerate(rng.integers(1, 6, 9))]
+    for layouts in (categorical, continuous):
+        batch = pad_batch(layouts)
+        back = batch_to_layouts(batch.geometry, batch.attributes, batch.mask,
+                                ids=[l.id for l in layouts])
+        assert len(back) == len(layouts)
+        for orig, rebuilt in zip(layouts, back):
+            assert rebuilt.id == orig.id
+            assert len(rebuilt) == len(orig)
+            np.testing.assert_array_equal(rebuilt.geometry, orig.geometry)
+            np.testing.assert_array_equal(rebuilt.labels, orig.labels)
+            np.testing.assert_array_equal(rebuilt.features, orig.features)
 
 
 def test_dataset_to_dict_includes_meta():

@@ -117,6 +117,31 @@ def test_sample_is_seed_deterministic(fitted):
     assert not np.array_equal(a[0].geometry, c[0].geometry)
 
 
+NON_INTEGERS = [2.9, 3.0, True, "abc"]
+
+
+@pytest.mark.parametrize("value", NON_INTEGERS, ids=repr)
+@pytest.mark.parametrize("where", ["init_seed", "train_seed", "sample seed", "label"])
+def test_seeds_and_labels_must_be_integers(fitted, where, value):
+    model, dataset = fitted
+    with pytest.raises(DataError, match="seed|label"):
+        if where == "sample seed":
+            model.sample([[0, 1]], seed=value)
+        elif where == "label":
+            model.sample([[0, value]], seed=3)
+        else:
+            desk_model(**{where: value}).fit(dataset)
+
+
+def test_numpy_integer_seeds_and_labels_are_accepted(fitted):
+    model, _ = fitted
+    layouts = model.sample([np.array([0, 2], dtype=np.int32)], seed=np.int64(7))
+    assert layouts[0].labels.tolist() == [0, 2]
+    np.testing.assert_array_equal(layouts[0].geometry, model.sample([[0, 2]], seed=7)[0].geometry)
+    assert desk_model(init_seed=np.int64(0))._make_train_config(
+        make_synthetic_dataset(SynthSpec(num_layouts=4, num_classes=3), 0)).init_seed == 0
+
+
 def test_sample_rejects_bad_labels(fitted):
     model, _ = fitted
     with pytest.raises(DataError):
@@ -137,15 +162,15 @@ def test_repr_shows_params():
 
 
 def test_continuous_mode_fit_and_sample():
-    from layoutdiffusion.data import Dataset, Element, Layout
+    from layoutdiffusion.data import Dataset, Layout
 
     rng = np.random.default_rng(0)
     layouts = []
     for i in range(8):
-        elements = tuple(
-            Element(geometry=rng.uniform(-0.5, 0.5, 4), feature=rng.normal(size=3))
-            for _ in range(2))
-        layouts.append(Layout(elements=elements, id=f"c{i}"))
+        # Geometry, then features, per element.
+        rows = [(rng.uniform(-0.5, 0.5, 4), rng.normal(size=3)) for _ in range(2)]
+        layouts.append(Layout(geometry=[g for g, _ in rows], features=[f for _, f in rows],
+                              id=f"c{i}"))
     dataset = Dataset(layouts=tuple(layouts), feature_dim=3)
     model = desk_model().fit(dataset)
     out = model.sample([rng.normal(size=(2, 3))], seed=1)

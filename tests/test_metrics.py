@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layoutdiffusion.data import Element, Layout
+from layoutdiffusion.data import Layout
 from layoutdiffusion.exceptions import DataError
 from layoutdiffusion.metrics import (FeatureSet, MetricFrame, alignment_blt,
                                      alignment_kikuchi, box_iou_matrix, evaluate_collections,
@@ -17,14 +17,10 @@ from layoutdiffusion.metrics import (FeatureSet, MetricFrame, alignment_blt,
 RNG = np.random.default_rng(9001)
 
 
-def unit_box(cx, cy, w, h, label=0):
-    """Element from unit-square frame coordinates."""
-    geom = 2.0 * np.array([cx, cy, w, h]) - 1.0
-    return Element(geometry=geom, label=label)
-
-
 def unit_layout(*boxes, id="m"):
-    return Layout(elements=tuple(unit_box(*b) for b in boxes), id=id)
+    """Layout from unit-square frame boxes ``(cx, cy, w, h)`` or ``(cx, cy, w, h, label)``."""
+    geometry = 2.0 * np.array([b[:4] for b in boxes], dtype=float) - 1.0
+    return Layout(geometry=geometry, labels=[b[4] if len(b) > 4 else 0 for b in boxes], id=id)
 
 
 def random_unit_layout(rng, n, num_classes=3):
@@ -33,8 +29,8 @@ def random_unit_layout(rng, n, num_classes=3):
         w, h = rng.uniform(0.05, 0.5, 2)
         cx = rng.uniform(w / 2, 1 - w / 2)
         cy = rng.uniform(h / 2, 1 - h / 2)
-        boxes.append(unit_box(cx, cy, w, h, label=int(rng.integers(num_classes))))
-    return Layout(elements=tuple(boxes), id="r")
+        boxes.append((cx, cy, w, h, int(rng.integers(num_classes))))
+    return unit_layout(*boxes, id="r")
 
 
 # -- alignment (kikuchi) -------------------------------------------------------
@@ -289,7 +285,7 @@ def test_pair_max_iou_matches_permutation_brute_force():
 
 def test_pair_max_iou_rejects_mismatched_multisets():
     a = unit_layout((0.5, 0.5, 0.2, 0.2))
-    b = Layout(elements=(unit_box(0.5, 0.5, 0.2, 0.2, label=1),), id="b")
+    b = unit_layout((0.5, 0.5, 0.2, 0.2, 1), id="b")
     with pytest.raises(DataError):
         pair_max_iou(a, b)
 
@@ -309,7 +305,7 @@ def test_max_iou_identical_collections():
 
 def test_max_iou_no_common_multiset_is_zero():
     a = [unit_layout((0.5, 0.5, 0.2, 0.2))]
-    b = [Layout(elements=(unit_box(0.5, 0.5, 0.2, 0.2, label=1),), id="b")]
+    b = [unit_layout((0.5, 0.5, 0.2, 0.2, 1), id="b")]
     assert max_iou(a, b) == 0.0
 
 
@@ -322,8 +318,8 @@ def test_max_iou_matches_brute_force_4x4():
             w, h = rng.uniform(0.1, 0.5, 2)
             cx = rng.uniform(w / 2, 1 - w / 2)
             cy = rng.uniform(h / 2, 1 - h / 2)
-            boxes.append(unit_box(cx, cy, w, h, label=label))
-        return Layout(elements=tuple(boxes), id="f")
+            boxes.append((cx, cy, w, h, label))
+        return unit_layout(*boxes, id="f")
 
     generated = [fixed_multiset_layout() for _ in range(4)]
     reference = [fixed_multiset_layout() for _ in range(4)]
@@ -412,7 +408,7 @@ def test_metrics_invariant_under_permutation(n, seed):
     rng = np.random.default_rng(seed)
     layout = random_unit_layout(rng, n)
     perm = rng.permutation(n)
-    permuted = Layout(elements=tuple(layout.elements[i] for i in perm), id="p")
+    permuted = Layout(geometry=layout.geometry[perm], labels=layout.labels[perm], id="p")
     assert alignment_kikuchi(layout) == pytest.approx(alignment_kikuchi(permuted), abs=1e-12)
     assert overlap_kikuchi(layout) == pytest.approx(overlap_kikuchi(permuted), abs=1e-12)
     assert overlap_blt(layout) == pytest.approx(overlap_blt(permuted), abs=1e-12)

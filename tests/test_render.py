@@ -1,14 +1,12 @@
 import numpy as np
 
-from layoutdiffusion.data import Element, Layout
+from layoutdiffusion.data import Layout
 from layoutdiffusion.render import DEFAULT_PALETTE, label_color, render_svg
 
 
 def unit_layout(*boxes):
-    elements = tuple(
-        Element(geometry=2.0 * np.array(b[:4]) - 1.0, label=b[4] if len(b) > 4 else 0)
-        for b in boxes)
-    return Layout(elements=elements, id="r")
+    geometry = 2.0 * np.array([b[:4] for b in boxes], dtype=float) - 1.0
+    return Layout(geometry=geometry, labels=[b[4] if len(b) > 4 else 0 for b in boxes], id="r")
 
 
 def test_one_rect_per_element_plus_background():
