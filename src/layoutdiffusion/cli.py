@@ -25,7 +25,7 @@ from .exceptions import DataError, LayoutDiffusionError, NumericError
 from .metrics import FeatureSet, evaluate_collections, trivial_features
 from .render import render_svg
 from .rng import RngStream
-from .validation import check_feature_conditions, check_label_conditions
+from .validation import check_feature_conditions, check_label_conditions, check_seed
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -120,7 +120,7 @@ def cmd_synth(args) -> int:
     spec = SynthSpec(num_layouts=args.layouts, num_classes=args.classes,
                      elements_per_layout_range=(args.min_elements, args.max_elements),
                      rule=args.rule)
-    dataset = make_synthetic_dataset(spec, args.seed)
+    dataset = make_synthetic_dataset(spec, check_seed(args.seed))
     meta = {"command": "synth", "rule": args.rule, "seed": args.seed,
             "num_layouts": args.layouts, "num_classes": args.classes,
             "elements_per_layout_range": [args.min_elements, args.max_elements],
@@ -252,6 +252,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    check_seed(args.seed)
     params, _, header, config, trained, _ = _load_run(args.checkpoint)
     schedule = config.diffusion.schedule()
 

@@ -40,10 +40,11 @@ def _read_only(values, dtype) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Layout:
     """A set of elements: ``geometry`` ``[n, 4]`` plus ``labels`` ``[n]`` or ``features``
-    ``[n, d]``, stored as read-only copies.  Row order is preserved but carries no meaning."""
+    ``[n, d]``, stored as read-only copies.  Row order is preserved but carries no meaning.
+    A layout equals only itself and hashes by identity."""
 
     geometry: np.ndarray
     labels: Optional[np.ndarray] = None

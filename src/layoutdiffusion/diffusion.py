@@ -242,6 +242,8 @@ class TrainConfig:
             raise ValueError(f"unknown precision {self.precision!r}")
         if self.batch_size < 1 or self.max_steps < 0:
             raise ValueError("batch_size must be >= 1 and max_steps >= 0")
+        if self.init_seed < 0 or self.train_seed < 0:
+            raise ValueError("init_seed and train_seed must be >= 0")
 
     @property
     def dtype(self):

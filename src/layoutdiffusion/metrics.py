@@ -22,7 +22,7 @@ _LOG_CLAMP = 1.0 - 1e-9
 
 @dataclass(frozen=True)
 class MetricFrame:
-    """Per-element corner/center coordinates of one layout in [0, 1]^2."""
+    """Corner/center coordinates in [0, 1]^2 of equal-count layouts, each ``[L, n]``."""
 
     left: np.ndarray
     top: np.ndarray
@@ -34,46 +34,71 @@ class MetricFrame:
     height: np.ndarray
 
     @classmethod
-    def from_layout(cls, layout: Layout) -> "MetricFrame":
-        geom = (layout.geometry + 1.0) / 2.0
-        geom[:, 2] = np.maximum(geom[:, 2], SIZE_CLAMP)
-        geom[:, 3] = np.maximum(geom[:, 3], SIZE_CLAMP)
+    def from_layouts(cls, layouts: Sequence[Layout]) -> "MetricFrame":
+        """The frame of layouts that all have the same element count n."""
+        geom = (np.stack([layout.geometry for layout in layouts]) + 1.0) / 2.0
+        geom[..., 2] = np.maximum(geom[..., 2], SIZE_CLAMP)
+        geom[..., 3] = np.maximum(geom[..., 3], SIZE_CLAMP)
         corners = to_corner_form(geom)
-        return cls(left=corners[:, 0], top=corners[:, 1], cx=corners[:, 2],
-                   cy=corners[:, 3], right=corners[:, 4], bottom=corners[:, 5],
-                   width=geom[:, 2], height=geom[:, 3])
+        return cls(left=corners[..., 0], top=corners[..., 1], cx=corners[..., 2],
+                   cy=corners[..., 3], right=corners[..., 4], bottom=corners[..., 5],
+                   width=geom[..., 2], height=geom[..., 3])
 
-    def __len__(self):
-        return self.left.shape[0]
+    def __getitem__(self, index) -> "MetricFrame":
+        """The frame of the layouts at ``index`` of the leading axis."""
+        return MetricFrame(**{name: value[index] for name, value in vars(self).items()})
 
     @property
     def area(self) -> np.ndarray:
         return self.width * self.height
 
 
-def _nearest_gap(coords: np.ndarray) -> np.ndarray:
-    """Per element, the distance to the closest other element's coordinate."""
-    diff = np.abs(coords[:, None] - coords[None, :])
-    np.fill_diagonal(diff, np.inf)
-    return diff.min(axis=1)
+def _per_layout(layouts: Sequence[Layout], kernel) -> np.ndarray:
+    """``kernel`` of each layout as a float64 array, in input order.
+
+    Layouts are grouped by element count n, and ``kernel`` maps each group's
+    ``[L_n, n]`` frame to its ``[L_n]`` values, so no group needs padding.
+    """
+    layouts = list(layouts)
+    if not layouts:
+        raise DataError("a layout metric needs at least one layout")
+    counts = np.fromiter(map(len, layouts), dtype=np.int64, count=len(layouts))
+    out = np.empty(len(layouts))
+    for n in np.unique(counts):
+        group = np.flatnonzero(counts == n)
+        out[group] = kernel(MetricFrame.from_layouts([layouts[i] for i in group]))
+    return out
 
 
-def alignment_kikuchi(layout: Layout) -> float:
-    """Per-element min over six -log(1-gap) terms, averaged, times 100.
+def _min_over_others(pairs: np.ndarray) -> np.ndarray:
+    """``[..., n, n]`` -> ``[..., n]``: per element, the minimum over the other elements."""
+    diagonal = np.arange(pairs.shape[-1])
+    pairs[..., diagonal, diagonal] = np.inf
+    return pairs.min(axis=-1)
+
+
+def _pair_gaps(coords: np.ndarray) -> np.ndarray:
+    """``[..., n]`` -> ``[..., n, n]`` absolute differences between elements."""
+    gaps = coords[..., :, None] - coords[..., None, :]
+    return np.abs(gaps, out=gaps)
+
+
+def _alignment_kikuchi(frame: MetricFrame) -> np.ndarray:
+    if frame.left.shape[-1] == 1:
+        return np.zeros(len(frame.left))
+    gaps = np.stack([_min_over_others(_pair_gaps(c)) for c in (
+        frame.left, frame.cx, frame.right, frame.top, frame.cy, frame.bottom)])
+    gaps = np.clip(gaps, 0.0, _LOG_CLAMP)
+    per_element = (-np.log1p(-gaps)).min(axis=0)
+    return per_element.mean(axis=-1) * 100.0
+
+
+def alignment_kikuchi(layouts: Sequence[Layout]) -> np.ndarray:
+    """Per layout: per-element min over six -log(1-gap) terms, averaged, times 100.
 
     Single-element layouts score 0 by convention.
     """
-    frame = MetricFrame.from_layout(layout)
-    n = len(frame)
-    if n == 1:
-        return 0.0
-    gaps = np.stack([
-        _nearest_gap(frame.left), _nearest_gap(frame.cx), _nearest_gap(frame.right),
-        _nearest_gap(frame.top), _nearest_gap(frame.cy), _nearest_gap(frame.bottom),
-    ])
-    gaps = np.clip(gaps, 0.0, _LOG_CLAMP)
-    per_element = (-np.log1p(-gaps)).min(axis=0)
-    return float(per_element.mean() * 100.0)
+    return _per_layout(layouts, _alignment_kikuchi)
 
 
 def alignment_blt(layouts: Sequence[Layout], include_y: bool = False) -> float:
@@ -82,74 +107,71 @@ def alignment_blt(layouts: Sequence[Layout], include_y: bool = False) -> float:
     No log transform, no x100, no division by element count.  ``include_y``
     extends the published x-only definition with the analogous y lines.
     """
-    layouts = list(layouts)
-    if not layouts:
-        raise DataError("alignment_blt needs at least one layout")
-    total = 0.0
-    for layout in layouts:
-        frame = MetricFrame.from_layout(layout)
-        if len(frame) < 2:
-            continue
+    def layout_sums(frame: MetricFrame) -> np.ndarray:
+        if frame.left.shape[-1] == 1:
+            return np.zeros(len(frame.left))
         axes = [(frame.left, frame.cx, frame.right)]
         if include_y:
             axes.append((frame.top, frame.cy, frame.bottom))
-        per_axis = []
-        for coords in axes:
-            stacked = np.stack([np.abs(c[:, None] - c[None, :]) for c in coords])
-            pair_min = stacked.min(axis=0)
-            np.fill_diagonal(pair_min, np.inf)
-            per_axis.append(pair_min.min(axis=1))
-        layout_sum = np.minimum.reduce(per_axis)
-        total += float(layout_sum.sum())
-    return total / len(layouts)
+        per_axis = [_min_over_others(np.minimum.reduce([_pair_gaps(c) for c in coords]))
+                    for coords in axes]
+        return np.minimum.reduce(per_axis).sum(axis=-1)
+
+    return float(_per_layout(layouts, layout_sums).mean())
 
 
 def _pairwise_intersection(frame_a: MetricFrame, frame_b: MetricFrame) -> np.ndarray:
-    ix = np.clip(np.minimum(frame_a.right[:, None], frame_b.right[None, :])
-                 - np.maximum(frame_a.left[:, None], frame_b.left[None, :]), 0.0, None)
-    iy = np.clip(np.minimum(frame_a.bottom[:, None], frame_b.bottom[None, :])
-                 - np.maximum(frame_a.top[:, None], frame_b.top[None, :]), 0.0, None)
+    """``[..., n_a, n_b]`` intersection areas, broadcast over the leading axes."""
+    ix = np.clip(np.minimum(frame_a.right[..., :, None], frame_b.right[..., None, :])
+                 - np.maximum(frame_a.left[..., :, None], frame_b.left[..., None, :]), 0.0, None)
+    iy = np.clip(np.minimum(frame_a.bottom[..., :, None], frame_b.bottom[..., None, :])
+                 - np.maximum(frame_a.top[..., :, None], frame_b.top[..., None, :]), 0.0, None)
     return ix * iy
 
 
-def overlap_kikuchi(layout: Layout) -> float:
-    """Sum over pairs of intersection-over-own-area, divided by N, times 100."""
-    return overlap_blt(layout) / len(layout) * 100.0
-
-
-def overlap_blt(layout: Layout) -> float:
-    """Same double sum as the Kikuchi convention, unnormalized and unscaled."""
-    frame = MetricFrame.from_layout(layout)
+def _overlap_sum(frame: MetricFrame) -> np.ndarray:
     inter = _pairwise_intersection(frame, frame)
-    np.fill_diagonal(inter, 0.0)
-    ratios = inter / frame.area[:, None]
-    return float(ratios.sum())
+    diagonal = np.arange(inter.shape[-1])
+    inter[..., diagonal, diagonal] = 0.0
+    ratios = inter / frame.area[..., :, None]
+    return ratios.reshape(len(ratios), -1).sum(axis=-1)
 
 
-def perceptual_iou(layout: Layout) -> float:
-    """Area covered by two or more boxes over area covered by at least one.
+def overlap_kikuchi(layouts: Sequence[Layout]) -> np.ndarray:
+    """Per layout: sum over pairs of intersection-over-own-area, divided by N, times 100."""
+    return _per_layout(layouts, lambda frame: _overlap_sum(frame) / frame.left.shape[-1] * 100.0)
+
+
+def overlap_blt(layouts: Sequence[Layout]) -> np.ndarray:
+    """Per layout: the Kikuchi double sum, unnormalized and unscaled."""
+    return _per_layout(layouts, _overlap_sum)
+
+
+def _perceptual_iou(frame: MetricFrame) -> np.ndarray:
+    # Each axis's sorted 2n edges bound its 2n - 1 cells; a duplicate edge
+    # only adds a cell of zero width.  A box covers a cell when the cell lies
+    # between its edges.
+    def cells(lo, hi):
+        edges = np.sort(np.concatenate([lo, hi], axis=-1), axis=-1)
+        covered = ((lo[..., :, None] <= edges[..., None, :-1])
+                   & (edges[..., None, 1:] <= hi[..., :, None]))
+        return covered.astype(np.float64), np.diff(edges, axis=-1)
+
+    in_x, width = cells(frame.left, frame.right)
+    in_y, height = cells(frame.top, frame.bottom)
+    counts = np.einsum("lik,lim->lkm", in_x, in_y)
+    cell_area = width[..., :, None] * height[..., None, :]
+    union = np.einsum("lkm,lkm->l", counts >= 1, cell_area)
+    both = np.einsum("lkm,lkm->l", counts >= 2, cell_area)
+    return np.divide(both, union, out=np.zeros_like(union), where=union > 0.0)
+
+
+def perceptual_iou(layouts: Sequence[Layout]) -> np.ndarray:
+    """Per layout: area covered by two or more boxes over area covered by at least one.
 
     Exact, via coordinate-compressed cell coverage counting.
     """
-    frame = MetricFrame.from_layout(layout)
-    return _coverage_iou(frame.left, frame.top, frame.right, frame.bottom)
-
-
-def _coverage_iou(left, top, right, bottom) -> float:
-    xs = np.unique(np.concatenate([left, right]))
-    ys = np.unique(np.concatenate([top, bottom]))
-    counts = np.zeros((xs.size - 1, ys.size - 1), dtype=np.int64)
-    x_lo = np.searchsorted(xs, left)
-    x_hi = np.searchsorted(xs, right)
-    y_lo = np.searchsorted(ys, top)
-    y_hi = np.searchsorted(ys, bottom)
-    for a, b, c, d in zip(x_lo, x_hi, y_lo, y_hi):
-        counts[a:b, c:d] += 1
-    cell_area = np.diff(xs)[:, None] * np.diff(ys)[None, :]
-    union = float(cell_area[counts >= 1].sum())
-    if union == 0.0:
-        return 0.0
-    return float(cell_area[counts >= 2].sum()) / union
+    return _per_layout(layouts, _perceptual_iou)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +263,7 @@ def box_iou_matrix(frame_a: MetricFrame, frame_b: MetricFrame) -> np.ndarray:
     # matched with itself scores exactly 1.
     area_a = (frame_a.right - frame_a.left) * (frame_a.bottom - frame_a.top)
     area_b = (frame_b.right - frame_b.left) * (frame_b.bottom - frame_b.top)
-    union = area_a[:, None] + area_b[None, :] - inter
+    union = area_a[..., :, None] + area_b[..., None, :] - inter
     return inter / np.maximum(union, 1e-12)
 
 
@@ -263,7 +285,8 @@ def pair_max_iou(layout_a: Layout, layout_b: Layout) -> float:
     """
     if _label_multiset(layout_a) != _label_multiset(layout_b):
         raise DataError("pair_max_iou requires identical label multisets")
-    weights = box_iou_matrix(MetricFrame.from_layout(layout_a), MetricFrame.from_layout(layout_b))
+    frame = MetricFrame.from_layouts([layout_a, layout_b])
+    weights = box_iou_matrix(frame[0], frame[1])
     weights[layout_a.labels[:, None] != layout_b.labels[None, :]] = 0.0
     _, value = max_weight_assignment(weights)
     return value / len(layout_a)
@@ -400,44 +423,28 @@ def evaluate_collections(generated: Sequence[Layout], reference: Sequence[Layout
     if not generated or not reference:
         raise DataError("evaluation needs non-empty collections")
 
-    def per_layout(fn, layouts):
-        return [float(fn(l)) for l in layouts]
-
-    gen_align = per_layout(alignment_kikuchi, generated)
-    ref_align = per_layout(alignment_kikuchi, reference)
-    gen_over_k = per_layout(overlap_kikuchi, generated)
-    ref_over_k = per_layout(overlap_kikuchi, reference)
-    gen_over_b = per_layout(overlap_blt, generated)
-    ref_over_b = per_layout(overlap_blt, reference)
-    gen_iou = per_layout(perceptual_iou, generated)
-    ref_iou = per_layout(perceptual_iou, reference)
+    def both_sides(fn, convention):
+        """Each side's mean and per-layout values of the metric ``fn``."""
+        sides = {}
+        for side, layouts in (("generated", generated), ("reference", reference)):
+            values = fn(layouts)
+            sides[side] = _tagged(float(np.mean(values)), convention, values.tolist())
+        return sides
 
     report = {
         "counts": {"generated": len(generated), "reference": len(reference)},
         "alignment": {
-            "kikuchi": {
-                "generated": _tagged(float(np.mean(gen_align)), "kikuchi", gen_align),
-                "reference": _tagged(float(np.mean(ref_align)), "kikuchi", ref_align),
-            },
+            "kikuchi": both_sides(alignment_kikuchi, "kikuchi"),
             "blt": {
                 "generated": _tagged(alignment_blt(generated, include_y_alignment), "blt"),
                 "reference": _tagged(alignment_blt(reference, include_y_alignment), "blt"),
             },
         },
         "overlap": {
-            "kikuchi": {
-                "generated": _tagged(float(np.mean(gen_over_k)), "kikuchi", gen_over_k),
-                "reference": _tagged(float(np.mean(ref_over_k)), "kikuchi", ref_over_k),
-            },
-            "blt": {
-                "generated": _tagged(float(np.mean(gen_over_b)), "blt", gen_over_b),
-                "reference": _tagged(float(np.mean(ref_over_b)), "blt", ref_over_b),
-            },
+            "kikuchi": both_sides(overlap_kikuchi, "kikuchi"),
+            "blt": both_sides(overlap_blt, "blt"),
         },
-        "perceptual_iou": {
-            "generated": _tagged(float(np.mean(gen_iou)), "blt", gen_iou),
-            "reference": _tagged(float(np.mean(ref_iou)), "blt", ref_iou),
-        },
+        "perceptual_iou": both_sides(perceptual_iou, "blt"),
     }
 
     categorical = all(l.attribute_mode == "categorical" for l in generated + reference)

@@ -14,6 +14,7 @@ _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
 
 ALGORITHM = "splitmix64/box-muller-cos"
+SEED_END = 2**64  # seeds are 64-bit words: [0, SEED_END)
 
 _INV_2POW53 = float(2.0**-53)
 
@@ -39,10 +40,10 @@ class RngStream:
     algorithm = ALGORITHM
 
     def __init__(self, seed: int, counter: int = 0):
-        if counter < 0:
-            raise ValueError("counter must be non-negative")
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self.counter = int(counter)
+        self.seed, self.counter = int(seed), int(counter)
+        for key, value, end in (("seed", self.seed, SEED_END), ("counter", self.counter, 2**63)):
+            if not 0 <= value < end:
+                raise ValueError(f"rng {key} {value!r} is not in [0, {end})")
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, counter={self.counter})"
@@ -54,10 +55,9 @@ class RngStream:
     def from_state(cls, state: dict) -> "RngStream":
         if state.get("algorithm", ALGORITHM) != ALGORITHM:
             raise ValueError(f"unknown rng algorithm: {state.get('algorithm')!r}")
-        for key, end in (("seed", 2**64), ("counter", 2**63)):
-            value = state[key]
-            if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < end:
-                raise ValueError(f"rng {key} {value!r} is not an integer in [0, {end})")
+        for key in ("seed", "counter"):
+            if isinstance(state[key], bool) or not isinstance(state[key], int):
+                raise ValueError(f"rng {key} {state[key]!r} is not an integer")
         return cls(state["seed"], state["counter"])
 
     def words(self, n: int) -> np.ndarray:

@@ -8,6 +8,7 @@ import numpy as np
 
 from .data import Dataset, Layout, is_finite_number, require_int
 from .exceptions import DataError
+from .rng import SEED_END
 
 def _holds(kind, value) -> bool:
     if kind is int:
@@ -38,9 +39,13 @@ def check_field_types(config):
 
 
 def check_seed(value, name: str = "seed") -> int:
+    """``value`` as a seed: an integer in [0, 2**64), set explicitly."""
     if value is None:
         raise DataError(f"{name} must be set explicitly (no wall-clock defaults)")
-    return require_int(value, name)
+    seed = require_int(value, name)
+    if not 0 <= seed < SEED_END:
+        raise DataError(f"{name} {seed} is not in [0, 2**64)")
+    return seed
 
 
 def check_dataset(data) -> Dataset:

@@ -199,15 +199,15 @@ def test_metric_oracle_pins():
     started = time.monotonic()
     toy = unit_layout((0.25, 0.05, 0.5, 0.1), (0.65, 0.05, 0.1, 0.1), (0.70, 0.05, 0.1, 0.1),
                       id="toy")
-    assert ld.perceptual_iou(toy) == pytest.approx(1.0 / 13.0, abs=1e-9)
+    assert ld.perceptual_iou([toy])[0] == pytest.approx(1.0 / 13.0, abs=1e-9)
 
     twins = unit_layout((0.5, 0.5, 0.3, 0.3), (0.5, 0.5, 0.3, 0.3), id="twins")
-    assert ld.overlap_kikuchi(twins) == pytest.approx(100.0, abs=1e-9)
-    assert ld.overlap_blt(twins) == pytest.approx(2.0, abs=1e-12)
+    assert ld.overlap_kikuchi([twins])[0] == pytest.approx(100.0, abs=1e-9)
+    assert ld.overlap_blt([twins])[0] == pytest.approx(2.0, abs=1e-12)
 
     grid = unit_layout(*[(0.25 + 0.5 * c, 0.25 + 0.5 * r, 0.2, 0.2)
                          for r in range(2) for c in range(2)], id="grid")
-    assert ld.alignment_kikuchi(grid) == 0.0
+    assert ld.alignment_kikuchi([grid])[0] == 0.0
     assert ld.alignment_blt([grid]) == 0.0
 
     rng = np.random.default_rng(5)

@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import shutil
 
 import pytest
 
@@ -71,3 +72,23 @@ def test_a_parent_spread_beyond_the_bound_is_unresolved():
     # Unless every change run reads better than every parent run.
     assert not summary(wide, [151] * 10)["rate"]["unresolved"]
     assert not summary(wide, [49] * 10)["rss"]["unresolved"]
+
+
+def test_tree_digest_names_the_bytes_of_src(tmp_path):
+    a = tmp_path / "a"
+    (a / "src" / "pkg").mkdir(parents=True)
+    (a / "src" / "pkg" / "mod.py").write_bytes(b"x = 1\n")
+    (a / "src" / "top.py").write_bytes(b"")
+    (a / "README.md").write_text("outside src/")
+    b = tmp_path / "b"
+    shutil.copytree(a, b)
+    (b / "README.md").write_text("other text")
+    (b / "src" / "pkg" / "__pycache__").mkdir()
+    (b / "src" / "pkg" / "__pycache__" / "mod.pyc").write_bytes(b"compiled")
+    assert bench_pairs.tree_digest(a) == bench_pairs.tree_digest(b)
+
+    (b / "src" / "pkg" / "mod.py").write_bytes(b"x = 2\n")
+    assert bench_pairs.tree_digest(a) != bench_pairs.tree_digest(b)
+    (b / "src" / "pkg" / "mod.py").write_bytes(b"x = 1\n")
+    (b / "src" / "pkg" / "mod.py").rename(b / "src" / "pkg" / "moe.py")
+    assert bench_pairs.tree_digest(a) != bench_pairs.tree_digest(b)

@@ -56,6 +56,26 @@ def test_synth_invalid_element_range(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_synth_rejects_a_seed_outside_64_bits(tmp_path, capsys, seed):
+    out = tmp_path / "x.json"
+    assert run(["synth", "--classes", "2", "--seed", seed, "-o", str(out)]) == 3
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--init-seed", "--train-seed"])
+def test_train_rejects_a_negative_seed(tmp_path, capsys, flag):
+    data = synth(tmp_path)
+    ckpt = tmp_path / "model.ckpt"
+    # The last occurrence of a flag wins over the one in TRAIN_FLAGS.
+    code = run(["train", "--dataset", str(data), "--checkpoint", str(ckpt), "--max-steps", "1",
+                *TRAIN_FLAGS, flag, "-1"])
+    assert code == 3
+    assert "seed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [data]
+
+
 def test_train_writes_checkpoint_and_loss_log(tmp_path):
     data = synth(tmp_path)
     ckpt = train(tmp_path, data, steps=5)
@@ -405,6 +425,16 @@ def test_sample_seed_changes_output(tmp_path):
     assert run(sample_args(ckpt, out1, seed=3)) == 0
     assert run(sample_args(ckpt, out2, seed=4)) == 0
     assert out1.read_bytes() != out2.read_bytes()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_sample_rejects_a_seed_outside_64_bits(tmp_path, capsys, seed):
+    data = synth(tmp_path)
+    ckpt = train(tmp_path, data)
+    out = tmp_path / "bad.json"
+    assert run(sample_args(ckpt, out, seed=seed)) == 3
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sample_unknown_label_rejected(tmp_path, capsys):

@@ -144,6 +144,16 @@ def test_layout_arrays_are_read_only_copies():
         layout.labels[0] = 2
 
 
+def test_layout_equals_only_itself_and_is_hashable():
+    a = Layout(geometry=np.zeros((2, 4)), labels=[0, 1])
+    b = Layout(geometry=np.zeros((2, 4)), labels=[0, 1])
+    assert a == a
+    assert not (a == b)
+    assert a != b
+    assert len({a, b}) == 2
+    assert len({a, a}) == 1
+
+
 def test_elements_view_yields_each_row():
     layout = Layout(geometry=[[0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8]], labels=[2, 0])
     elements = layout.elements

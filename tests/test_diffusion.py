@@ -439,3 +439,6 @@ def test_train_config_validation():
         TrainConfig(denoiser=denoiser, precision="float16")
     with pytest.raises(ValueError):
         TrainConfig(denoiser=denoiser, batch_size=0)
+    for seed in ("init_seed", "train_seed"):
+        with pytest.raises(ValueError, match="seed"):
+            TrainConfig(denoiser=denoiser, **{seed: -1})

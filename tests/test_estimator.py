@@ -133,6 +133,17 @@ def test_seeds_and_labels_must_be_integers(fitted, where, value):
             desk_model(**{where: value}).fit(dataset)
 
 
+@pytest.mark.parametrize("value", [-1, 2**64], ids=repr)
+@pytest.mark.parametrize("where", ["init_seed", "train_seed", "sample seed"])
+def test_seeds_outside_64_bits_are_rejected(fitted, where, value):
+    model, dataset = fitted
+    with pytest.raises(DataError, match="seed"):
+        if where == "sample seed":
+            model.sample([[0, 1]], seed=value)
+        else:
+            desk_model(**{where: value}).fit(dataset)
+
+
 def test_numpy_integer_seeds_and_labels_are_accepted(fitted):
     model, _ = fitted
     layouts = model.sample([np.array([0, 2], dtype=np.int32)], seed=np.int64(7))

@@ -1,13 +1,14 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layoutdiffusion.data import Layout
+from layoutdiffusion.data import Layout, to_corner_form
 from layoutdiffusion.exceptions import DataError
-from layoutdiffusion.metrics import (FeatureSet, MetricFrame, alignment_blt,
+from layoutdiffusion.metrics import (SIZE_CLAMP, FeatureSet, MetricFrame, alignment_blt,
                                      alignment_kikuchi, box_iou_matrix, evaluate_collections,
                                      frechet_distance, frechet_gaussian, max_iou,
                                      max_weight_assignment, overlap_blt,
@@ -39,11 +40,11 @@ def random_unit_layout(rng, n, num_classes=3):
 def test_alignment_kikuchi_shared_left_edge_is_zero():
     layout = unit_layout((0.3, 0.2, 0.2, 0.1), (0.35, 0.7, 0.3, 0.2))
     # both left edges at x = 0.2
-    assert alignment_kikuchi(layout) == pytest.approx(0.0, abs=1e-12)
+    assert alignment_kikuchi([layout])[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_alignment_kikuchi_single_element_is_zero():
-    assert alignment_kikuchi(unit_layout((0.5, 0.5, 0.2, 0.2))) == 0.0
+    assert alignment_kikuchi([unit_layout((0.5, 0.5, 0.2, 0.2))])[0] == 0.0
 
 
 def test_alignment_kikuchi_hand_case():
@@ -54,13 +55,13 @@ def test_alignment_kikuchi_hand_case():
                 y_top=0.4, y_center=0.4, y_bottom=0.4)
     per_element = min(-np.log(1 - g) for g in gaps.values())
     expected = per_element * 100.0  # both elements see the same gaps
-    assert alignment_kikuchi(layout) == pytest.approx(expected, abs=1e-9)
+    assert alignment_kikuchi([layout])[0] == pytest.approx(expected, abs=1e-9)
 
 
 def test_alignment_kikuchi_is_nonnegative_random():
     for seed in range(5):
         layout = random_unit_layout(np.random.default_rng(seed), 5)
-        assert alignment_kikuchi(layout) >= 0.0
+        assert alignment_kikuchi([layout])[0] >= 0.0
 
 
 # -- alignment (blt) ------------------------------------------------------------
@@ -106,27 +107,27 @@ def test_alignment_blt_y_variant_differs():
 
 def test_overlap_disjoint_boxes_zero():
     layout = unit_layout((0.2, 0.2, 0.2, 0.2), (0.7, 0.7, 0.2, 0.2))
-    assert overlap_kikuchi(layout) == 0.0
-    assert overlap_blt(layout) == 0.0
+    assert overlap_kikuchi([layout])[0] == 0.0
+    assert overlap_blt([layout])[0] == 0.0
 
 
 def test_overlap_identical_pair():
     layout = unit_layout((0.5, 0.5, 0.3, 0.3), (0.5, 0.5, 0.3, 0.3))
-    assert overlap_kikuchi(layout) == pytest.approx(100.0, abs=1e-9)
-    assert overlap_blt(layout) == pytest.approx(2.0, abs=1e-12)
+    assert overlap_kikuchi([layout])[0] == pytest.approx(100.0, abs=1e-9)
+    assert overlap_blt([layout])[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_overlap_nested_boxes_hand_case():
     layout = unit_layout((0.5, 0.5, 0.2, 0.2), (0.5, 0.5, 0.1, 0.1))
-    assert overlap_kikuchi(layout) == pytest.approx(62.5, abs=1e-9)
+    assert overlap_kikuchi([layout])[0] == pytest.approx(62.5, abs=1e-9)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 10_000))
 def test_overlap_conventions_identity(n, seed):
     layout = random_unit_layout(np.random.default_rng(seed), n)
-    assert overlap_blt(layout) == pytest.approx(
-        overlap_kikuchi(layout) * len(layout) / 100.0, abs=1e-12)
+    assert overlap_blt([layout])[0] == pytest.approx(
+        overlap_kikuchi([layout])[0] * len(layout) / 100.0, abs=1e-12)
 
 
 # -- perceptual iou ---------------------------------------------------------------
@@ -137,31 +138,31 @@ def test_perceptual_iou_partial_overlap_ratio():
     layout = unit_layout((0.25, 0.05, 0.5, 0.1),
                          (0.65, 0.05, 0.1, 0.1),
                          (0.70, 0.05, 0.1, 0.1))
-    assert perceptual_iou(layout) == pytest.approx(1.0 / 13.0, abs=1e-9)
+    assert perceptual_iou([layout])[0] == pytest.approx(1.0 / 13.0, abs=1e-9)
 
 
 def test_perceptual_iou_disjoint_zero():
     layout = unit_layout((0.2, 0.2, 0.2, 0.2), (0.7, 0.7, 0.2, 0.2))
-    assert perceptual_iou(layout) == 0.0
+    assert perceptual_iou([layout])[0] == 0.0
 
 
 def test_perceptual_iou_identical_boxes_one():
     layout = unit_layout((0.4, 0.4, 0.25, 0.3), (0.4, 0.4, 0.25, 0.3))
-    assert perceptual_iou(layout) == pytest.approx(1.0, abs=1e-12)
+    assert perceptual_iou([layout])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_perceptual_iou_in_unit_interval_random():
     for seed in range(10):
         layout = random_unit_layout(np.random.default_rng(seed), 6)
-        v = perceptual_iou(layout)
+        v = perceptual_iou([layout])[0]
         assert 0.0 <= v <= 1.0
 
 
 def rasterized_iou(layout, resolution=2048):
     """Point-sampled rasterization: a pixel counts if its center is inside."""
-    frame = MetricFrame.from_layout(layout)
+    frame = MetricFrame.from_layouts([layout])[0]
     counts = np.zeros((resolution, resolution), dtype=np.int16)
-    for i in range(len(frame)):
+    for i in range(len(layout)):
         x0 = int(np.ceil(frame.left[i] * resolution - 0.5))
         x1 = int(np.floor(frame.right[i] * resolution - 0.5))
         y0 = int(np.ceil(frame.top[i] * resolution - 0.5))
@@ -176,9 +177,140 @@ def rasterized_iou(layout, resolution=2048):
 def test_perceptual_iou_matches_rasterization_oracle():
     for seed in range(5):
         layout = random_unit_layout(np.random.default_rng(seed), 5)
-        exact = perceptual_iou(layout)
+        exact = perceptual_iou([layout])[0]
         approx = rasterized_iou(layout)
         assert abs(exact - approx) <= 2.0 / 2048
+
+
+# -- collection kernels against the per-layout loops they replaced ---------------
+
+
+def oracle_frame(layout):
+    geom = (layout.geometry + 1.0) / 2.0
+    geom[:, 2] = np.maximum(geom[:, 2], SIZE_CLAMP)
+    geom[:, 3] = np.maximum(geom[:, 3], SIZE_CLAMP)
+    corners = to_corner_form(geom)
+    return SimpleNamespace(left=corners[:, 0], top=corners[:, 1], cx=corners[:, 2],
+                           cy=corners[:, 3], right=corners[:, 4], bottom=corners[:, 5],
+                           area=geom[:, 2] * geom[:, 3])
+
+
+def oracle_nearest_gap(coords):
+    diff = np.abs(coords[:, None] - coords[None, :])
+    np.fill_diagonal(diff, np.inf)
+    return diff.min(axis=1)
+
+
+def oracle_alignment_kikuchi(layout):
+    frame = oracle_frame(layout)
+    if len(layout) == 1:
+        return 0.0
+    gaps = np.stack([oracle_nearest_gap(c) for c in (frame.left, frame.cx, frame.right,
+                                                     frame.top, frame.cy, frame.bottom)])
+    gaps = np.clip(gaps, 0.0, 1.0 - 1e-9)
+    return float((-np.log1p(-gaps)).min(axis=0).mean() * 100.0)
+
+
+def oracle_alignment_blt(layouts, include_y):
+    total = 0.0
+    for layout in layouts:
+        frame = oracle_frame(layout)
+        if len(layout) < 2:
+            continue
+        axes = [(frame.left, frame.cx, frame.right)]
+        if include_y:
+            axes.append((frame.top, frame.cy, frame.bottom))
+        per_axis = []
+        for coords in axes:
+            pair_min = np.stack([np.abs(c[:, None] - c[None, :]) for c in coords]).min(axis=0)
+            np.fill_diagonal(pair_min, np.inf)
+            per_axis.append(pair_min.min(axis=1))
+        total += float(np.minimum.reduce(per_axis).sum())
+    return total / len(layouts)
+
+
+def oracle_overlap_blt(layout):
+    f = oracle_frame(layout)
+    ix = np.clip(np.minimum(f.right[:, None], f.right[None, :])
+                 - np.maximum(f.left[:, None], f.left[None, :]), 0.0, None)
+    iy = np.clip(np.minimum(f.bottom[:, None], f.bottom[None, :])
+                 - np.maximum(f.top[:, None], f.top[None, :]), 0.0, None)
+    inter = ix * iy
+    np.fill_diagonal(inter, 0.0)
+    return float((inter / f.area[:, None]).sum())
+
+
+def oracle_overlap_kikuchi(layout):
+    return oracle_overlap_blt(layout) / len(layout) * 100.0
+
+
+def oracle_perceptual_iou(layout):
+    f = oracle_frame(layout)
+    xs = np.unique(np.concatenate([f.left, f.right]))
+    ys = np.unique(np.concatenate([f.top, f.bottom]))
+    counts = np.zeros((xs.size - 1, ys.size - 1), dtype=np.int64)
+    for a, b, c, d in zip(np.searchsorted(xs, f.left), np.searchsorted(xs, f.right),
+                          np.searchsorted(ys, f.top), np.searchsorted(ys, f.bottom)):
+        counts[a:b, c:d] += 1
+    cell_area = np.diff(xs)[:, None] * np.diff(ys)[None, :]
+    union = float(cell_area[counts >= 1].sum())
+    if union == 0.0:
+        return 0.0
+    return float(cell_area[counts >= 2].sum()) / union
+
+
+# Grid values make coincident edges, and a size of -1 maps to 0, which is clamped.
+COORDINATE = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+                       st.floats(-1.0, 1.0, allow_nan=False))
+
+
+@st.composite
+def metric_layouts(draw):
+    """1-12 elements, some of them copies of an earlier box."""
+    boxes = draw(st.lists(st.tuples(*[COORDINATE] * 4), min_size=1, max_size=12))
+    copies = draw(st.lists(st.integers(0, len(boxes) - 1), max_size=12 - len(boxes)))
+    boxes += [boxes[i] for i in copies]
+    return Layout(geometry=np.array(boxes), labels=[0] * len(boxes), id="h")
+
+
+EXACT_KERNELS = ((alignment_kikuchi, oracle_alignment_kikuchi),
+                 (overlap_blt, oracle_overlap_blt),
+                 (overlap_kikuchi, oracle_overlap_kikuchi))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(st.lists(metric_layouts(), min_size=1, max_size=16), st.data())
+def test_collection_metrics_match_per_layout_oracle(layouts, data):
+    for fn, oracle in EXACT_KERNELS:
+        values = fn(layouts)
+        assert values.dtype == np.float64 and values.shape == (len(layouts),)
+        assert values.tolist() == [oracle(layout) for layout in layouts], fn.__name__
+    ious = perceptual_iou(layouts)
+    np.testing.assert_allclose(ious, [oracle_perceptual_iou(l) for l in layouts],
+                               rtol=1e-12, atol=0.0)
+    for include_y in (False, True):
+        assert alignment_blt(layouts, include_y) == pytest.approx(
+            oracle_alignment_blt(layouts, include_y), rel=1e-12, abs=0.0)
+
+    order = data.draw(st.permutations(range(len(layouts))))
+    shuffled = [layouts[i] for i in order]
+    for fn in (alignment_kikuchi, overlap_blt, overlap_kikuchi, perceptual_iou):
+        assert fn(shuffled).tolist() == fn(layouts)[order].tolist(), fn.__name__
+
+
+def test_collection_metrics_cover_mixed_counts_with_single_elements():
+    rng = np.random.default_rng(21)
+    layouts = [random_unit_layout(rng, n) for n in (1, 3, 1, 12, 3, 7)]
+    assert alignment_kikuchi(layouts)[[0, 2]].tolist() == [0.0, 0.0]
+    for fn, oracle in EXACT_KERNELS:
+        assert fn(layouts).tolist() == [oracle(layout) for layout in layouts]
+
+
+@pytest.mark.parametrize("fn", [alignment_kikuchi, overlap_blt, overlap_kikuchi,
+                                perceptual_iou, alignment_blt])
+def test_every_collection_metric_rejects_an_empty_collection(fn):
+    with pytest.raises(DataError):
+        fn([])
 
 
 # -- assignment -------------------------------------------------------------------
@@ -269,7 +401,8 @@ def test_pair_max_iou_matches_permutation_brute_force():
             return unit_layout(*boxes)
 
         a, b = random_layout(labels_a), random_layout(labels_b)
-        ious = box_iou_matrix(MetricFrame.from_layout(a), MetricFrame.from_layout(b))
+        frame = MetricFrame.from_layouts([a, b])
+        ious = box_iou_matrix(frame[0], frame[1])
         n = len(labels_a)
 
         def best(perms):
@@ -409,10 +542,8 @@ def test_metrics_invariant_under_permutation(n, seed):
     layout = random_unit_layout(rng, n)
     perm = rng.permutation(n)
     permuted = Layout(geometry=layout.geometry[perm], labels=layout.labels[perm], id="p")
-    assert alignment_kikuchi(layout) == pytest.approx(alignment_kikuchi(permuted), abs=1e-12)
-    assert overlap_kikuchi(layout) == pytest.approx(overlap_kikuchi(permuted), abs=1e-12)
-    assert overlap_blt(layout) == pytest.approx(overlap_blt(permuted), abs=1e-12)
-    assert perceptual_iou(layout) == pytest.approx(perceptual_iou(permuted), abs=1e-12)
+    for fn in (alignment_kikuchi, overlap_kikuchi, overlap_blt, perceptual_iou):
+        assert fn([layout])[0] == pytest.approx(fn([permuted])[0], abs=1e-12)
     assert alignment_blt([layout]) == pytest.approx(alignment_blt([permuted]), abs=1e-12)
     assert pair_max_iou(layout, permuted) == pytest.approx(1.0, abs=1e-12)
 

@@ -89,5 +89,19 @@ def test_negative_counter_rejected():
         RngStream(0, counter=-1)
 
 
+@pytest.mark.parametrize("seed, counter", [(-1, 0), (2**64, 0), (2**64 + 5, 0), (0, 2**63)])
+def test_seed_and_counter_outside_their_ranges_are_rejected(seed, counter):
+    # A masked seed would alias: 2**64 would draw what 0 draws.
+    with pytest.raises(ValueError):
+        RngStream(seed, counter)
+    with pytest.raises(ValueError):
+        RngStream.from_state({"algorithm": ALGORITHM, "seed": seed, "counter": counter})
+
+
+def test_seed_and_counter_range_ends_are_accepted():
+    stream = RngStream(2**64 - 1, counter=2**63 - 1)
+    assert stream.state() == {"algorithm": ALGORITHM, "seed": 2**64 - 1, "counter": 2**63 - 1}
+
+
 def test_algorithm_tag():
     assert RngStream(0).state()["algorithm"] == ALGORITHM

@@ -10,7 +10,8 @@ Pair ``i`` runs ``perfbench/run.py --workload W --seed <seed + i>`` once in
 each checkout, the parent first in even pairs and the change first in odd
 ones, so that a drift of the host's speed does not favour one side.  Each
 run's end-to-end metrics and checks go into ``--out`` with, per metric, each
-side's median and quartiles and the change's win count.  An existing
+side's median and quartiles and the change's win count, and each checkout's
+``src/`` digest (``parent_tree``, ``change_tree``).  An existing
 ``--out`` keeps its other workloads, so one file can hold every workload of
 a change.
 
@@ -26,6 +27,7 @@ better than every parent run.  Uses numpy and the standard library only.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -42,6 +44,25 @@ def git_commit(path):
     proc = subprocess.run(["git", "-C", path, "describe", "--always", "--dirty"],
                           capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def tree_digest(checkout) -> str:
+    """SHA-256 over the sorted relative paths and bytes of the files under
+    ``checkout/src``, skipping ``__pycache__``; names the code a run measured
+    even where the checkout is not a git repository."""
+    root = os.path.join(checkout, "src")
+    paths = []
+    for folder, dirs, files in os.walk(root):
+        dirs[:] = [d for d in dirs if d != "__pycache__"]
+        rel = os.path.relpath(folder, root)
+        paths += [os.path.normpath(os.path.join(rel, name)).replace(os.sep, "/") for name in files]
+    digest = hashlib.sha256()
+    for path in sorted(paths):
+        with open(os.path.join(root, path), "rb") as fh:
+            data = fh.read()
+        digest.update(f"{path}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def run_once(checkout, workload, seed, seconds) -> dict:
@@ -137,6 +158,8 @@ def main(argv=None) -> int:
                    f" --trace 0, seeds {args.seed}-{args.seed + args.pairs - 1}",
         "parent_commit": git_commit(checkouts["parent"]),
         "change_commit": git_commit(checkouts["change"]),
+        "parent_tree": tree_digest(checkouts["parent"]),
+        "change_tree": tree_digest(checkouts["change"]),
         "machine": machine,
         "all_correct": all(run["correct"] and run["failed"] == 0 for run in runs),
         "summary": summary, "runs": runs,
