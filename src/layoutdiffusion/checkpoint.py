@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import json
 import math
-import os
 
 import numpy as np
 
-from .data import is_finite_number
+from .data import atomic_path, is_finite_number
 from .exceptions import DataError
 from .optim import AdamState
 from .tensor import ParameterStore, Tensor
@@ -106,17 +105,11 @@ def save_checkpoint(path, params: ParameterStore, adam_state: AdamState,
     # Sign the header as a load reads it back: integer keys become strings.
     header = json.loads(json.dumps(header))
     header["sha256"] = _sha256([_signed_header(header), *blobs])
-    tmp_path = os.fspath(path) + ".tmp"
-    try:
-        with open(tmp_path, "wb") as fh:
-            fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-            fh.write(b"\n")
-            for blob in blobs:
-                fh.write(blob)
-        os.replace(tmp_path, path)
-    finally:
-        if os.path.exists(tmp_path):
-            os.remove(tmp_path)
+    with atomic_path(path) as tmp_path, open(tmp_path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
+        fh.write(b"\n")
+        for blob in blobs:
+            fh.write(blob)
 
 
 def load_checkpoint(path):

@@ -7,8 +7,10 @@ for sizes as well as centers).
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence
 
@@ -325,9 +327,23 @@ def dataset_to_dict(dataset: Dataset, meta: Optional[dict] = None, include_clamp
     return doc
 
 
+@contextlib.contextmanager
+def atomic_path(path):
+    """A temporary path next to ``path`` to write instead; it is moved onto
+    ``path`` when the block ends without an exception, so a failed write
+    leaves the previous file intact, and removed otherwise."""
+    tmp_path = os.fspath(path) + ".tmp"
+    try:
+        yield tmp_path
+        os.replace(tmp_path, path)
+    finally:
+        if os.path.exists(tmp_path):
+            os.remove(tmp_path)
+
+
 def save_dataset(dataset: Dataset, path, meta: Optional[dict] = None, include_clamped=False):
     doc = dataset_to_dict(dataset, meta=meta, include_clamped=include_clamped)
-    with open(path, "w") as fh:
+    with atomic_path(path) as tmp_path, open(tmp_path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 

@@ -15,7 +15,7 @@ from .data import Batch, Dataset, pad_batch
 from .denoiser import DenoiserConfig, denoise, init_denoiser_params
 from .exceptions import DataError, NumericError
 from .optim import BETA1, BETA2, EPS, AdamState, adam_step
-from .rng import RngStream
+from .rng import SEED_END, RngStream
 from .tensor import ParameterStore, Tensor, collect_grads, mul, sub, tsum
 from .validation import check_field_types
 
@@ -237,13 +237,15 @@ class TrainConfig:
     precision: str = "float64"
 
     def __post_init__(self):
-        check_field_types(self)
+        seeds = ("init_seed", "train_seed")
+        check_field_types(self, unbounded=seeds)
         if self.precision not in ("float64", "float32"):
             raise ValueError(f"unknown precision {self.precision!r}")
         if self.batch_size < 1 or self.max_steps < 0:
             raise ValueError("batch_size must be >= 1 and max_steps >= 0")
-        if self.init_seed < 0 or self.train_seed < 0:
-            raise ValueError("init_seed and train_seed must be >= 0")
+        for name in seeds:
+            if not 0 <= getattr(self, name) < SEED_END:
+                raise ValueError(f"{name} {getattr(self, name)} is not in [0, 2**64)")
 
     @property
     def dtype(self):

@@ -8,6 +8,8 @@ reported number is tagged with the convention that produced it.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -18,6 +20,14 @@ from .exceptions import DataError
 
 SIZE_CLAMP = 1e-6
 _LOG_CLAMP = 1.0 - 1e-9
+# Max IoU matches a label's boxes by trying all c! permutations up to this c,
+# and with the Hungarian above it, where enumeration becomes the slower one.
+ENUMERATION_LIMIT = 6
+# Entry c: the c! permutations of range(c), one per row.
+_PERMUTATIONS = tuple(np.array(list(itertools.permutations(range(c))), dtype=np.intp)
+                      for c in range(ENUMERATION_LIMIT + 1))
+# Values per pair-chunk temporary in pair_max_iou: [rows, G_b, n, n] or [rows, G_b, c!].
+_CHUNK_VALUES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -36,7 +46,12 @@ class MetricFrame:
     @classmethod
     def from_layouts(cls, layouts: Sequence[Layout]) -> "MetricFrame":
         """The frame of layouts that all have the same element count n."""
-        geom = (np.stack([layout.geometry for layout in layouts]) + 1.0) / 2.0
+        return cls.from_geometry(np.stack([layout.geometry for layout in layouts]))
+
+    @classmethod
+    def from_geometry(cls, geometry: np.ndarray) -> "MetricFrame":
+        """The frame of stacked normalized geometry ``[L, n, 4]``."""
+        geom = (geometry + 1.0) / 2.0
         geom[..., 2] = np.maximum(geom[..., 2], SIZE_CLAMP)
         geom[..., 3] = np.maximum(geom[..., 3], SIZE_CLAMP)
         corners = to_corner_form(geom)
@@ -45,7 +60,7 @@ class MetricFrame:
                    width=geom[..., 2], height=geom[..., 3])
 
     def __getitem__(self, index) -> "MetricFrame":
-        """The frame of the layouts at ``index`` of the leading axis."""
+        """The frame indexed by ``index`` in front of the element axis."""
         return MetricFrame(**{name: value[index] for name, value in vars(self).items()})
 
     @property
@@ -184,6 +199,7 @@ def _hungarian_min_cost(cost: np.ndarray) -> list:
     Returns for each row the matched column index.
     """
     n, m = cost.shape
+    rows = cost.tolist()  # Python floats: element reads cost less than numpy scalars
     INF = float("inf")
     u = [0.0] * (n + 1)
     v = [0.0] * (m + 1)
@@ -199,7 +215,7 @@ def _hungarian_min_cost(cost: np.ndarray) -> list:
             i0 = match[j0]
             delta = INF
             j1 = 0
-            row = cost[i0 - 1]
+            row = rows[i0 - 1]
             for j in range(1, m + 1):
                 if used[j]:
                     continue
@@ -274,48 +290,97 @@ def _label_multiset(layout: Layout) -> tuple:
     return tuple(sorted(labels.tolist()))
 
 
-def pair_max_iou(layout_a: Layout, layout_b: Layout) -> float:
-    """Best-assignment mean box IoU between two layouts with equal label multisets.
-
-    One assignment over all boxes, with the IoU of every pair of different
-    labels set to 0.  This is the sum of the per-label optima: IoUs are
-    non-negative and the label multisets are equal, so the same-label edges
-    of any matching extend to a label-respecting perfect matching of at
-    least the same value.
-    """
-    if _label_multiset(layout_a) != _label_multiset(layout_b):
+def _label_sorted(layouts: Sequence[Layout]) -> tuple:
+    """``([G, n, 4] geometry, [n] labels)``: each layout's elements in stable label
+    order, and the label multiset all of them must share."""
+    if not layouts:
+        raise DataError("pair_max_iou needs non-empty groups")
+    if any(layout.labels is None for layout in layouts):
+        raise DataError("max IoU requires categorical layouts")
+    if len({len(layout) for layout in layouts}) != 1:
         raise DataError("pair_max_iou requires identical label multisets")
-    frame = MetricFrame.from_layouts([layout_a, layout_b])
-    weights = box_iou_matrix(frame[0], frame[1])
-    weights[layout_a.labels[:, None] != layout_b.labels[None, :]] = 0.0
-    _, value = max_weight_assignment(weights)
-    return value / len(layout_a)
+    labels = np.array([layout.labels for layout in layouts])
+    order = np.argsort(labels, axis=-1, kind="stable")
+    rows = np.arange(len(layouts))[:, None]
+    labels = labels[rows, order]
+    if (labels != labels[0]).any():
+        raise DataError("pair_max_iou requires identical label multisets")
+    return np.array([layout.geometry for layout in layouts])[rows, order], labels[0]
+
+
+def _best_matching(block: np.ndarray) -> np.ndarray:
+    """``[..., c, c]`` IoUs -> ``[...]`` value of the best one-to-one matching.
+
+    Up to ``ENUMERATION_LIMIT`` boxes, the maximum over all c! permutations,
+    each summed row by row; beyond it, one exact assignment per matrix.
+    """
+    c = block.shape[-1]
+    if c > ENUMERATION_LIMIT:
+        out = np.empty(block.shape[:-2])
+        for index in np.ndindex(out.shape):
+            out[index] = max_weight_assignment(block[index])[1]
+        return out
+    perms = _PERMUTATIONS[c]
+    sums = block[..., 0, perms[:, 0]]
+    for row in range(1, c):
+        sums += block[..., row, perms[:, row]]
+    return sums.max(axis=-1)
+
+
+def pair_max_iou(group_a: Sequence[Layout], group_b: Sequence[Layout]) -> np.ndarray:
+    """``[len(group_a), len(group_b)]`` best-assignment mean box IoU of every pair,
+    for layouts that all have one label multiset.
+
+    Only boxes of the same label are matched.  With each layout's elements in
+    stable label order, a label is the same run of c positions in every
+    layout, so a pair's value is the sum over runs of the best matching of
+    the run's ``[c, c]`` IoU block, divided by n.  All IoUs of a chunk of
+    pairs are computed at once, ``[rows, len(group_b), n, n]``.
+    """
+    group_a, group_b = list(group_a), list(group_b)
+    geom_a, labels = _label_sorted(group_a)
+    geom_b, labels_b = _label_sorted(group_b)
+    if not np.array_equal(labels, labels_b):
+        raise DataError("pair_max_iou requires identical label multisets")
+    n = len(labels)
+    bounds = (np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()
+    runs = list(zip([0] + bounds, bounds + [n]))
+    per_pair = max([n * n] + [math.factorial(stop - start) for start, stop in runs
+                              if stop - start <= ENUMERATION_LIMIT])
+    rows = max(1, _CHUNK_VALUES // (len(group_b) * per_pair))
+    frame_a = MetricFrame.from_geometry(geom_a)
+    frame_b = MetricFrame.from_geometry(geom_b)[None]
+    out = np.zeros((len(group_a), len(group_b)))
+    for lo in range(0, len(group_a), rows):
+        ious = box_iou_matrix(frame_a[lo:lo + rows, None], frame_b)
+        for start, stop in runs:
+            out[lo:lo + rows] += _best_matching(ious[..., start:stop, start:stop])
+    return out / n
 
 
 def max_iou(generated: Sequence[Layout], reference: Sequence[Layout]) -> float:
     """Collection similarity: optimally match layouts with equal label multisets.
 
-    Score is the summed matched pair_max_iou divided by the reference size;
-    unmatched layouts contribute zero.
+    Each label-multiset group is scored by one :func:`pair_max_iou` call and
+    one assignment.  Score is the summed matched pair values divided by the
+    reference size; unmatched layouts contribute zero.
     """
     generated, reference = list(generated), list(reference)
     if not generated or not reference:
         raise DataError("max_iou needs non-empty collections")
     gen_groups: dict = {}
-    for i, layout in enumerate(generated):
-        gen_groups.setdefault(_label_multiset(layout), []).append(i)
+    for layout in generated:
+        gen_groups.setdefault(_label_multiset(layout), []).append(layout)
     ref_groups: dict = {}
-    for j, layout in enumerate(reference):
-        ref_groups.setdefault(_label_multiset(layout), []).append(j)
+    for layout in reference:
+        ref_groups.setdefault(_label_multiset(layout), []).append(layout)
 
     total = 0.0
-    for key, gen_idx in gen_groups.items():
-        ref_idx = ref_groups.get(key)
-        if not ref_idx:
+    for key, gen_group in gen_groups.items():
+        ref_group = ref_groups.get(key)
+        if not ref_group:
             continue
-        weights = np.array([[pair_max_iou(generated[i], reference[j]) for j in ref_idx]
-                            for i in gen_idx])
-        _, value = max_weight_assignment(weights)
+        _, value = max_weight_assignment(pair_max_iou(gen_group, ref_group))
         total += value
     return total / len(reference)
 

@@ -10,20 +10,22 @@ from .data import Dataset, Layout, is_finite_number, require_int
 from .exceptions import DataError
 from .rng import SEED_END
 
-def _holds(kind, value) -> bool:
+def _holds(kind, value, bounded=True) -> bool:
     if kind is int:
-        return isinstance(value, int) and not isinstance(value, bool) and -2**63 <= value < 2**63
+        return (isinstance(value, int) and not isinstance(value, bool)
+                and (not bounded or -2**63 <= value < 2**63))
     if kind is float:
         return is_finite_number(value)
     return isinstance(value, kind)
 
 
-def check_field_types(config):
+def check_field_types(config, unbounded=()):
     """Raise TypeError unless each field of the dataclass ``config`` holds its annotated type.
 
-    int fields take integers within int64 but not bools, float fields finite
-    real numbers, and ``Optional`` fields also ``None``.  A numpy scalar is
-    stored as its Python value, so the config stays JSON-serializable.
+    int fields take integers within int64 but not bools (the int fields named
+    in ``unbounded`` any integer; the caller checks their range), float fields
+    finite real numbers, and ``Optional`` fields also ``None``.  A numpy scalar
+    is stored as its Python value, so the config stays JSON-serializable.
     """
     for name, kind in typing.get_type_hints(type(config)).items():
         value = getattr(config, name)
@@ -33,7 +35,7 @@ def check_field_types(config):
         if value is None and type(None) in typing.get_args(kind):
             continue
         kind = next((k for k in typing.get_args(kind) if k is not type(None)), kind)
-        if not _holds(kind, value):
+        if not _holds(kind, value, name not in unbounded):
             raise TypeError(f"{type(config).__name__}.{name} must be {kind.__name__}, "
                             f"got {value!r}")
 

@@ -226,13 +226,27 @@ def test_metric_oracle_pins():
 
     generated = [rand_layout() for _ in range(4)]
     reference = [rand_layout() for _ in range(4)]
-    weights = np.array([[pair_max_iou(g, r) for r in reference] for g in generated])
+    weights = np.array([[pair_max_iou([g], [r])[0, 0] for r in reference] for g in generated])
     oracle = max(sum(weights[i, p[i]] for i in range(4))
                  for p in itertools.permutations(range(4)))
     assert ld.max_iou(generated, reference) == oracle / 4.0
     elapsed = time.monotonic() - started
     assert elapsed < 5.0
     announce("metric-pins", started)
+
+
+# -- criterion: max IoU at 2048 layouts --------------------------------------------------
+
+
+def test_max_iou_scores_2048_layouts_per_side_in_two_seconds():
+    spec = ld.SynthSpec(num_layouts=2048, num_classes=4, rule="random_boxes")
+    generated = ld.make_synthetic_dataset(spec, 21).layouts
+    reference = ld.make_synthetic_dataset(spec, 22).layouts
+    started = time.monotonic()
+    value = ld.max_iou(generated, reference)
+    assert 0.0 < value < 1.0
+    assert time.monotonic() - started < 2.0
+    announce("max-iou-2048", started)
 
 
 # -- criterion: frechet kernel ------------------------------------------------------------

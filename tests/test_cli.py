@@ -64,6 +64,36 @@ def test_synth_rejects_a_seed_outside_64_bits(tmp_path, capsys, seed):
     assert not out.exists()
 
 
+def test_train_keeps_the_largest_64_bit_seeds_through_a_resume(tmp_path):
+    data = synth(tmp_path)
+    top = str(2**64 - 1)
+    seeds = ["--init-seed", top, "--train-seed", top]
+    part = train(tmp_path, data, steps=2, name="part.ckpt", extra=seeds)
+    _, _, header = load_checkpoint(part)
+    assert header["config"]["train"]["init_seed"] == 2**64 - 1
+    assert header["rng"]["train"]["seed"] == 2**64 - 1
+    resumed = tmp_path / "resumed.ckpt"
+    assert run(["train", "--dataset", str(data), "--checkpoint", str(resumed),
+                "--resume", str(part), "--max-steps", "4"]) == 0
+    whole = train(tmp_path, data, steps=4, name="whole.ckpt", extra=seeds)
+    resumed_params, _, resumed_header = load_checkpoint(resumed)
+    whole_params, _, _ = load_checkpoint(whole)
+    assert resumed_header["config"]["train"]["train_seed"] == 2**64 - 1
+    for name in whole_params.names():
+        assert np.array_equal(resumed_params[name].data, whole_params[name].data)
+
+
+@pytest.mark.parametrize("flag", ["--init-seed", "--train-seed"])
+def test_train_rejects_a_seed_of_2_to_the_64(tmp_path, capsys, flag):
+    data = synth(tmp_path)
+    ckpt = tmp_path / "model.ckpt"
+    code = run(["train", "--dataset", str(data), "--checkpoint", str(ckpt), "--max-steps", "1",
+                *TRAIN_FLAGS, flag, str(2**64)])
+    assert code == 3
+    assert "seed" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.json"]
+
+
 @pytest.mark.parametrize("flag", ["--init-seed", "--train-seed"])
 def test_train_rejects_a_negative_seed(tmp_path, capsys, flag):
     data = synth(tmp_path)

@@ -321,6 +321,24 @@ def test_save_load_round_trip(tmp_path):
         np.testing.assert_allclose(a.geometry, b.geometry, atol=1e-12)
 
 
+def test_failed_save_leaves_the_previous_dataset(tmp_path, monkeypatch):
+    spec = SynthSpec(num_layouts=6, num_classes=3, rule="random_boxes")
+    path = tmp_path / "ds.json"
+    save_dataset(make_synthetic_dataset(spec, 1), path)
+    before = path.read_bytes()
+
+    def failing_dump(doc, fh, **kwargs):
+        fh.write('{"layouts": [')
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(json, "dump", failing_dump)
+    with pytest.raises(OSError):
+        save_dataset(make_synthetic_dataset(spec, 2), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.json"]
+
+
 # -- synthetic datasets --------------------------------------------------------
 
 

@@ -440,5 +440,15 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(denoiser=denoiser, batch_size=0)
     for seed in ("init_seed", "train_seed"):
-        with pytest.raises(ValueError, match="seed"):
-            TrainConfig(denoiser=denoiser, **{seed: -1})
+        for value in (-1, 2**64, -2**64):
+            with pytest.raises(ValueError, match="seed"):
+                TrainConfig(denoiser=denoiser, **{seed: value})
+
+
+def test_train_config_takes_every_64_bit_seed():
+    config = TrainConfig.from_flat({"init_seed": 2**64 - 1, "train_seed": 2**63,
+                                    "num_classes": 4})
+    assert (config.init_seed, config.train_seed) == (2**64 - 1, 2**63)
+    assert TrainConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+    with pytest.raises(ValueError, match="init_seed"):
+        TrainConfig.from_flat({"init_seed": 2**64, "train_seed": 1, "num_classes": 4})

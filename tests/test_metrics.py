@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from layoutdiffusion import metrics
 from layoutdiffusion.data import Layout, to_corner_form
 from layoutdiffusion.exceptions import DataError
-from layoutdiffusion.metrics import (SIZE_CLAMP, FeatureSet, MetricFrame, alignment_blt,
-                                     alignment_kikuchi, box_iou_matrix, evaluate_collections,
-                                     frechet_distance, frechet_gaussian, max_iou,
+from layoutdiffusion.metrics import (ENUMERATION_LIMIT, SIZE_CLAMP, FeatureSet, MetricFrame,
+                                     alignment_blt, alignment_kikuchi, box_iou_matrix,
+                                     evaluate_collections, frechet_distance, frechet_gaussian,
+                                     max_iou,
                                      max_weight_assignment, overlap_blt,
                                      overlap_kikuchi, pair_max_iou, perceptual_iou,
                                      trivial_features)
@@ -376,13 +378,13 @@ def test_assignment_rectangular_both_ways():
 
 def test_pair_max_iou_self_is_one():
     layout = random_unit_layout(np.random.default_rng(4), 5)
-    assert pair_max_iou(layout, layout) == pytest.approx(1.0, abs=1e-12)
+    assert pair_max_iou([layout], [layout])[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pair_max_iou_disjoint_zero():
     a = unit_layout((0.2, 0.2, 0.1, 0.1), (0.2, 0.5, 0.1, 0.1))
     b = unit_layout((0.8, 0.8, 0.1, 0.1), (0.8, 0.2, 0.1, 0.1))
-    assert pair_max_iou(a, b) == 0.0
+    assert pair_max_iou([a], [b])[0, 0] == 0.0
 
 
 def test_pair_max_iou_matches_permutation_brute_force():
@@ -410,17 +412,80 @@ def test_pair_max_iou_matches_permutation_brute_force():
 
         perms = list(itertools.permutations(range(n)))
         oracle = best(p for p in perms if all(labels_a[i] == labels_b[p[i]] for i in range(n)))
-        assert pair_max_iou(a, b) == pytest.approx(oracle, abs=1e-12)
+        assert pair_max_iou([a], [b])[0, 0] == pytest.approx(oracle, abs=1e-12)
         label_blind_wins += best(perms) > oracle + 1e-9
     # The inputs tell a label-respecting assignment from one that ignores labels.
     assert label_blind_wins > 0
 
 
 def test_pair_max_iou_rejects_mismatched_multisets():
-    a = unit_layout((0.5, 0.5, 0.2, 0.2))
-    b = unit_layout((0.5, 0.5, 0.2, 0.2, 1), id="b")
-    with pytest.raises(DataError):
-        pair_max_iou(a, b)
+    a = unit_layout((0.5, 0.5, 0.2, 0.2), (0.3, 0.3, 0.2, 0.2, 1))
+    b = unit_layout((0.5, 0.5, 0.2, 0.2, 1), (0.3, 0.3, 0.2, 0.2, 1), id="b")
+    longer = unit_layout((0.5, 0.5, 0.2, 0.2), (0.3, 0.3, 0.2, 0.2, 1), (0.1, 0.1, 0.1, 0.1))
+    continuous = Layout(geometry=a.geometry, features=np.zeros((2, 3)))
+    for group_a, group_b in [([a], [b]), ([a, b], [a]), ([a], [a, b]), ([a, longer], [a]),
+                             ([a], [a, longer]), ([], [a]), ([a], []),
+                             ([continuous], [continuous]), ([a, continuous], [a])]:
+        with pytest.raises(DataError):
+            pair_max_iou(group_a, group_b)
+
+
+def reference_pair_max_iou(layout_a, layout_b):
+    """One pair's Max IoU as one label-masked ``[n, n]`` assignment."""
+    frame = MetricFrame.from_layouts([layout_a, layout_b])
+    weights = box_iou_matrix(frame[0], frame[1])
+    weights[layout_a.labels[:, None] != layout_b.labels[None, :]] = 0.0
+    _, value = max_weight_assignment(weights)
+    return value / len(layout_a)
+
+
+@st.composite
+def label_multiset_groups(draw, long_run):
+    """Two groups of 1-4 layouts with one label multiset of 1-9 elements, in
+    shuffled order, whose boxes repeat and may have zero size.  With
+    ``long_run`` one label has more than ``ENUMERATION_LIMIT`` elements."""
+    low, high = (ENUMERATION_LIMIT + 1, 9) if long_run else (1, ENUMERATION_LIMIT)
+    counts = [draw(st.integers(low, high))]
+    while sum(counts) < 9 and draw(st.booleans()):
+        counts.append(draw(st.integers(1, min(ENUMERATION_LIMIT, 9 - sum(counts)))))
+    labels = [label for label, count in enumerate(counts) for _ in range(count)]
+    pool = draw(st.lists(st.tuples(*[COORDINATE] * 4), min_size=1, max_size=4))
+
+    def layout():
+        order = draw(st.permutations(labels))
+        boxes = [pool[draw(st.integers(0, len(pool) - 1))] for _ in order]
+        return Layout(geometry=np.array(boxes), labels=order, id="g")
+
+    return ([layout() for _ in range(draw(st.integers(1, 4)))],
+            [layout() for _ in range(draw(st.integers(1, 4)))])
+
+
+def test_pair_max_iou_is_the_same_in_chunks_of_one_row(monkeypatch):
+    rng = np.random.default_rng(8)
+    labels = [0, 1, 0, 2, 0, 0, 0, 0, 0, 1]  # one run above the enumeration limit
+
+    def layout():
+        order = rng.permutation(len(labels))
+        return Layout(geometry=rng.uniform(-1.0, 1.0, (len(labels), 4)),
+                      labels=np.array(labels)[order])
+
+    group_a, group_b = [layout() for _ in range(5)], [layout() for _ in range(7)]
+    whole = pair_max_iou(group_a, group_b)
+    monkeypatch.setattr(metrics, "_CHUNK_VALUES", 1)
+    assert np.array_equal(pair_max_iou(group_a, group_b), whole)
+
+
+@pytest.mark.parametrize("long_run", [False, True], ids=["enumerated", "hungarian"])
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(data=st.data())
+def test_pair_max_iou_matches_per_pair_oracle(long_run, data):
+    group_a, group_b = data.draw(label_multiset_groups(long_run))
+    matrix = pair_max_iou(group_a, group_b)
+    assert matrix.dtype == np.float64 and matrix.shape == (len(group_a), len(group_b))
+    oracle = np.array([[reference_pair_max_iou(a, b) for b in group_b] for a in group_a])
+    np.testing.assert_allclose(matrix, oracle, rtol=0.0, atol=1e-12)
+    single = np.array([[pair_max_iou([a], [b])[0, 0] for b in group_b] for a in group_a])
+    assert np.array_equal(matrix, single)
 
 
 # -- collection max iou ---------------------------------------------------------------
@@ -456,7 +521,7 @@ def test_max_iou_matches_brute_force_4x4():
 
     generated = [fixed_multiset_layout() for _ in range(4)]
     reference = [fixed_multiset_layout() for _ in range(4)]
-    weights = np.array([[pair_max_iou(g, r) for r in reference] for g in generated])
+    weights = np.array([[pair_max_iou([g], [r])[0, 0] for r in reference] for g in generated])
     oracle = max(sum(weights[i, p[i]] for i in range(4))
                  for p in itertools.permutations(range(4))) / 4.0
     assert max_iou(generated, reference) == pytest.approx(oracle, abs=1e-12)
@@ -545,7 +610,7 @@ def test_metrics_invariant_under_permutation(n, seed):
     for fn in (alignment_kikuchi, overlap_kikuchi, overlap_blt, perceptual_iou):
         assert fn([layout])[0] == pytest.approx(fn([permuted])[0], abs=1e-12)
     assert alignment_blt([layout]) == pytest.approx(alignment_blt([permuted]), abs=1e-12)
-    assert pair_max_iou(layout, permuted) == pytest.approx(1.0, abs=1e-12)
+    assert pair_max_iou([layout], [permuted])[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_evaluate_collections_structure_and_tags():
