@@ -21,7 +21,7 @@ from .metrics import (FeatureSet, MetricFrame, alignment_blt, alignment_kikuchi,
                       max_iou, overlap_blt, overlap_kikuchi, pair_max_iou,
                       perceptual_iou, trivial_features)
 from .model import LayoutDiffusion
-from .optim import AdamState, adam_step, finite_difference_grad
+from .optim import AdamState, adam_step
 from .render import render_svg
 from .rng import RngStream
 from .tensor import ParameterStore, Tensor, backward, collect_grads
@@ -33,7 +33,7 @@ __all__ = [
     "NumericError", "ParameterStore", "RngStream", "SampleResult", "SynthSpec",
     "Tensor", "TrainConfig", "adam_step", "alignment_blt", "alignment_kikuchi",
     "backward", "batch_to_layouts", "build_schedule", "collect_grads", "denoise",
-    "denormalize_layout", "evaluate_collections", "finite_difference_grad",
+    "denormalize_layout", "evaluate_collections",
     "frechet_distance", "frechet_gaussian", "grid_rule_box",
     "init_denoiser_params", "load_dataset", "make_synthetic_dataset", "max_iou",
     "normalize_layout", "overlap_blt", "overlap_kikuchi", "p_sample_step",

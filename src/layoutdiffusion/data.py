@@ -12,6 +12,8 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
+from itertools import accumulate, chain
+from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -23,9 +25,7 @@ DEFAULT_N_MAX = 36
 
 _TOP_KEYS_CAT = {"canvas", "labels", "layouts", "meta"}
 _TOP_KEYS_CONT = {"canvas", "feature_dim", "layouts", "meta"}
-_LAYOUT_KEYS = {"id", "elements"}
-_ELEMENT_KEYS_CAT = {"label", "bbox", "bbox_clamped"}
-_ELEMENT_KEYS_CONT = {"feature", "bbox", "bbox_clamped"}
+_LAYOUT_KEYS = frozenset({"id", "elements"})
 
 
 class Element(NamedTuple):
@@ -76,6 +76,13 @@ class Layout:
                 raise DataError(f"layout {self.id!r}: features must be a finite [{n}, d] "
                                 f"array, got shape {features.shape}")
             object.__setattr__(self, "features", features)
+
+    @classmethod
+    def _checked(cls, geometry, id, labels=None, features=None) -> "Layout":
+        """A layout of arrays that are already validated and read-only, taken as they are."""
+        layout = object.__new__(cls)
+        layout.__dict__.update(geometry=geometry, labels=labels, features=features, id=id)
+        return layout
 
     def __len__(self):
         return len(self.geometry)
@@ -148,8 +155,8 @@ def _canvas_ranges(canvas) -> np.ndarray:
     return np.array([width, height, width, height])
 
 
-def _normalize_unchecked(raw: Layout, ranges: np.ndarray) -> Layout:
-    return replace(raw, geometry=2.0 * raw.geometry / ranges - 1.0)
+def _normalized(geometry: np.ndarray, ranges: np.ndarray) -> np.ndarray:
+    return 2.0 * geometry / ranges - 1.0
 
 
 def normalize_layout(raw: Layout, canvas) -> Layout:
@@ -162,7 +169,7 @@ def normalize_layout(raw: Layout, canvas) -> Layout:
             f"layout {raw.id!r} element {idx}: geometry {raw.geometry[idx].tolist()} "
             f"outside canvas {canvas}"
         )
-    return _normalize_unchecked(raw, ranges)
+    return replace(raw, geometry=_normalized(raw.geometry, ranges))
 
 
 def denormalize_layout(layout: Layout, canvas) -> Layout:
@@ -220,12 +227,121 @@ def require_int(value, where: str) -> int:
     return int(value)
 
 
-def _require_numbers(value, count: int, where: str) -> list:
-    """A JSON list of ``count`` finite numbers."""
+def _require_numbers(value, count: int, where: str):
+    """Raise :class:`DataError` unless ``value`` is a JSON list of ``count`` finite numbers."""
     if not (isinstance(value, list) and len(value) == count
             and all(is_finite_number(v) for v in value)):
         raise DataError(f"{where}: expected {count} finite numbers, got {value!r}")
-    return value
+
+
+def _number_rows(rows: list, width: int) -> Optional[np.ndarray]:
+    """Non-empty ``rows`` as a float64 ``[len(rows), width]`` array, or None unless every
+    row is a JSON list of ``width`` finite numbers.  A bool is not a number here."""
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}):
+        return None
+    flat = list(chain.from_iterable(rows))
+    if not set(map(type, flat)) <= {int, float}:
+        return None
+    try:
+        values = np.array(flat, dtype=np.float64).reshape(-1, width)
+    except OverflowError:  # an integer literal beyond the float64 range
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _label_array(values: list, num_classes: int) -> Optional[np.ndarray]:
+    """``values`` as an int64 array, or None unless each is an integer in the vocabulary."""
+    if not set(map(type, values)) <= {int}:
+        return None
+    try:
+        labels = np.array(values, dtype=np.int64)
+    except OverflowError:  # beyond int64, so outside any vocabulary
+        return None
+    return labels if ((labels >= 0) & (labels < num_classes)).all() else None
+
+
+def _checked_layouts(entries: list, attribute: str, size: int, canvas, strict: bool):
+    """The layout entries of a file, checked and normalized in whole-file array passes.
+
+    All boxes go into one read-only ``[E, 4]`` array in file order, and all labels
+    (``attribute`` "label", ``size`` the vocabulary) or features (``attribute``
+    "feature", ``size`` the feature dim) into one read-only ``[E]`` or ``[E, size]``
+    array; each layout holds slices of them.  Returns None as soon as a check fails;
+    :func:`_raise_first_fault` then names the fault.
+    """
+    if not entries:
+        return ()
+    required = {"bbox", attribute}
+    allowed = required | {"bbox_clamped"}
+    if not (set(map(type, entries)) <= {dict}
+            and set(map(frozenset, entries)) <= {_LAYOUT_KEYS}):
+        return None
+    groups = [entry["elements"] for entry in entries]
+    if not set(map(type, groups)) <= {list}:
+        return None
+    counts = list(map(len, groups))
+    if not all(1 <= count <= DEFAULT_N_MAX for count in counts):
+        return None
+    elements = list(chain.from_iterable(groups))
+    if not (set(map(type, elements)) <= {dict}
+            and all(required <= keys <= allowed for keys in set(map(frozenset, elements)))):
+        return None
+    geometry = _number_rows(list(map(itemgetter("bbox"), elements)), 4)
+    values = list(map(itemgetter(attribute), elements))
+    attributes = (_label_array(values, size) if attribute == "label"
+                  else _number_rows(values, size))
+    if geometry is None or attributes is None:
+        return None
+    ranges = _canvas_ranges(canvas)
+    if strict and ((geometry < 0) | (geometry > ranges)).any():
+        return None
+    geometry = _normalized(geometry, ranges)
+    if not np.isfinite(geometry).all():
+        return None
+    geometry.flags.writeable = attributes.flags.writeable = False
+    bounds = list(accumulate(counts, initial=0))
+    return tuple(Layout._checked(geometry[start:stop], str(entry["id"]),
+                                 **{attribute + "s": attributes[start:stop]})
+                 for entry, start, stop in zip(entries, bounds, bounds[1:]))
+
+
+def _raise_first_fault(entries: list, where: str, attribute: str, size: int, canvas,
+                       strict: bool):
+    """Raise the :class:`DataError` of the first fault in ``entries``, in file order.
+
+    Each layout is checked in turn: its own fields, then each element's fields
+    (keys, ``bbox``, then label or feature), then its geometry against the canvas
+    and after normalization.  This is the one source of the messages of layout
+    faults; it runs only after a check in :func:`_checked_layouts` has failed.
+    """
+    required = {"bbox", attribute}
+    for entry in entries:
+        _require_keys(entry, _LAYOUT_KEYS, _LAYOUT_KEYS, f"{where} layout entry")
+        lid = str(entry["id"])
+        at = f"{where} layout {lid!r}"
+        elements = _require_list(entry["elements"], f"{at} elements")
+        if len(elements) == 0:
+            raise DataError(f"{at} has zero elements")
+        if len(elements) > DEFAULT_N_MAX:
+            raise DataError(f"{at} has {len(elements)} elements, limit is {DEFAULT_N_MAX}")
+        for element in elements:
+            _require_keys(element, required | {"bbox_clamped"}, required, f"{at} element")
+            _require_numbers(element["bbox"], 4, f"{at} bbox")
+            if attribute == "feature":
+                _require_numbers(element["feature"], size, f"{at} feature")
+            elif not 0 <= require_int(element["label"], f"{at} label") < size:
+                raise DataError(f"{at}: label {element['label']} outside vocabulary of "
+                                f"{size} names")
+        raw = Layout(geometry=[element["bbox"] for element in elements], id=lid,
+                     **{attribute + "s": [element[attribute] for element in elements]})
+        # Raises for a box outside the canvas (strict loads only), or one that the
+        # normalization takes beyond the float64 range.
+        if strict:
+            normalize_layout(raw, canvas)
+        else:
+            replace(raw, geometry=_normalized(raw.geometry, _canvas_ranges(canvas)))
+    raise AssertionError(f"{where}: a whole-file check failed on layouts that pass "
+                         "every per-layout check")
 
 
 def load_dataset(path, strict_geometry: bool = True) -> Dataset:
@@ -235,6 +351,10 @@ def load_dataset(path, strict_geometry: bool = True) -> Dataset:
     continuous features, otherwise categorical labels.
     ``strict_geometry=False`` admits boxes outside the canvas (model output
     can overshoot); normalization is the same affine map either way.
+    The file is checked and normalized in whole-file array passes, and each
+    layout holds read-only slices of one geometry array and one label or
+    feature array.  A malformed file raises a :class:`DataError` naming the
+    first bad layout and field in file order.
     """
     try:
         with open(path) as fh:
@@ -258,43 +378,19 @@ def load_dataset(path, strict_geometry: bool = True) -> Dataset:
     if mode == "categorical":
         label_names = tuple(str(s) for s in _require_list(doc["labels"], f"{where} labels"))
         feature_dim = None
-        elem_keys, elem_required = _ELEMENT_KEYS_CAT, {"label", "bbox"}
+        attribute, size = "label", len(label_names)
     else:
         label_names = None
         feature_dim = require_int(doc["feature_dim"], f"{where} feature_dim")
         if feature_dim < 1:
             raise DataError(f"{where}: feature_dim must be >= 1")
-        elem_keys, elem_required = _ELEMENT_KEYS_CONT, {"feature", "bbox"}
-    attribute_key = "labels" if mode == "categorical" else "features"
+        attribute, size = "feature", feature_dim
 
-    layouts = []
-    for raw_layout in _require_list(doc["layouts"], f"{where} layouts"):
-        _require_keys(raw_layout, _LAYOUT_KEYS, _LAYOUT_KEYS, f"{where} layout entry")
-        lid = str(raw_layout["id"])
-        at = f"{where} layout {lid!r}"
-        raw_elements = _require_list(raw_layout["elements"], f"{at} elements")
-        if len(raw_elements) == 0:
-            raise DataError(f"{at} has zero elements")
-        if len(raw_elements) > DEFAULT_N_MAX:
-            raise DataError(f"{at} has {len(raw_elements)} elements, limit is {DEFAULT_N_MAX}")
-        bboxes, attributes = [], []
-        for raw_el in raw_elements:
-            _require_keys(raw_el, elem_keys, elem_required, f"{at} element")
-            bboxes.append(_require_numbers(raw_el["bbox"], 4, f"{at} bbox"))
-            if mode == "categorical":
-                label = require_int(raw_el["label"], f"{at} label")
-                if not 0 <= label < len(label_names):
-                    raise DataError(
-                        f"{at}: label {label} outside vocabulary of {len(label_names)} names")
-                attributes.append(label)
-            else:
-                attributes.append(_require_numbers(raw_el["feature"], feature_dim,
-                                                   f"{at} feature"))
-        raw = Layout(geometry=bboxes, id=lid, **{attribute_key: attributes})
-        layouts.append(normalize_layout(raw, canvas) if strict_geometry
-                       else _normalize_unchecked(raw, _canvas_ranges(canvas)))
-
-    return Dataset(layouts=tuple(layouts), canvas=canvas,
+    entries = _require_list(doc["layouts"], f"{where} layouts")
+    layouts = _checked_layouts(entries, attribute, size, canvas, strict_geometry)
+    if layouts is None:
+        _raise_first_fault(entries, where, attribute, size, canvas, strict_geometry)
+    return Dataset(layouts=layouts, canvas=canvas,
                    label_names=label_names, feature_dim=feature_dim)
 
 

@@ -11,7 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .data import Batch, Dataset, pad_batch
+from .data import Batch, Dataset, atomic_path, pad_batch
 from .denoiser import DenoiserConfig, denoise, init_denoiser_params
 from .exceptions import DataError, NumericError
 from .optim import BETA1, BETA2, EPS, AdamState, adam_step
@@ -349,7 +349,8 @@ def read_loss_log(path) -> list:
 
 
 def write_loss_log(path, losses):
-    with open(path, "w", newline="") as fh:
+    """Write ``(step, loss)`` rows as CSV; a failed write leaves the previous log intact."""
+    with atomic_path(path) as tmp_path, open(tmp_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "loss"])
         for step, loss in losses:

@@ -1,4 +1,4 @@
-"""Adam optimizer and the finite-difference gradient oracle."""
+"""Adam optimizer."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -46,32 +46,3 @@ def adam_step(params: ParameterStore, grads: dict, state: AdamState):
         new_v[name] = v
     new_state = AdamState(lr=state.lr, step=t, m=new_m, v=new_v)
     return params.replace(new_arrays), new_state
-
-
-def finite_difference_grad(f, params: ParameterStore, h: float = 1e-5) -> dict:
-    """Central-difference gradients of a scalar function of the parameters.
-
-    Slow (two evaluations per coordinate); this is the oracle the analytic
-    backward pass is checked against, so it must stay independent of it.
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    grads = {}
-    base = params.arrays()
-    for name, arr in base.items():
-        g = np.zeros_like(arr, dtype=np.float64)
-        flat = arr.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            plus = arr.copy().reshape(-1)
-            plus[i] = orig + h
-            minus = arr.copy().reshape(-1)
-            minus[i] = orig - h
-            f_plus = f(params.replace({name: plus.reshape(arr.shape)}))
-            f_minus = f(params.replace({name: minus.reshape(arr.shape)}))
-            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                raise NumericError(f"non-finite evaluation while differencing {name!r}")
-            gflat[i] = (f_plus - f_minus) / (2.0 * h)
-        grads[name] = g
-    return grads

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -297,6 +298,14 @@ MALFORMED = {
     "feature strings": (continuous_doc, lambda d: element(d).update(feature=["x", "y"])),
     "feature_dim string": (continuous_doc, lambda d: d.update(feature_dim="x")),
     "feature_dim float": (continuous_doc, lambda d: d.update(feature_dim=2.5)),
+    "label huge integer": (minimal_doc, lambda d: element(d).update(label=2**70)),
+    "label negative": (minimal_doc, lambda d: element(d).update(label=-1)),
+    "bbox bool": (minimal_doc, lambda d: element(d).update(bbox=[True, 50, 20, 10])),
+    "bbox NaN": (minimal_doc, lambda d: element(d).update(bbox=[math.nan, 50, 20, 10])),
+    "bbox Infinity": (minimal_doc, lambda d: element(d).update(bbox=[50, math.inf, 20, 10])),
+    "feature NaN": (continuous_doc, lambda d: element(d).update(feature=[math.nan, 0.2])),
+    "feature Infinity": (continuous_doc, lambda d: element(d).update(feature=[0.1, -math.inf])),
+    "feature huge integer": (continuous_doc, lambda d: element(d).update(feature=[10**400, 0.2])),
 }
 
 
@@ -308,6 +317,110 @@ def test_load_rejects_malformed_values_naming_the_file(tmp_path, case):
     path = write_dataset_file(tmp_path, doc)
     with pytest.raises(DataError, match=str(path)):
         load_dataset(path)
+
+
+TWO_FAULTS = {
+    "structural": (lambda el: el.pop("bbox"), "{at} element: missing fields ['bbox']"),
+    "numeric": (lambda el: el.update(bbox=[math.nan, 50, 20, 10]),
+                "{at} bbox: expected 4 finite numbers, got [nan, 50, 20, 10]"),
+}
+
+
+@pytest.mark.parametrize("same_layout", [False, True], ids=["two layouts", "one layout"])
+@pytest.mark.parametrize("order", [("structural", "numeric"), ("numeric", "structural")])
+def test_load_names_the_first_of_two_faults_in_file_order(tmp_path, order, same_layout):
+    doc = minimal_doc()
+    doc["layouts"] = [{"id": lid, "elements": [{"label": 0, "bbox": [50, 50, 20, 10]},
+                                               {"label": 0, "bbox": [10, 10, 5, 5]}]}
+                      for lid in ("first", "second")]
+    first, second = doc["layouts"]
+    targets = ((first["elements"][0], first["elements"][1]) if same_layout
+               else (first["elements"][1], second["elements"][0]))
+    for kind, target in zip(order, targets):
+        TWO_FAULTS[kind][0](target)
+    path = write_dataset_file(tmp_path, doc)
+    with pytest.raises(DataError) as raised:
+        load_dataset(path)
+    assert str(raised.value) == TWO_FAULTS[order[0]][1].format(at=f"dataset {path} layout 'first'")
+
+
+def coordinates(limit, strict):
+    """Box values in canvas units: inside ``[0, limit]`` for a strict load, anywhere for
+    a lenient one; ints and floats, with -0.0 and subnormals."""
+    odd = st.sampled_from([-0.0, 5e-324, 1e-310])
+    if strict:
+        return st.one_of(st.integers(0, int(limit)), st.floats(0, limit), odd)
+    return st.one_of(st.integers(-10**20, 10**20), st.floats(-1e6, 1e6), odd)
+
+
+@st.composite
+def dataset_files(draw):
+    """A valid dataset document, categorical or continuous, and whether to load it strictly."""
+    strict = draw(st.booleans())
+    feature_dim = draw(st.one_of(st.none(), st.integers(1, 3)))
+    width, height = (draw(st.one_of(st.integers(1, 1000), st.floats(0.5, 1000)))
+                     for _ in range(2))
+    doc = {"canvas": {"width": width, "height": height}}
+    if feature_dim is None:
+        doc["labels"] = ["text", "image", "button"]
+        attribute = ("label", st.integers(0, 2))
+    else:
+        doc["feature_dim"] = feature_dim
+        attribute = ("feature", st.lists(st.one_of(st.integers(-10**20, 10**20),
+                                                   st.floats(-1e6, 1e6),
+                                                   st.sampled_from([-0.0, 5e-324])),
+                                         min_size=feature_dim, max_size=feature_dim))
+    boxes = st.tuples(coordinates(width, strict), coordinates(height, strict),
+                      coordinates(width, strict), coordinates(height, strict)).map(list)
+    elements = st.lists(st.fixed_dictionaries({"bbox": boxes, attribute[0]: attribute[1]}),
+                        min_size=1, max_size=5)
+    layouts = st.lists(st.fixed_dictionaries({"id": st.one_of(st.text(max_size=3),
+                                                              st.integers()),
+                                              "elements": elements}), max_size=4)
+    doc["layouts"] = draw(layouts)
+    return doc, strict
+
+
+def oracle_layouts(doc, strict):
+    """The layouts of ``doc`` built one at a time through the public ``Layout`` and
+    ``normalize_layout``; a lenient load applies the same affine map without the
+    canvas check."""
+    canvas = (float(doc["canvas"]["width"]), float(doc["canvas"]["height"]))
+    key = "label" if "labels" in doc else "feature"
+    out = []
+    for entry in doc["layouts"]:
+        attributes = {key + "s": [el[key] for el in entry["elements"]]}
+        raw = Layout(geometry=[el["bbox"] for el in entry["elements"]], id=str(entry["id"]),
+                     **attributes)
+        if strict:
+            out.append(normalize_layout(raw, canvas))
+        else:
+            out.append(Layout(geometry=2.0 * raw.geometry / np.array(canvas * 2) - 1.0,
+                              id=raw.id, **attributes))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(dataset_files())
+def test_load_matches_a_layout_by_layout_oracle_bit_for_bit(tmp_path_factory, case):
+    doc, strict = case
+    path = write_dataset_file(tmp_path_factory.mktemp("load"), doc)
+    loaded = load_dataset(path, strict_geometry=strict)
+    expected = oracle_layouts(doc, strict)
+    assert len(loaded) == len(expected)
+    for got, want in zip(loaded.layouts, expected):
+        assert got.id == want.id
+        for name in ("geometry", "labels", "features"):
+            got_array, want_array = getattr(got, name), getattr(want, name)
+            if want_array is None:
+                assert got_array is None
+                continue
+            assert got_array.dtype == want_array.dtype
+            assert got_array.shape == want_array.shape
+            assert got_array.tobytes() == want_array.tobytes()
+            assert not got_array.flags.writeable
+            with pytest.raises(ValueError):
+                got_array[0] = 0
 
 
 def test_save_load_round_trip(tmp_path):

@@ -452,3 +452,30 @@ def test_train_config_takes_every_64_bit_seed():
     assert TrainConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
     with pytest.raises(ValueError, match="init_seed"):
         TrainConfig.from_flat({"init_seed": 2**64, "train_seed": 1, "num_classes": 4})
+
+
+def test_failed_loss_log_rewrite_leaves_the_previous_log(tmp_path, monkeypatch):
+    path = tmp_path / "run.loss.csv"
+    diffusion.write_loss_log(path, [(1, 0.5), (2, 0.25), (3, 0.125)])
+    before = path.read_bytes()
+    real_writer = diffusion.csv.writer
+
+    class FailingWriter:
+        """A csv writer whose third data row fails, as a full disk would."""
+
+        def __init__(self, fh):
+            self.writer, self.rows = real_writer(fh), 0
+
+        def writerow(self, row):
+            if self.rows == 3:
+                raise OSError("no space left on device")
+            self.rows += 1
+            self.writer.writerow(row)
+
+    monkeypatch.setattr(diffusion.csv, "writer", FailingWriter)
+    with pytest.raises(OSError):
+        diffusion.write_loss_log(path, [(1, 0.5), (2, 0.25), (3, 0.125), (4, 0.0625)])
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert diffusion.read_loss_log(path) == [(1, 0.5), (2, 0.25), (3, 0.125)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.loss.csv"]

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from layoutdiffusion.exceptions import NumericError
-from layoutdiffusion.optim import EPS, AdamState, adam_step, finite_difference_grad
+from fd_oracle import finite_difference_grad
+from layoutdiffusion.optim import EPS, AdamState, adam_step
 from layoutdiffusion.tensor import ParameterStore, Tensor
 
 
