@@ -2,8 +2,11 @@
 
 The header carries a format version, precision, a manifest of named arrays
 (with shapes and byte offsets into the binary section), a config echo, RNG
-states, the optimizer's learning rate and step, and a SHA-256 digest of the
-rest of the header together with the binary section.  Optimizer moment
+states, the optimizer's learning rate and step, the training loss of each
+step up to ``train_step``, and a SHA-256 digest of the rest of the header
+together with the binary section.  The losses are JSON floats, which
+round-trip exactly whatever the precision, so the file holds a run's whole
+state and history and the loss log is rendered from it.  Optimizer moment
 arrays live in the same manifest under ``adam.m.`` / ``adam.v.`` prefixes.
 Saving and re-loading is bit-exact.  A save writes a temporary file next to
 the target and moves it into place, so a failed save leaves the previous
@@ -11,8 +14,9 @@ checkpoint intact.  A load checks that the arrays tile the binary section
 exactly in manifest order, that the file matches its digest, and that the
 parameters and both moment sets have the same names.  A file without a
 digest still loads; in version 1 files the digest covers the binary section
-only.  A header whose manifest or optimizer entries are missing or of the
-wrong type is a :class:`DataError`.
+only, and version 1 and 2 files hold no losses.  A header whose manifest,
+optimizer or losses entries are missing or of the wrong type is a
+:class:`DataError`.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ from .exceptions import DataError
 from .optim import AdamState
 from .tensor import ParameterStore, Tensor
 
-FORMAT_VERSION = 2  # 2: the digest covers the header too
+FORMAT_VERSION = 3  # 2: the digest covers the header too; 3: the header holds the losses
 
 _DTYPES = {"float64": "<f8", "float32": "<f4"}
 
@@ -70,7 +74,8 @@ def _manifest_entry(entry, path) -> tuple:
 
 
 def save_checkpoint(path, params: ParameterStore, adam_state: AdamState,
-                    config_echo: dict, rng_states: dict, step: int):
+                    config_echo: dict, rng_states: dict, step: int, *, losses=()):
+    """Write the run state at ``step``; ``losses`` holds the loss of each step 1..step."""
     arrays = {}
     for name, tensor in params.items():
         arrays[f"params.{name}"] = tensor.data
@@ -101,6 +106,7 @@ def save_checkpoint(path, params: ParameterStore, adam_state: AdamState,
         "rng": rng_states,
         "optimizer": {"lr": adam_state.lr, "step": adam_state.step},
         "train_step": step,
+        "losses": list(losses),
     }
     # Sign the header as a load reads it back: integer keys become strings.
     header = json.loads(json.dumps(header))
@@ -124,7 +130,7 @@ def load_checkpoint(path):
     if not isinstance(header, dict):
         raise DataError(f"checkpoint {path}: header is not a JSON object")
     version = header.get("format_version")
-    if version not in (1, FORMAT_VERSION):
+    if version not in (1, 2, FORMAT_VERSION):
         raise DataError(f"checkpoint {path}: unsupported version {version!r}")
     precision = header.get("precision")
     wire = _DTYPES.get(precision) if isinstance(precision, str) else None
@@ -142,6 +148,10 @@ def load_checkpoint(path):
     if not _is_count(header.get("train_step")):
         raise DataError(f"checkpoint {path}: train_step {header.get('train_step')!r} is not "
                         f"a non-negative integer")
+    losses = header.get("losses")
+    if version == FORMAT_VERSION and not (isinstance(losses, list)
+                                          and all(map(is_finite_number, losses))):
+        raise DataError(f"checkpoint {path}: losses entry is not a list of finite numbers")
 
     itemsize = np.dtype(wire).itemsize
     arrays = {}

@@ -15,9 +15,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .checkpoint import load_checkpoint, save_checkpoint
-from .data import (Dataset, batch_to_layouts, load_dataset, make_synthetic_dataset,
-                   pad_conditions, save_dataset, SynthSpec)
+from .checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
+from .data import (Dataset, atomic_path, batch_to_layouts, load_dataset,
+                   make_synthetic_dataset, pad_conditions, save_dataset, SynthSpec)
 from .denoiser import DenoiserConfig, param_shapes
 from .diffusion import (DiffusionConfig, TrainConfig, read_loss_log, sample, train,
                         write_loss_log)
@@ -64,9 +64,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--config", help="JSON training config; flags override it")
     p.add_argument("--checkpoint", required=True, help="output checkpoint path")
-    p.add_argument("--loss-log", help="CSV loss log path (default: checkpoint + .loss.csv)")
-    p.add_argument("--resume", help="checkpoint to continue from (reuses its "
-                                    "config; only --max-steps applies on top)")
+    p.add_argument("--loss-log", help="CSV loss log to write from the checkpoint's loss "
+                                      "history (default: checkpoint + .loss.csv); never read")
+    p.add_argument("--resume", help="checkpoint to continue from (reuses its config and "
+                                    "loss history; only --max-steps applies on top)")
     p.add_argument("--d-model", type=int)
     p.add_argument("--num-layers", type=int)
     p.add_argument("--num-heads", type=int)
@@ -163,8 +164,12 @@ def _load_run(path):
     """``(params, adam_state, header, config, trained, stream)`` of a run checkpoint, whose
     arrays must have the configured denoiser's names and shapes and the configured dtype.
     ``trained`` is an empty dataset with the run's canvas and attributes.  A header entry
-    that does not fit is a :class:`DataError` naming the file."""
+    that does not fit, or a loss history without one loss per step, is a
+    :class:`DataError` naming the file."""
     params, adam_state, header = load_checkpoint(path)
+    step = header["train_step"]
+    if header["format_version"] == FORMAT_VERSION and len(header["losses"]) != step:
+        raise DataError(f"checkpoint {path}: {len(header['losses'])} losses for {step} steps")
     try:
         config = TrainConfig.from_dict(header["config"]["train"])
         echo = header["config"]["dataset"]
@@ -198,6 +203,18 @@ def _dataset_echo(dataset: Dataset, path) -> dict:
     return echo
 
 
+def _legacy_history(path, header) -> list:
+    """The losses of steps 1..train_step of a format 1 or 2 checkpoint, which holds no
+    history, read from the log next to it.  Without a row for each of those steps the
+    run cannot go on into a checkpoint that holds its whole history."""
+    log, step = path + ".loss.csv", header["train_step"]
+    rows = [row for row in read_loss_log(log) if row[0] <= step] if os.path.exists(log) else []
+    if [row[0] for row in rows] != list(range(1, step + 1)):
+        raise DataError(f"checkpoint {path} holds no loss history, and {log} does not hold "
+                        f"one row for each step 1..{step}")
+    return [loss for _, loss in rows]
+
+
 def cmd_train(args) -> int:
     if not os.path.exists(args.dataset):
         raise DataError(f"dataset not found: {args.dataset}")
@@ -205,7 +222,6 @@ def cmd_train(args) -> int:
     dataset_echo = _dataset_echo(dataset, args.dataset)
     loss_log = args.loss_log or args.checkpoint + ".loss.csv"
 
-    history = []
     if args.resume:
         start_params, start_adam, header, config, trained, start_stream = _load_run(args.resume)
         for key, ours, theirs in (("labels", dataset.label_names, trained.label_names),
@@ -216,15 +232,12 @@ def cmd_train(args) -> int:
         if args.max_steps is not None:
             config = dataclasses.replace(config, max_steps=args.max_steps)
         start_step = header["train_step"]
-        # The resumed run's log lives next to --resume unless --loss-log names it.
-        sources = ([args.loss_log] if args.loss_log else []) + [args.resume + ".loss.csv"]
-        existing = [path for path in sources if os.path.exists(path)]
-        if existing:
-            history = [row for row in read_loss_log(existing[0]) if row[0] <= start_step]
+        losses = (header["losses"] if header["format_version"] == FORMAT_VERSION
+                  else _legacy_history(args.resume, header))
     else:
         config = _merged_train_config(args, dataset)
         start_params = start_adam = start_stream = None
-        start_step = 0
+        start_step, losses = 0, []
 
     config_echo = {"train": config.to_dict(), "dataset": dataset_echo, "version": __version__}
     for out_path in (args.checkpoint, loss_log):
@@ -232,16 +245,20 @@ def cmd_train(args) -> int:
         if not os.path.isdir(parent):
             raise DataError(f"output directory does not exist: {parent}")
 
+    def save_run(step, params, adam_state, stream):
+        """The checkpoint, then the log rendered from the history it holds."""
+        save_checkpoint(args.checkpoint, params, adam_state, config_echo,
+                        {"train": stream.state()}, step, losses=losses)
+        write_loss_log(loss_log, enumerate(losses, start=1))
+
     def checkpoint_cb(step, loss, params, adam_state, stream):
+        losses.append(loss)
         if config.checkpoint_every and step % config.checkpoint_every == 0:
-            save_checkpoint(args.checkpoint, params, adam_state, config_echo,
-                            {"train": stream.state()}, step)
+            save_run(step, params, adam_state, stream)
 
     result = train(dataset, config, start_params=start_params, start_adam=start_adam,
                    start_stream=start_stream, start_step=start_step, on_step=checkpoint_cb)
-    save_checkpoint(args.checkpoint, result.params, result.adam_state, config_echo,
-                    {"train": result.train_stream.state()}, result.step)
-    write_loss_log(loss_log, history + result.losses)
+    save_run(result.step, result.params, result.adam_state, result.train_stream)
     if result.losses:
         first = result.losses[0][1]
         last = result.losses[-1][1]
@@ -305,6 +322,12 @@ def _load_feature_file(path) -> FeatureSet:
     return FeatureSet(features=features, provenance=str(doc.get("provenance", path)))
 
 
+def _write_text(path, text: str):
+    """Write ``text`` to ``path``; a failed write leaves the previous file intact."""
+    with atomic_path(path) as tmp_path, open(tmp_path, "w") as fh:
+        fh.write(text)
+
+
 def cmd_eval(args) -> int:
     generated = load_dataset(args.generated, strict_geometry=False)
     reference = load_dataset(args.reference, strict_geometry=False)
@@ -340,9 +363,7 @@ def cmd_eval(args) -> int:
     }
     text = json.dumps(report, indent=1, sort_keys=True)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-            fh.write("\n")
+        _write_text(args.output, text + "\n")
         print(f"wrote metric report to {args.output}")
     else:
         print(text)
@@ -356,18 +377,14 @@ def cmd_render(args) -> int:
         if not 0 <= args.index < len(dataset):
             raise DataError(f"layout index {args.index} out of range "
                             f"[0, {len(dataset)})")
-        svg = render_svg(dataset.layouts[args.index], canvas=dataset.canvas,
-                         label_names=names)
-        with open(args.output, "w") as fh:
-            fh.write(svg)
+        _write_text(args.output, render_svg(dataset.layouts[args.index],
+                                            canvas=dataset.canvas, label_names=names))
         print(f"wrote {args.output}")
         return EXIT_OK
     os.makedirs(args.output, exist_ok=True)
     for layout in dataset.layouts:
-        svg = render_svg(layout, canvas=dataset.canvas, label_names=names)
-        path = os.path.join(args.output, f"{layout.id}.svg")
-        with open(path, "w") as fh:
-            fh.write(svg)
+        _write_text(os.path.join(args.output, f"{layout.id}.svg"),
+                    render_svg(layout, canvas=dataset.canvas, label_names=names))
     print(f"wrote {len(dataset)} SVG files to {args.output}")
     return EXIT_OK
 

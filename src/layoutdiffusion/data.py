@@ -161,15 +161,29 @@ def _normalized(geometry: np.ndarray, ranges: np.ndarray) -> np.ndarray:
 
 def normalize_layout(raw: Layout, canvas) -> Layout:
     """Map canvas-unit geometry affinely onto [-1, 1] per component."""
+    return _normalize(raw, canvas, strict=True)
+
+
+def _normalize(raw: Layout, canvas, strict: bool) -> Layout:
+    """:func:`normalize_layout`, whose canvas check only a ``strict`` call makes.  A box
+    outside the canvas, or one that the map takes beyond the float64 range, raises a
+    :class:`DataError` naming the layout and the element."""
     ranges = _canvas_ranges(canvas)
     outside = np.flatnonzero(np.any((raw.geometry < 0) | (raw.geometry > ranges), axis=1))
-    if len(outside):
+    if strict and len(outside):
         idx = outside[0]
         raise DataError(
             f"layout {raw.id!r} element {idx}: geometry {raw.geometry[idx].tolist()} "
             f"outside canvas {canvas}"
         )
-    return replace(raw, geometry=_normalized(raw.geometry, ranges))
+    with np.errstate(over="ignore"):
+        geometry = _normalized(raw.geometry, ranges)
+    overflow = np.flatnonzero(~np.isfinite(geometry).all(axis=1))
+    if len(overflow):
+        idx = overflow[0]
+        raise DataError(f"layout {raw.id!r} element {idx}: bbox {raw.geometry[idx].tolist()} "
+                        f"leaves the float64 range once normalized")
+    return replace(raw, geometry=geometry)
 
 
 def denormalize_layout(layout: Layout, canvas) -> Layout:
@@ -295,7 +309,8 @@ def _checked_layouts(entries: list, attribute: str, size: int, canvas, strict: b
     ranges = _canvas_ranges(canvas)
     if strict and ((geometry < 0) | (geometry > ranges)).any():
         return None
-    geometry = _normalized(geometry, ranges)
+    with np.errstate(over="ignore"):
+        geometry = _normalized(geometry, ranges)
     if not np.isfinite(geometry).all():
         return None
     geometry.flags.writeable = attributes.flags.writeable = False
@@ -334,12 +349,10 @@ def _raise_first_fault(entries: list, where: str, attribute: str, size: int, can
                                 f"{size} names")
         raw = Layout(geometry=[element["bbox"] for element in elements], id=lid,
                      **{attribute + "s": [element[attribute] for element in elements]})
-        # Raises for a box outside the canvas (strict loads only), or one that the
-        # normalization takes beyond the float64 range.
-        if strict:
-            normalize_layout(raw, canvas)
-        else:
-            replace(raw, geometry=_normalized(raw.geometry, _canvas_ranges(canvas)))
+        try:
+            _normalize(raw, canvas, strict)
+        except DataError as exc:
+            raise DataError(f"{where} {exc}") from None
     raise AssertionError(f"{where}: a whole-file check failed on layouts that pass "
                          "every per-layout check")
 

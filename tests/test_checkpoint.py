@@ -28,7 +28,8 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
     config, params, adam = make_state()
     path = tmp_path / "model.ckpt"
     rng_states = {"train": RngStream(5, counter=123).state()}
-    save_checkpoint(path, params, adam, {"note": "t"}, rng_states, step=7)
+    losses = [0.5, 1 / 3, 2.0**-1074, 1e300, 0.1 + 0.2, 3.0, 7.25]
+    save_checkpoint(path, params, adam, {"note": "t"}, rng_states, step=7, losses=losses)
     loaded_params, loaded_adam, header = load_checkpoint(path)
 
     assert loaded_params.names() == params.names()
@@ -42,6 +43,7 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
     assert loaded_adam.lr == adam.lr
     assert header["rng"]["train"] == rng_states["train"]
     assert header["train_step"] == 7
+    assert header["losses"] == losses
     assert header["config"] == {"note": "t"}
 
 
@@ -114,7 +116,7 @@ def test_header_is_json_first_line(tmp_path):
     save_checkpoint(path, params, adam, {}, {"train": RngStream(0).state()}, step=0)
     with open(path, "rb") as fh:
         header = json.loads(fh.readline())
-    assert header["format_version"] == 2
+    assert header["format_version"] == 3
     names = [e["name"] for e in header["manifest"]]
     assert names == sorted(names)
     offsets = [e["offset"] for e in header["manifest"]]
@@ -285,6 +287,8 @@ MALFORMED_HEADERS = [
     (("optimizer",), DROP), (("optimizer", "lr"), "0.001"),
     (("optimizer", "lr"), float("inf")), (("optimizer", "step"), -1),
     (("optimizer", "step"), 1.5), (("train_step",), DROP), (("train_step",), "0"),
+    (("losses",), DROP), (("losses",), "x"), (("losses",), [True]),
+    (("losses",), [float("nan")]),
 ]
 
 

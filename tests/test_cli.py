@@ -1,12 +1,19 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+import layoutdiffusion
+from layoutdiffusion import cli
 from layoutdiffusion.checkpoint import load_checkpoint, save_checkpoint
 from layoutdiffusion.cli import main
 from layoutdiffusion.denoiser import DenoiserConfig
-from layoutdiffusion.diffusion import DiffusionConfig, TrainConfig
+from layoutdiffusion.diffusion import DiffusionConfig, TrainConfig, read_loss_log
 from layoutdiffusion.tensor import ParameterStore, Tensor
 
 TRAIN_FLAGS = ["--d-model", "16", "--num-layers", "1", "--num-heads", "2",
@@ -161,13 +168,119 @@ def test_train_resume_into_another_checkpoint_keeps_history(tmp_path):
     assert (tmp_path / "other.ckpt.loss.csv").read_bytes() == full_log
     assert blob_of(other) == blob_of(tmp_path / "full.ckpt")
 
-    # An explicit --loss-log is read before the log next to --resume.
-    log = tmp_path / "custom.csv"
-    logged = train(tmp_path, data, steps=3, name="logged.ckpt", extra=["--loss-log", str(log)])
-    (tmp_path / "logged.ckpt.loss.csv").write_text("step,loss\n1,0.0\n2,0.0\n3,0.0\n")
+
+@pytest.mark.parametrize("place", ["next to --resume", "at --loss-log"])
+def test_a_foreign_loss_log_does_not_reach_the_resumed_log(tmp_path, place):
+    """The history comes from the checkpoint alone, never from a log found on disk."""
+    data = synth(tmp_path)
+    train(tmp_path, data, steps=6, name="full.ckpt")
+    full_log = (tmp_path / "full.ckpt.loss.csv").read_bytes()
+    train(tmp_path, data, steps=6, name="foreign.ckpt", extra=["--train-seed", "2"])
+    foreign_log = (tmp_path / "foreign.ckpt.loss.csv").read_bytes()
+    assert foreign_log != full_log
+    part = train(tmp_path, data, steps=3, name="part.ckpt")
+    if place == "next to --resume":
+        (tmp_path / "part.ckpt.loss.csv").write_bytes(foreign_log)
+        log, extra = tmp_path / "c.ckpt.loss.csv", []
+    else:
+        log = tmp_path / "custom.csv"
+        log.write_bytes(foreign_log)
+        extra = ["--loss-log", str(log)]
     assert run(["train", "--dataset", str(data), "--checkpoint", str(tmp_path / "c.ckpt"),
-                "--resume", str(logged), "--max-steps", "6", "--loss-log", str(log)]) == 0
+                "--resume", str(part), "--max-steps", "6", *extra]) == 0
     assert log.read_bytes() == full_log
+
+
+EVERY_2 = ["--checkpoint-every", "2"]
+
+
+@pytest.mark.parametrize("stop", [2, 4])
+def test_a_run_interrupted_after_a_checkpoint_resumes_to_the_same_files(tmp_path, monkeypatch,
+                                                                        stop):
+    data = synth(tmp_path)
+    whole = train(tmp_path, data, steps=6, name="whole.ckpt", extra=EVERY_2)
+    real_save = cli.save_checkpoint
+
+    def save_then_stop(*args, **kwargs):
+        real_save(*args, **kwargs)
+        if args[5] == stop:
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "save_checkpoint", save_then_stop)
+    cut = tmp_path / "cut.ckpt"
+    with pytest.raises(KeyboardInterrupt):
+        run(["train", "--dataset", str(data), "--checkpoint", str(cut), "--max-steps", "6",
+             *TRAIN_FLAGS, *EVERY_2])
+    monkeypatch.undo()
+    assert load_checkpoint(cut)[2]["train_step"] == stop
+    assert run(["train", "--dataset", str(data), "--checkpoint", str(cut),
+                "--resume", str(cut)]) == 0
+    assert cut.read_bytes() == whole.read_bytes()
+    assert ((tmp_path / "cut.ckpt.loss.csv").read_bytes()
+            == (tmp_path / "whole.ckpt.loss.csv").read_bytes())
+
+
+def test_a_killed_run_resumes_to_the_same_files(tmp_path):
+    data = synth(tmp_path)
+    steps = 600
+    flags = ["--dataset", str(data), "--max-steps", str(steps), *TRAIN_FLAGS,
+             "--checkpoint-every", "10"]
+    killed = tmp_path / "killed.ckpt"
+    package_root = os.path.dirname(os.path.dirname(layoutdiffusion.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from layoutdiffusion.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "train", "--checkpoint", str(killed), *flags],
+        env={**os.environ, "PYTHONPATH": package_root},
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not killed.exists() and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.005)
+        proc.send_signal(signal.SIGKILL)
+    finally:
+        proc.kill()
+        proc.wait(timeout=60)
+    assert load_checkpoint(killed)[2]["train_step"] < steps  # the run really was cut
+    assert run(["train", "--dataset", str(data), "--checkpoint", str(killed),
+                "--resume", str(killed)]) == 0
+    whole = tmp_path / "whole.ckpt"
+    assert run(["train", "--checkpoint", str(whole), *flags]) == 0
+    assert killed.read_bytes() == whole.read_bytes()
+    assert ((tmp_path / "killed.ckpt.loss.csv").read_bytes()
+            == (tmp_path / "whole.ckpt.loss.csv").read_bytes())
+
+
+def format_2_copy(ckpt):
+    """Rewrite a checkpoint as format 2 wrote it: no loss history and, here, no digest."""
+    head, blob = ckpt.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    del header["losses"], header["sha256"]
+    header["format_version"] = 2
+    ckpt.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + blob)
+
+
+def test_train_resumes_a_format_2_checkpoint_with_the_history_of_its_log(tmp_path, capsys):
+    data = synth(tmp_path)
+    full = train(tmp_path, data, steps=6, name="full.ckpt")
+    full_log = tmp_path / "full.ckpt.loss.csv"
+    part = train(tmp_path, data, steps=3, name="part.ckpt")
+    format_2_copy(part)
+    assert run(["train", "--dataset", str(data), "--checkpoint", str(part),
+                "--resume", str(part), "--max-steps", "6"]) == 0
+    assert part.read_bytes() == full.read_bytes()
+    assert load_checkpoint(part)[2]["losses"] == [loss for _, loss in read_loss_log(full_log)]
+    assert (tmp_path / "part.ckpt.loss.csv").read_bytes() == full_log.read_bytes()
+
+    # Without its log, a format 2 checkpoint has no history to carry on.
+    old = train(tmp_path, data, steps=3, name="old.ckpt")
+    format_2_copy(old)
+    (tmp_path / "old.ckpt.loss.csv").unlink()
+    before = old.read_bytes()
+    assert run(["train", "--dataset", str(data), "--checkpoint", str(old),
+                "--resume", str(old), "--max-steps", "6"]) == 3
+    assert "old.ckpt.loss.csv" in capsys.readouterr().err
+    assert old.read_bytes() == before
+    assert not (tmp_path / "old.ckpt.loss.csv").exists()
 
 
 def legacy_header(ckpt, **train_echo):
@@ -248,7 +361,8 @@ def header_entry_id(keys):
 
 @pytest.mark.parametrize("keys", [("manifest", 0, "shape"), ("optimizer",),
                                   ("config", "dataset"), ("config", "dataset", "canvas"),
-                                  ("rng", "train"), ("rng", "train", "seed"), ("train_step",)],
+                                  ("rng", "train"), ("rng", "train", "seed"), ("train_step",),
+                                  ("losses",)],
                          ids=header_entry_id)
 def test_train_resume_rejects_a_header_without_an_entry(tmp_path, capsys, keys):
     data = synth(tmp_path)
@@ -282,12 +396,15 @@ ODD_HEADER_VALUES = [(("config", "train", "diffusion", "timesteps"), "10"),
                      (("precision",), ["float64"]),
                      # A config echo without a field must not fall back to its default.
                      (("config", "train", "diffusion", "timesteps"), DROP),
-                     (("config", "train", "diffusion"), [])]
+                     (("config", "train", "diffusion"), []),
+                     # The fixture trained 2 steps, so it holds 2 losses.
+                     (("losses",), "x"), (("losses",), [True]), (("losses",), [0.5])]
 
 
 @pytest.mark.parametrize("keys, value", ODD_HEADER_VALUES,
                          ids=["timesteps='10'", "lr=10**400", "counter=2**70",
-                              "precision=['float64']", "timesteps missing", "diffusion=[]"])
+                              "precision=['float64']", "timesteps missing", "diffusion=[]",
+                              "losses='x'", "losses=[True]", "losses one short"])
 def test_an_odd_header_value_exits_3_without_output(tmp_path, capsys, keys, value):
     data = synth(tmp_path)
     ckpt = train(tmp_path, data, steps=2)
@@ -307,7 +424,7 @@ def test_parameters_that_do_not_fit_the_config_exit_3_without_output(tmp_path, c
     else:
         arrays["head.bias"] = Tensor(np.zeros(3))
     save_checkpoint(ckpt, ParameterStore(arrays), adam, header["config"], header["rng"],
-                    header["train_step"])
+                    header["train_step"], losses=header["losses"])
     assert_both_commands_exit_3(tmp_path, capsys, data, ckpt)
 
 
@@ -441,7 +558,8 @@ def test_sample_with_non_finite_parameters_exits_4_without_output(tmp_path, caps
     ckpt = train(tmp_path, data)
     params, adam, header = load_checkpoint(ckpt)
     params = params.replace({"head.bias": np.full(4, np.nan)})
-    save_checkpoint(ckpt, params, adam, header["config"], header["rng"], header["train_step"])
+    save_checkpoint(ckpt, params, adam, header["config"], header["rng"], header["train_step"],
+                    losses=header["losses"])
     out = tmp_path / "s.json"
     assert run(sample_args(ckpt, out)) == 4
     assert "non-finite values at reverse step 20" in capsys.readouterr().err
@@ -623,6 +741,45 @@ def test_eval_frechet_feature_files(tmp_path):
     report = json.loads(report_path.read_text())
     assert report["metrics"]["frechet"]["value"] == pytest.approx(0.0, abs=1e-8)
     assert report["metrics"]["frechet"]["feature_provenance"] == ["ext", "ext"]
+
+
+class HalfWrite:
+    """A text file whose write stores half of the text and then fails, like a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[:len(text) // 2])
+        raise OSError("no space left on device")
+
+
+@pytest.mark.parametrize("command", ["eval", "render"])
+def test_a_failed_report_or_svg_write_leaves_the_previous_file(tmp_path, monkeypatch, command):
+    data = synth(tmp_path, layouts=3)
+    if command == "eval":
+        out = tmp_path / "report.json"
+        argv = ["eval", "--generated", str(data), "--reference", str(data), "-o", str(out)]
+    else:
+        out = tmp_path / "layout.svg"
+        argv = ["render", "--input", str(data), "--index", "0", "-o", str(out)]
+    assert run(argv) == 0
+    before = out.read_bytes()
+    real_open = open
+    monkeypatch.setattr(cli, "open", lambda path, mode="r": (HalfWrite(real_open(path, mode))
+                                                             if "w" in mode
+                                                             else real_open(path, mode)),
+                        raising=False)
+    assert run(argv) == 3
+    monkeypatch.undo()
+    assert out.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([data.name, out.name])
 
 
 def test_render_single_layout(tmp_path):

@@ -1,11 +1,13 @@
 """Property tests: a malformed input file makes the CLI exit cleanly, never crash.
 
 Each example edits one input of a tiny trained run (the checkpoint header or
-binary section, the dataset JSON, or the loss CSV) and drives ``cli.main``
-in-process.  ``main`` must return 0, 3 or 4 and raise nothing, and when it
-returns 3 no output file may be created or changed.  The edits follow
-MacIver et al., "Hypothesis" (JOSS 2019): drop an entry, or replace it with
-a value of another type, NaN, a number too large for float64, or -1.
+binary section, the dataset JSON, or the loss CSV next to a format 2
+checkpoint, the one kind of checkpoint that a resume still reads a log for)
+and drives ``cli.main`` in-process.  ``main`` must return 0, 3 or 4 and raise
+nothing, and when it returns 3 no output file may be created or changed.  The
+edits follow MacIver et al., "Hypothesis" (JOSS 2019): drop an entry, or
+replace it with a value of another type, NaN, a number too large for float64,
+or -1.
 """
 import contextlib
 import csv
@@ -167,6 +169,14 @@ def test_an_edited_dataset_exits_cleanly(run_files, data):
                    ("sample", "train", "eval"))
 
 
+def format_2(blob):
+    """A checkpoint as format 2 wrote it: no loss history, so a resume reads the log."""
+    header, body = split_checkpoint(blob)
+    del header["losses"], header["sha256"]
+    header["format_version"] = 2
+    return join_checkpoint(header, body)
+
+
 @fuzz(30)
 @given(data=st.data())
 def test_an_edited_loss_log_exits_cleanly(run_files, data):
@@ -174,5 +184,5 @@ def test_an_edited_loss_log_exits_cleanly(run_files, data):
     rows, _, _ = data.draw(edited(rows))
     text = io.StringIO()
     csv.writer(text).writerows(row if isinstance(row, list) else [row] for row in rows)
-    check_commands({**run_files, "model.ckpt.loss.csv": text.getvalue().encode()},
-                   ("train",))
+    check_commands({**run_files, "model.ckpt": format_2(run_files["model.ckpt"]),
+                    "model.ckpt.loss.csv": text.getvalue().encode()}, ("train",))

@@ -306,6 +306,10 @@ MALFORMED = {
     "feature NaN": (continuous_doc, lambda d: element(d).update(feature=[math.nan, 0.2])),
     "feature Infinity": (continuous_doc, lambda d: element(d).update(feature=[0.1, -math.inf])),
     "feature huge integer": (continuous_doc, lambda d: element(d).update(feature=[10**400, 0.2])),
+    # A finite box outside the canvas passes a lenient load until normalization.
+    "bbox beyond float64 once normalized, lenient load": (
+        minimal_doc, lambda d: (d["canvas"].update(width=0.5),
+                                element(d).update(bbox=[1e308, 1, 1, 1]))),
 }
 
 
@@ -316,7 +320,23 @@ def test_load_rejects_malformed_values_naming_the_file(tmp_path, case):
     edit(doc)
     path = write_dataset_file(tmp_path, doc)
     with pytest.raises(DataError, match=str(path)):
+        load_dataset(path, strict_geometry="lenient load" not in case)
+
+
+def test_a_box_outside_the_float64_range_or_the_canvas_names_the_element(tmp_path):
+    doc = minimal_doc()
+    doc["canvas"]["width"] = 0.5
+    doc["layouts"][0]["elements"].append({"label": 0, "bbox": [1e308, 1, 1, 1]})
+    path = write_dataset_file(tmp_path, doc)
+    at = f"dataset {path} layout 'a' element"
+    with pytest.raises(DataError) as raised:
+        load_dataset(path, strict_geometry=False)
+    assert str(raised.value) == (f"{at} 1: bbox [1e+308, 1.0, 1.0, 1.0] leaves the float64 "
+                                 f"range once normalized")
+    with pytest.raises(DataError) as raised:
         load_dataset(path)
+    assert str(raised.value) == (f"{at} 0: geometry [50.0, 50.0, 20.0, 10.0] outside canvas "
+                                 f"(0.5, 100.0)")
 
 
 TWO_FAULTS = {
