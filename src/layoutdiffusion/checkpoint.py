@@ -12,9 +12,9 @@ Saving and re-loading is bit-exact.  A save writes a temporary file next to
 the target and moves it into place, so a failed save leaves the previous
 checkpoint intact.  A load checks that the arrays tile the binary section
 exactly in manifest order, that the file matches its digest, and that the
-parameters and both moment sets have the same names.  A file without a
-digest still loads; in version 1 files the digest covers the binary section
-only, and version 1 and 2 files hold no losses.  A header whose manifest,
+parameters and both moment sets have the same names.  Only a version 1 file
+may lack the digest; in version 1 files it covers the binary section only,
+and version 1 and 2 files hold no losses.  A header whose manifest,
 optimizer or losses entries are missing or of the wrong type is a
 :class:`DataError`.
 """
@@ -170,9 +170,9 @@ def load_checkpoint(path):
         raise DataError(f"checkpoint {path}: {len(blob) - offset} bytes after the last array")
     digest = header.get("sha256")
     signed = [blob] if version == 1 else [_signed_header(header), blob]
-    if digest is not None and _sha256(signed) != digest:
-        raise DataError(f"checkpoint {path}: header or binary section does not match "
-                        f"its SHA-256")
+    if (digest is not None or version != 1) and _sha256(signed) != digest:
+        raise DataError(f"checkpoint {path}: SHA-256 missing, or header or binary section "
+                        f"does not match it")
 
     param_arrays = {}
     m, v = {}, {}

@@ -16,16 +16,16 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
-from .data import (Dataset, atomic_path, batch_to_layouts, load_dataset,
-                   make_synthetic_dataset, pad_conditions, save_dataset, SynthSpec)
+from .data import (Dataset, atomic_path, load_dataset, make_synthetic_dataset, save_dataset,
+                   SynthSpec)
 from .denoiser import DenoiserConfig, param_shapes
-from .diffusion import (DiffusionConfig, TrainConfig, read_loss_log, sample, train,
+from .diffusion import (DiffusionConfig, TrainConfig, read_loss_log, sample_layouts, train,
                         write_loss_log)
 from .exceptions import DataError, LayoutDiffusionError, NumericError
 from .metrics import FeatureSet, evaluate_collections, trivial_features
 from .render import render_svg
 from .rng import RngStream
-from .validation import check_feature_conditions, check_label_conditions, check_seed
+from .validation import check_seed
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -179,6 +179,10 @@ def _load_run(path):
     except (AttributeError, DataError, IndexError, KeyError, OverflowError, TypeError,
             ValueError) as exc:
         raise DataError(f"checkpoint {path}: invalid run header: {exc!r}") from exc
+    head = config.denoiser
+    if (trained.num_classes, trained.feature_dim) != (head.num_classes, head.attr_dim):
+        raise DataError(f"checkpoint {path}: the dataset echo does not match the denoiser's "
+                        f"num_classes {head.num_classes} and attr_dim {head.attr_dim}")
     if config.denoiser.num_layers > len(params):  # each layer has arrays of its own
         raise DataError(f"checkpoint {path}: {len(params)} arrays cannot hold the layers")
     want = {name: (shape, np.dtype(config.dtype))
@@ -253,12 +257,14 @@ def cmd_train(args) -> int:
 
     def checkpoint_cb(step, loss, params, adam_state, stream):
         losses.append(loss)
-        if config.checkpoint_every and step % config.checkpoint_every == 0:
+        if step == config.max_steps or (config.checkpoint_every
+                                         and step % config.checkpoint_every == 0):
             save_run(step, params, adam_state, stream)
 
     result = train(dataset, config, start_params=start_params, start_adam=start_adam,
                    start_stream=start_stream, start_step=start_step, on_step=checkpoint_cb)
-    save_run(result.step, result.params, result.adam_state, result.train_stream)
+    if result.step == start_step:  # no step trained, so the callback saved nothing
+        save_run(result.step, result.params, result.adam_state, result.train_stream)
     if result.losses:
         first = result.losses[0][1]
         last = result.losses[-1][1]
@@ -269,10 +275,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    check_seed(args.seed)
     params, _, header, config, trained, _ = _load_run(args.checkpoint)
-    schedule = config.diffusion.schedule()
-
     if args.labels is not None:
         if trained.mode != "categorical":
             raise DataError("checkpoint was trained on continuous attributes; "
@@ -281,26 +284,18 @@ def cmd_sample(args) -> int:
             labels = [int(tok) for tok in args.labels.split(",") if tok != ""]
         except ValueError as exc:
             raise DataError(f"bad --labels value {args.labels!r}") from exc
-        conditions = check_label_conditions([labels] * args.num_samples, trained.num_classes)
+        conditions = [labels] * args.num_samples
     else:
         cond_dataset = load_dataset(args.conditions, strict_geometry=False)
         if cond_dataset.mode != trained.mode:
             raise DataError("condition file attribute mode does not match checkpoint")
-        if cond_dataset.mode == "categorical":
-            conditions = check_label_conditions(
-                [l.labels.tolist() for l in cond_dataset.layouts], trained.num_classes)
-        else:
-            conditions = check_feature_conditions(
-                [l.features for l in cond_dataset.layouts], config.denoiser.attr_dim)
-    attributes, mask = pad_conditions(conditions)
+        conditions = [l.labels if l.labels is not None else l.features
+                      for l in cond_dataset.layouts]
 
-    result = sample(attributes, mask, params, config.denoiser, schedule,
-                    RngStream(args.seed), config.diffusion)
-    layouts = batch_to_layouts(result.geometry_raw, attributes, mask,
-                               ids=[f"sample-{i:06d}" for i in range(mask.shape[0])])
+    layouts = sample_layouts(conditions, params, config, args.seed)
     out_dataset = dataclasses.replace(trained, layouts=tuple(layouts))
     meta = {"command": "sample", "seed": args.seed, "checkpoint": args.checkpoint,
-            "num_samples": mask.shape[0], "config": header["config"],
+            "num_samples": len(layouts), "config": header["config"],
             "version": __version__}
     save_dataset(out_dataset, args.output, meta=meta, include_clamped=True)
     print(f"wrote {len(layouts)} sampled layouts to {args.output}")

@@ -11,13 +11,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .data import Batch, Dataset, atomic_path, pad_batch
+from .data import Batch, Dataset, atomic_path, batch_to_layouts, pad_batch, pad_conditions
 from .denoiser import DenoiserConfig, denoise, init_denoiser_params
 from .exceptions import DataError, NumericError
 from .optim import BETA1, BETA2, EPS, AdamState, adam_step
 from .rng import SEED_END, RngStream
 from .tensor import ParameterStore, Tensor, collect_grads, mul, sub, tsum
-from .validation import check_field_types
+from .validation import (check_feature_conditions, check_field_types, check_label_conditions,
+                         check_seed)
 
 
 @dataclass(frozen=True)
@@ -169,6 +170,27 @@ def sample(attributes, mask, params: ParameterStore, denoiser_config: DenoiserCo
     clamp = config.clamp_output if config is not None else True
     clamped = np.clip(g, -1.0, 1.0) * mask[..., None] if clamp else None
     return SampleResult(geometry_raw=g, geometry_clamped=clamped, mask=mask)
+
+
+def sample_layouts(conditions, params: ParameterStore, config: TrainConfig, seed,
+                   clamped: bool = False) -> list:
+    """One layout per condition (label ids, or ``[n, attr_dim]`` features, as the denoiser
+    takes them), drawn by :func:`sample` under ids ``sample-000000, ...``.  ``clamped``
+    picks the clamped geometry when the config makes it, rather than the raw."""
+    stream = RngStream(check_seed(seed))
+    denoiser = config.denoiser
+    if denoiser.num_classes is not None:
+        conditions = check_label_conditions(conditions, denoiser.num_classes)
+    else:
+        conditions = check_feature_conditions(conditions, denoiser.attr_dim)
+    attributes, mask = pad_conditions(conditions)
+    result = sample(attributes, mask, params, denoiser, config.diffusion.schedule(), stream,
+                    config.diffusion)
+    geometry = result.geometry_raw
+    if clamped and result.geometry_clamped is not None:
+        geometry = result.geometry_clamped
+    return batch_to_layouts(geometry, attributes, mask,
+                            ids=[f"sample-{i:06d}" for i in range(len(conditions))])
 
 
 # ---------------------------------------------------------------------------

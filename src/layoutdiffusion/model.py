@@ -10,13 +10,12 @@ from __future__ import annotations
 import inspect
 from typing import Sequence
 
-from .data import batch_to_layouts, pad_batch, pad_conditions
+from .data import pad_batch
 from .denoiser import DenoiserConfig
-from .diffusion import DiffusionConfig, TrainConfig, noise_loss, sample, train
+from .diffusion import DiffusionConfig, TrainConfig, noise_loss, sample_layouts, train
 from .exceptions import NotFittedError
 from .rng import RngStream
-from .validation import (check_dataset, check_feature_conditions, check_label_conditions,
-                         check_seed)
+from .validation import check_dataset, check_seed
 
 
 class LayoutDiffusion:
@@ -112,20 +111,8 @@ class LayoutDiffusion:
         """Generate one layout per condition (a list of label ids, or a
         [n, attr_dim] feature array in continuous mode)."""
         self._check_fitted()
-        seed = check_seed(seed)
-        if self.label_names_ is not None:
-            conditions = check_label_conditions(conditions, len(self.label_names_))
-        else:
-            conditions = check_feature_conditions(conditions, self.feature_dim_)
-        attributes, mask = pad_conditions(conditions)
-
-        result = sample(attributes, mask, self.params_, self.config_.denoiser,
-                        self.schedule_, RngStream(seed), self.config_.diffusion)
-        geometry = result.geometry_raw if return_raw else (
-            result.geometry_clamped if result.geometry_clamped is not None
-            else result.geometry_raw)
-        return batch_to_layouts(geometry, attributes, mask,
-                                ids=[f"sample-{i:06d}" for i in range(len(conditions))])
+        return sample_layouts(conditions, self.params_, self.config_, seed,
+                              clamped=not return_raw)
 
     def score(self, layouts, y=None) -> float:
         """Negative mean training objective over the given layouts (higher is better)."""

@@ -197,14 +197,8 @@ def matmul(a, b) -> Tensor:
             ga = g @ np.swapaxes(b.data, -1, -2)
             _accumulate(a, _unbroadcast(ga, a.data.shape))
         if b.requires_grad:
-            if b.data.ndim == 2 and a.data.ndim > 2:
-                # A shared 2-D weight: fold the batch dims into one GEMM
-                # instead of a batched product summed by _unbroadcast.
-                k, m = b.data.shape
-                gb = a.data.reshape(-1, k).T @ g.reshape(-1, m)
-            else:
-                gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
-            _accumulate(b, gb)
+            gb = np.swapaxes(a.data, -1, -2) @ g
+            _accumulate(b, _unbroadcast(gb, b.data.shape))
 
     return _result(out_data, (a, b), bwd)
 

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from checkpoint_signing import resign
 
 from layoutdiffusion import checkpoint
 from layoutdiffusion.checkpoint import load_checkpoint, save_checkpoint
@@ -158,18 +159,35 @@ def saved(tmp_path):
 
 
 def test_checkpoint_without_digest_still_loads(saved):
+    """Only version 1 files were ever written without a digest."""
     path, params = saved
 
-    def older_format(header, blob):
-        del header["sha256"]
+    def version_1(header, blob):
+        del header["sha256"], header["losses"]
+        header["format_version"] = 1
         header["optimizer"].update(beta1=0.9, beta2=0.999, eps=1e-8)
         return blob
 
-    rewrite(path, older_format)
+    rewrite(path, version_1)
     loaded, adam, _ = load_checkpoint(path)
     assert adam.step == 1
     for name in params.names():
         assert np.array_equal(loaded[name].data, params[name].data)
+
+
+@pytest.mark.parametrize("version", [2, 3])
+def test_version_2_and_3_files_without_digest_rejected(saved, version):
+    path, _ = saved
+
+    def unsigned(header, blob):
+        del header["sha256"]
+        header["format_version"] = version
+        return blob
+
+    rewrite(path, unsigned)
+    with pytest.raises(DataError, match="SHA-256 missing") as excinfo:
+        load_checkpoint(path)
+    assert str(path) in str(excinfo.value)
 
 
 def test_digest_mismatch_rejected(saved):
@@ -244,7 +262,6 @@ def test_missing_moment_entry_rejected(saved):
     path, _ = saved
 
     def drop_first_m(header, blob):
-        del header["sha256"]
         manifest = header["manifest"]
         index = next(i for i, e in enumerate(manifest) if e["name"].startswith("adam.m."))
         start = manifest[index]["offset"]
@@ -252,7 +269,9 @@ def test_missing_moment_entry_rejected(saved):
         del manifest[index]
         for entry in manifest[index:]:
             entry["offset"] -= end - start
-        return blob[:start] + blob[end:]
+        blob = blob[:start] + blob[end:]
+        resign(header, blob)
+        return blob
 
     rewrite(path, drop_first_m)
     with pytest.raises(DataError, match="different names"):

@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 import pytest
+from checkpoint_signing import resign
 
 import layoutdiffusion
 from layoutdiffusion import cli
@@ -220,6 +221,26 @@ def test_a_run_interrupted_after_a_checkpoint_resumes_to_the_same_files(tmp_path
             == (tmp_path / "whole.ckpt.loss.csv").read_bytes())
 
 
+@pytest.mark.parametrize("steps, saved", [(4, [2, 4]), (5, [2, 4, 5]), (0, [0])])
+def test_train_saves_each_checkpoint_step_once(tmp_path, monkeypatch, steps, saved):
+    """Also a run that trains no step, such as a resume at its last step, saves once."""
+    data = synth(tmp_path)
+    real_save = cli.save_checkpoint
+    recorded = []
+
+    def recording_save(*args, **kwargs):
+        recorded.append(args[5])
+        real_save(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "save_checkpoint", recording_save)
+    ckpt = train(tmp_path, data, steps=steps, extra=EVERY_2)
+    assert recorded == saved
+    recorded.clear()
+    assert run(["train", "--dataset", str(data), "--checkpoint", str(ckpt),
+                "--resume", str(ckpt)]) == 0
+    assert recorded == [steps]
+
+
 def test_a_killed_run_resumes_to_the_same_files(tmp_path):
     data = synth(tmp_path)
     steps = 600
@@ -251,11 +272,13 @@ def test_a_killed_run_resumes_to_the_same_files(tmp_path):
 
 
 def format_2_copy(ckpt):
-    """Rewrite a checkpoint as format 2 wrote it: no loss history and, here, no digest."""
+    """Rewrite a checkpoint as format 2 wrote it: no loss history, and a digest that
+    covers the header."""
     head, blob = ckpt.read_bytes().split(b"\n", 1)
     header = json.loads(head)
-    del header["losses"], header["sha256"]
+    del header["losses"]
     header["format_version"] = 2
+    resign(header, blob)
     ckpt.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + blob)
 
 
@@ -284,11 +307,13 @@ def test_train_resumes_a_format_2_checkpoint_with_the_history_of_its_log(tmp_pat
 
 
 def legacy_header(ckpt, **train_echo):
-    """Rewrite a checkpoint header as older versions wrote it: Adam's betas and
-    eps in the optimizer block and in the config echo, and no digest."""
+    """Rewrite a checkpoint header as version 1 wrote it: Adam's betas and eps in the
+    optimizer block and in the config echo, no loss history and no digest."""
     head, blob = ckpt.read_bytes().split(b"\n", 1)
     header = json.loads(head)
     header.pop("sha256", None)
+    header.pop("losses", None)
+    header["format_version"] = 1
     header["optimizer"].update(beta1=0.9, beta2=0.999, eps=1e-8)
     header["config"]["train"].update({"adam_beta1": 0.9, "adam_beta2": 0.999,
                                       "adam_eps": 1e-8, **train_echo})
@@ -338,12 +363,11 @@ def test_train_resume_rejects_a_different_dataset(tmp_path, capsys):
 DROP = object()
 
 
-def set_header_entry(ckpt, keys, value=DROP):
-    """Set (or, with ``DROP``, delete) one header entry, and delete the digest, so the
-    load reaches the check of that entry."""
+def set_header_entry(ckpt, keys, value=DROP, sign=True):
+    """Set (or, with ``DROP``, delete) one header entry and, unless ``sign`` is false,
+    re-sign the header, so the load reaches the check of that entry."""
     head, blob = ckpt.read_bytes().split(b"\n", 1)
     header = json.loads(head)
-    del header["sha256"]
     *parents, last = keys
     target = header
     for key in parents:
@@ -352,6 +376,8 @@ def set_header_entry(ckpt, keys, value=DROP):
         del target[last]
     else:
         target[last] = value
+    if sign:
+        resign(header, blob)
     ckpt.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + blob)
 
 
@@ -409,6 +435,24 @@ def test_an_odd_header_value_exits_3_without_output(tmp_path, capsys, keys, valu
     data = synth(tmp_path)
     ckpt = train(tmp_path, data, steps=2)
     set_header_entry(ckpt, keys, value)
+    assert_both_commands_exit_3(tmp_path, capsys, data, ckpt)
+
+
+@pytest.mark.parametrize("case", ["format 3 without digest", "format 2 without digest",
+                                  "echo of 2 labels", "echo of features"])
+def test_an_unsigned_or_mismatched_checkpoint_exits_3_without_output(tmp_path, capsys, case):
+    """Only version 1 files may lack a digest, and the dataset echo must name the classes
+    or the feature width of the denoiser's attribute head (3 classes here)."""
+    data = synth(tmp_path)
+    ckpt = train(tmp_path, data, steps=2)
+    if case == "format 2 without digest":
+        format_2_copy(ckpt)
+    if case.endswith("without digest"):
+        set_header_entry(ckpt, ("sha256",), sign=False)
+    elif case == "echo of 2 labels":
+        set_header_entry(ckpt, ("config", "dataset", "labels"), ["class_0", "class_1"])
+    else:
+        set_header_entry(ckpt, ("config", "dataset"), {"canvas": [1.0, 1.0], "feature_dim": 3})
     assert_both_commands_exit_3(tmp_path, capsys, data, ckpt)
 
 
@@ -636,12 +680,16 @@ def test_sample_continuous_conditions_file(tmp_path, capsys):
     assert "expected [n, 3] features" in capsys.readouterr().err
 
 
-def test_eval_self_comparison(tmp_path):
+def test_eval_self_comparison(tmp_path, capsys):
     data = synth(tmp_path)
     report_path = tmp_path / "report.json"
     code = run(["eval", "--generated", str(data), "--reference", str(data),
                 "-o", str(report_path)])
     assert code == 0
+    capsys.readouterr()
+    # Without -o the same report goes to stdout.
+    assert run(["eval", "--generated", str(data), "--reference", str(data)]) == 0
+    assert capsys.readouterr().out == report_path.read_text()
     report = json.loads(report_path.read_text())
     metrics = report["metrics"]
     assert metrics["max_iou"]["value"] == pytest.approx(1.0, abs=1e-12)

@@ -17,6 +17,7 @@ import os
 import tempfile
 
 import pytest
+from checkpoint_signing import resign
 from hypothesis import given, settings, strategies as st
 
 from layoutdiffusion.cli import main
@@ -136,7 +137,7 @@ def test_an_edited_checkpoint_header_exits_cleanly(run_files, data):
     header, body = split_checkpoint(run_files["model.ckpt"])
     header, path, _ = data.draw(edited(header))
     if path != ("sha256",):
-        header.pop("sha256", None)  # so the edit reaches the checks behind the digest
+        resign(header, body)  # so the edit reaches the checks behind the digest
     check_commands({**run_files, "model.ckpt": join_checkpoint(header, body)},
                    ("sample", "train"))
 
@@ -156,7 +157,7 @@ def test_a_cut_or_reordered_checkpoint_exits_cleanly(run_files, data):
         else:  # the arrays keep their places and swap names
             header["manifest"] = [{**entry, "name": manifest[i]["name"]}
                                   for entry, i in zip(manifest, order)]
-        del header["sha256"]
+        resign(header, body)
     check_commands({**run_files, "model.ckpt": join_checkpoint(header, body)},
                    ("sample", "train"))
 
@@ -172,8 +173,9 @@ def test_an_edited_dataset_exits_cleanly(run_files, data):
 def format_2(blob):
     """A checkpoint as format 2 wrote it: no loss history, so a resume reads the log."""
     header, body = split_checkpoint(blob)
-    del header["losses"], header["sha256"]
+    del header["losses"]
     header["format_version"] = 2
+    resign(header, body)
     return join_checkpoint(header, body)
 
 

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from layoutdiffusion.data import SynthSpec, make_synthetic_dataset
+from layoutdiffusion.data import Layout, SynthSpec, make_synthetic_dataset
 from layoutdiffusion.denoiser import DenoiserConfig
 from layoutdiffusion.diffusion import DiffusionConfig, TrainConfig
 from layoutdiffusion.exceptions import DataError, NotFittedError
@@ -89,6 +89,20 @@ def test_fit_accepts_layout_sequence():
     dataset = make_synthetic_dataset(SynthSpec(num_layouts=8, num_classes=2), 4)
     model = desk_model().fit(list(dataset.layouts))
     assert len(model.label_names_) == 2
+
+
+def continuous_layouts(feature_dims):
+    rng = np.random.default_rng(0)
+    return [Layout(geometry=rng.uniform(-0.5, 0.5, (2, 4)), features=rng.normal(size=(2, d)),
+                   id=f"c{i}") for i, d in enumerate(feature_dims)]
+
+
+def test_fit_accepts_continuous_layout_sequence():
+    model = desk_model(max_steps=1).fit(continuous_layouts([3, 3, 3]))
+    assert model.feature_dim_ == 3
+    assert model.label_names_ is None
+    with pytest.raises(DataError, match="inconsistent feature dims"):
+        desk_model().fit(continuous_layouts([3, 3, 2]))
 
 
 def test_fit_rejects_garbage():

@@ -43,3 +43,12 @@ def test_overshoot_is_clamped_to_canvas():
     layout = unit_layout((1.1, 0.5, 0.2, 0.2))
     svg = render_svg(layout, canvas=(100, 100))
     assert 'x="100.0000"' in svg
+
+
+def test_continuous_layout_cycles_palette_by_element_index():
+    n = len(DEFAULT_PALETTE) + 1
+    layout = Layout(geometry=np.full((n, 4), -0.5), features=np.zeros((n, 2)), id="f")
+    svg = render_svg(layout)
+    assert svg.count("<rect") == n + 1
+    assert "element_0<" in svg and f"element_{n - 1}<" in svg
+    assert svg.count(DEFAULT_PALETTE[0]) == 4  # fill + stroke of elements 0 and n - 1

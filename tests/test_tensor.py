@@ -76,7 +76,6 @@ def test_matmul_grads_2d_3d_4d():
 
 
 def test_matmul_grads_batched_by_2d_weight_both_tracked():
-    # The weight gradient folds the batch dims of ``a`` into one GEMM.
     for a_shape in [(2, 3, 4), (2, 2, 3, 4)]:
         check_grads(matmul, [RNG.normal(size=a_shape), RNG.normal(size=(4, 5))])
 
