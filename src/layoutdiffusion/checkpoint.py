@@ -130,7 +130,7 @@ def load_checkpoint(path):
     if not isinstance(header, dict):
         raise DataError(f"checkpoint {path}: header is not a JSON object")
     version = header.get("format_version")
-    if version not in (1, 2, FORMAT_VERSION):
+    if not (_is_count(version) and 1 <= version <= FORMAT_VERSION):
         raise DataError(f"checkpoint {path}: unsupported version {version!r}")
     precision = header.get("precision")
     wire = _DTYPES.get(precision) if isinstance(precision, str) else None

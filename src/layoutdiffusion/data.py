@@ -141,10 +141,6 @@ class Batch:
     def size(self):
         return self.geometry.shape[0]
 
-    @property
-    def n_max(self):
-        return self.geometry.shape[1]
-
 
 # ---------------------------------------------------------------------------
 # normalization

@@ -159,7 +159,7 @@ def embed_attributes(attributes, index, params: ParameterStore,
             bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
             raise DataError(f"label id {bad} outside vocabulary of {config.num_classes}")
         return embedding(params["attr.weight"], ids.reshape(-1)[index])
-    feats = as_tensor(attributes)
+    feats = Tensor(np.asarray(attributes, dtype=params["attr.weight"].data.dtype))
     if feats.data.shape[-1] != config.attr_dim:
         raise DataError(f"feature dim {feats.data.shape[-1]} != configured {config.attr_dim}")
     return _affine(take_rows(reshape(feats, (-1, config.attr_dim)), index), params, "attr")

@@ -144,7 +144,6 @@ def p_sample_step(g_t, t: int, attributes, mask, params: ParameterStore,
 class SampleResult:
     geometry_raw: np.ndarray
     geometry_clamped: Optional[np.ndarray]
-    mask: np.ndarray
 
 
 def sample(attributes, mask, params: ParameterStore, denoiser_config: DenoiserConfig,
@@ -169,7 +168,7 @@ def sample(attributes, mask, params: ParameterStore, denoiser_config: DenoiserCo
             raise NumericError(f"sampling produced {bad} non-finite values at reverse step {t}")
     clamp = config.clamp_output if config is not None else True
     clamped = np.clip(g, -1.0, 1.0) * mask[..., None] if clamp else None
-    return SampleResult(geometry_raw=g, geometry_clamped=clamped, mask=mask)
+    return SampleResult(geometry_raw=g, geometry_clamped=clamped)
 
 
 def sample_layouts(conditions, params: ParameterStore, config: TrainConfig, seed,
@@ -263,8 +262,10 @@ class TrainConfig:
         check_field_types(self, unbounded=seeds)
         if self.precision not in ("float64", "float32"):
             raise ValueError(f"unknown precision {self.precision!r}")
-        if self.batch_size < 1 or self.max_steps < 0:
-            raise ValueError("batch_size must be >= 1 and max_steps >= 0")
+        if self.batch_size < 1 or self.max_steps < 0 or self.checkpoint_every < 0:
+            raise ValueError("batch_size must be >= 1, max_steps and checkpoint_every >= 0")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         for name in seeds:
             if not 0 <= getattr(self, name) < SEED_END:
                 raise ValueError(f"{name} {getattr(self, name)} is not in [0, 2**64)")

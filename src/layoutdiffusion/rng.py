@@ -40,6 +40,9 @@ class RngStream:
     algorithm = ALGORITHM
 
     def __init__(self, seed: int, counter: int = 0):
+        for key, value in (("seed", seed), ("counter", counter)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"rng {key} {value!r} is not an integer")
         self.seed, self.counter = int(seed), int(counter)
         for key, value, end in (("seed", self.seed, SEED_END), ("counter", self.counter, 2**63)):
             if not 0 <= value < end:
@@ -55,9 +58,6 @@ class RngStream:
     def from_state(cls, state: dict) -> "RngStream":
         if state.get("algorithm", ALGORITHM) != ALGORITHM:
             raise ValueError(f"unknown rng algorithm: {state.get('algorithm')!r}")
-        for key in ("seed", "counter"):
-            if isinstance(state[key], bool) or not isinstance(state[key], int):
-                raise ValueError(f"rng {key} {state[key]!r} is not an integer")
         return cls(state["seed"], state["counter"])
 
     def words(self, n: int) -> np.ndarray:

@@ -190,6 +190,23 @@ def test_version_2_and_3_files_without_digest_rejected(saved, version):
     assert str(path) in str(excinfo.value)
 
 
+@pytest.mark.parametrize("version", [True, 1.0, 3.0, "3"])
+def test_a_format_version_that_is_not_an_integer_is_rejected(saved, version):
+    # Re-signed, so that only the version stands between the file and a load:
+    # ``true`` and ``1.0`` compare equal to 1, and ``3.0`` to 3.
+    path, _ = saved
+
+    def relabel(header, blob):
+        header["format_version"] = version
+        resign(header, blob)
+        return blob
+
+    rewrite(path, relabel)
+    with pytest.raises(DataError, match="unsupported version") as excinfo:
+        load_checkpoint(path)
+    assert str(path) in str(excinfo.value)
+
+
 def test_digest_mismatch_rejected(saved):
     path, _ = saved
     rewrite(path, lambda header, blob: blob[:-1] + bytes([blob[-1] ^ 1]))

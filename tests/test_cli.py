@@ -424,13 +424,18 @@ ODD_HEADER_VALUES = [(("config", "train", "diffusion", "timesteps"), "10"),
                      (("config", "train", "diffusion", "timesteps"), DROP),
                      (("config", "train", "diffusion"), []),
                      # The fixture trained 2 steps, so it holds 2 losses.
-                     (("losses",), "x"), (("losses",), [True]), (("losses",), [0.5])]
+                     (("losses",), "x"), (("losses",), [True]), (("losses",), [0.5]),
+                     # ``true`` and ``1.0`` equal 1 in Python, and ``3.0`` equals 3.
+                     (("format_version",), True), (("format_version",), 1.0),
+                     (("format_version",), 3.0), (("format_version",), "3")]
 
 
 @pytest.mark.parametrize("keys, value", ODD_HEADER_VALUES,
                          ids=["timesteps='10'", "lr=10**400", "counter=2**70",
                               "precision=['float64']", "timesteps missing", "diffusion=[]",
-                              "losses='x'", "losses=[True]", "losses one short"])
+                              "losses='x'", "losses=[True]", "losses one short",
+                              "format_version=true", "format_version=1.0",
+                              "format_version=3.0", "format_version='3'"])
 def test_an_odd_header_value_exits_3_without_output(tmp_path, capsys, keys, value):
     data = synth(tmp_path)
     ckpt = train(tmp_path, data, steps=2)
@@ -536,7 +541,10 @@ def test_train_config_must_be_objects(tmp_path, capsys, doc):
 
 MISTYPED_CONFIGS = [{"diffusion": {"timesteps": "10"}},
                     {"diffusion": {"beta_start": 0.5, "beta_end": 0.1}},
-                    {"learning_rate": "x"}, {"batch_size": 2.5}, {"denoiser": {"ffn_dim": "8"}}]
+                    {"learning_rate": "x"}, {"batch_size": 2.5}, {"denoiser": {"ffn_dim": "8"}},
+                    # A rate of 0 trains nothing and a negative one climbs the loss; a
+                    # negative interval would save every few steps (``step % -3 == 0``).
+                    {"learning_rate": 0.0}, {"learning_rate": -1e-3}, {"checkpoint_every": -1}]
 
 
 @pytest.mark.parametrize("doc", MISTYPED_CONFIGS, ids=[json.dumps(d) for d in MISTYPED_CONFIGS])
@@ -651,17 +659,19 @@ def test_sample_conditions_file(tmp_path):
         assert [e["label"] for e in gen["elements"]] == [e["label"] for e in orig["elements"]]
 
 
-def test_sample_continuous_conditions_file(tmp_path, capsys):
-    def features_file(name, feature_dim):
-        doc = {"canvas": {"width": 100, "height": 100}, "feature_dim": feature_dim,
-               "layouts": [{"id": f"f{i}", "elements": [
-                   {"feature": [0.1 * (i + k)] * feature_dim, "bbox": [20 + 10 * k, 30, 10, 10]}
-                   for k in range(n)]} for i, n in enumerate((2, 3, 1, 2))]}
-        path = tmp_path / name
-        path.write_text(json.dumps(doc))
-        return path
+def features_file(tmp_path, name, feature_dim):
+    """A dataset file of four layouts whose elements carry ``feature_dim`` features."""
+    doc = {"canvas": {"width": 100, "height": 100}, "feature_dim": feature_dim,
+           "layouts": [{"id": f"f{i}", "elements": [
+               {"feature": [0.1 * (i + k)] * feature_dim, "bbox": [20 + 10 * k, 30, 10, 10]}
+               for k in range(n)]} for i, n in enumerate((2, 3, 1, 2))]}
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return path
 
-    data = features_file("features.json", 3)
+
+def test_sample_continuous_conditions_file(tmp_path, capsys):
+    data = features_file(tmp_path, "features.json", 3)
     ckpt = train(tmp_path, data, steps=2)
     out = tmp_path / "cont.json"
     code = run(["sample", "--checkpoint", str(ckpt), "--conditions", str(data),
@@ -673,11 +683,79 @@ def test_sample_continuous_conditions_file(tmp_path, capsys):
     for gen, orig in zip(doc["layouts"], ref["layouts"]):
         assert [e["feature"] for e in gen["elements"]] == [e["feature"] for e in orig["elements"]]
 
-    wrong_dim = features_file("features2.json", 2)
+    wrong_dim = features_file(tmp_path, "features2.json", 2)
     code = run(["sample", "--checkpoint", str(ckpt), "--conditions", str(wrong_dim),
                 "--seed", "5", "-o", str(tmp_path / "bad.json")])
     assert code == 3
     assert "expected [n, 3] features" in capsys.readouterr().err
+
+
+def test_float32_runs_on_continuous_features_stay_float32(tmp_path):
+    data = features_file(tmp_path, "features.json", 2)
+    ckpt = train(tmp_path, data, steps=2, extra=["--precision", "float32"])
+    assert run(["sample", "--checkpoint", str(ckpt), "--conditions", str(data),
+                "--seed", "5", "-o", str(tmp_path / "s.json")]) == 0
+    resumed = tmp_path / "resumed.ckpt"
+    assert run(["train", "--dataset", str(data), "--checkpoint", str(resumed),
+                "--resume", str(ckpt), "--max-steps", "4"]) == 0
+    for path in (ckpt, resumed):
+        params, adam, header = load_checkpoint(path)
+        assert header["precision"] == "float32"
+        for arrays in (params.arrays(), adam.m, adam.v):
+            assert {arr.dtype for arr in arrays.values()} == {np.dtype(np.float32)}
+
+
+REFUSED_COMMANDS = [
+    ("sample --labels from a continuous checkpoint",
+     ["sample", "--checkpoint", "{continuous_ckpt}", "--labels", "0,1"],
+     "trained on continuous attributes"),
+    ("sample with malformed --labels",
+     ["sample", "--checkpoint", "{categorical_ckpt}", "--labels", "0,x"], "bad --labels"),
+    ("sample --conditions of the other attribute mode",
+     ["sample", "--checkpoint", "{categorical_ckpt}", "--conditions", "{continuous}"],
+     "attribute mode does not match"),
+    ("train with an unreadable --config",
+     ["train", "--dataset", "{categorical}", "--checkpoint", "{out}", "--config", "{missing}"],
+     "cannot read config"),
+    ("train into a missing directory",
+     ["train", "--dataset", "{categorical}", "--checkpoint", "{missing}/model.ckpt"],
+     "output directory does not exist"),
+    ("eval of two attribute modes",
+     ["eval", "--generated", "{categorical}", "--reference", "{continuous}"],
+     "attribute modes differ"),
+    ("eval --frechet trivial on continuous layouts",
+     ["eval", "--generated", "{continuous}", "--reference", "{continuous}",
+      "--frechet", "trivial"], "trivial features require categorical layouts"),
+    ("eval --frechet files with one feature file",
+     ["eval", "--generated", "{categorical}", "--reference", "{categorical}",
+      "--frechet", "files", "--features-generated", "{categorical}"],
+     "needs --features-generated and --features-reference"),
+    ("eval with an unreadable feature file",
+     ["eval", "--generated", "{categorical}", "--reference", "{categorical}",
+      "--frechet", "files", "--features-generated", "{missing}",
+      "--features-reference", "{missing}"], "cannot read feature file"),
+    ("eval with a feature file without features",
+     ["eval", "--generated", "{categorical}", "--reference", "{categorical}",
+      "--frechet", "files", "--features-generated", "{categorical}",
+      "--features-reference", "{categorical}"], "must contain a 'features' matrix"),
+]
+
+
+@pytest.mark.parametrize("argv, message", [case[1:] for case in REFUSED_COMMANDS],
+                         ids=[case[0] for case in REFUSED_COMMANDS])
+def test_a_refused_command_exits_3_naming_the_problem_without_output(tmp_path, capsys, argv,
+                                                                     message):
+    paths = {"categorical": synth(tmp_path), "missing": tmp_path / "missing",
+             "continuous": features_file(tmp_path, "features.json", 2), "out": tmp_path / "out"}
+    for mode in ("categorical", "continuous"):
+        if f"{{{mode}_ckpt}}" in argv:
+            paths[f"{mode}_ckpt"] = train(tmp_path, paths[mode], steps=1, name=f"{mode}.ckpt")
+    outputs = {"sample": ["--seed", "1", "-o", "{out}"], "eval": ["-o", "{out}"], "train": []}
+    before = sorted(tmp_path.rglob("*"))
+    argv = [arg.format(**paths) for arg in argv + outputs[argv[0]]]
+    assert run(argv) == 3
+    assert message in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_eval_self_comparison(tmp_path, capsys):

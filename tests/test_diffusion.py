@@ -439,6 +439,12 @@ def test_train_config_validation():
         TrainConfig(denoiser=denoiser, precision="float16")
     with pytest.raises(ValueError):
         TrainConfig(denoiser=denoiser, batch_size=0)
+    for value in (0.0, -1e-3):  # 0 trains nothing, a negative rate climbs the loss
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(denoiser=denoiser, learning_rate=value)
+    with pytest.raises(ValueError, match="checkpoint_every"):
+        TrainConfig(denoiser=denoiser, checkpoint_every=-1)
+    assert TrainConfig(denoiser=denoiser, checkpoint_every=0).checkpoint_every == 0
     for seed in ("init_seed", "train_seed"):
         for value in (-1, 2**64, -2**64):
             with pytest.raises(ValueError, match="seed"):

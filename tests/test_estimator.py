@@ -105,6 +105,12 @@ def test_fit_accepts_continuous_layout_sequence():
         desk_model().fit(continuous_layouts([3, 3, 2]))
 
 
+def test_float32_fit_on_continuous_layouts_keeps_float32_parameters():
+    model = desk_model(max_steps=2, precision="float32").fit(continuous_layouts([3, 3, 3]))
+    for arrays in (model.params_.arrays(), model.adam_state_.m, model.adam_state_.v):
+        assert {arr.dtype for arr in arrays.values()} == {np.dtype(np.float32)}
+
+
 def test_fit_rejects_garbage():
     with pytest.raises(DataError):
         desk_model().fit([1, 2, 3])

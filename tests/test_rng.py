@@ -98,6 +98,22 @@ def test_seed_and_counter_outside_their_ranges_are_rejected(seed, counter):
         RngStream.from_state({"algorithm": ALGORITHM, "seed": seed, "counter": counter})
 
 
+@pytest.mark.parametrize("seed, counter", [(1.9, 0), (True, 0), ("5", 0), (1, 2.0),
+                                           (1, False), (1, "3")])
+def test_seed_and_counter_must_be_integers(seed, counter):
+    # int() would make 1.9 and True draw what 1 draws, and "5" what 5 draws.
+    with pytest.raises(ValueError, match="not an integer"):
+        RngStream(seed, counter)
+    with pytest.raises(ValueError, match="not an integer"):
+        RngStream.from_state({"algorithm": ALGORITHM, "seed": seed, "counter": counter})
+
+
+def test_numpy_integer_seed_and_counter_are_accepted():
+    stream = RngStream(np.uint64(2**64 - 1), np.int64(3))
+    assert stream.state() == {"algorithm": ALGORITHM, "seed": 2**64 - 1, "counter": 3}
+    assert np.array_equal(stream.words(2), RngStream(2**64 - 1, 3).words(2))
+
+
 def test_seed_and_counter_range_ends_are_accepted():
     stream = RngStream(2**64 - 1, counter=2**63 - 1)
     assert stream.state() == {"algorithm": ALGORITHM, "seed": 2**64 - 1, "counter": 2**63 - 1}
