@@ -25,10 +25,11 @@ import math
 
 import numpy as np
 
-from .data import atomic_path, is_finite_number
+from .data import atomic_path
 from .exceptions import DataError
 from .optim import AdamState
 from .tensor import ParameterStore, Tensor
+from .validation import is_finite_number, is_integer
 
 FORMAT_VERSION = 3  # 2: the digest covers the header too; 3: the header holds the losses
 
@@ -52,11 +53,6 @@ def _signed_header(header: dict) -> bytes:
                       sort_keys=True).encode("utf-8")
 
 
-def _is_count(value) -> bool:
-    """A JSON integer in [0, 2**63); ``true``/``false`` are ints to Python, not here."""
-    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**63
-
-
 def _manifest_entry(entry, path) -> tuple:
     """``(name, shape, offset)`` of one manifest entry, with their types checked."""
     if not isinstance(entry, dict):
@@ -64,10 +60,10 @@ def _manifest_entry(entry, path) -> tuple:
     name, shape, offset = entry.get("name"), entry.get("shape"), entry.get("offset")
     if not isinstance(name, str):
         raise DataError(f"checkpoint {path}: manifest name {name!r} is not a string")
-    if not isinstance(shape, list) or not all(_is_count(dim) for dim in shape):
+    if not isinstance(shape, list) or not all(is_integer(dim, 0, 2**63) for dim in shape):
         raise DataError(f"checkpoint {path}: shape {shape!r} of {name!r} is not a list "
                         f"of non-negative integers")
-    if not _is_count(offset):
+    if not is_integer(offset, 0, 2**63):
         raise DataError(f"checkpoint {path}: offset {offset!r} of {name!r} is not a "
                         f"non-negative integer")
     return name, tuple(shape), offset
@@ -130,7 +126,7 @@ def load_checkpoint(path):
     if not isinstance(header, dict):
         raise DataError(f"checkpoint {path}: header is not a JSON object")
     version = header.get("format_version")
-    if not (_is_count(version) and 1 <= version <= FORMAT_VERSION):
+    if not is_integer(version, 1, FORMAT_VERSION + 1):
         raise DataError(f"checkpoint {path}: unsupported version {version!r}")
     precision = header.get("precision")
     wire = _DTYPES.get(precision) if isinstance(precision, str) else None
@@ -142,10 +138,10 @@ def load_checkpoint(path):
         raise DataError(f"checkpoint {path}: manifest is not a list")
     opt = header.get("optimizer")
     lr = opt.get("lr") if isinstance(opt, dict) else None
-    if not is_finite_number(lr) or not _is_count(opt.get("step")):
+    if not is_finite_number(lr) or not is_integer(opt.get("step"), 0, 2**63):
         raise DataError(f"checkpoint {path}: optimizer entry {opt!r} needs a finite lr "
                         f"and a non-negative integer step")
-    if not _is_count(header.get("train_step")):
+    if not is_integer(header.get("train_step"), 0, 2**63):
         raise DataError(f"checkpoint {path}: train_step {header.get('train_step')!r} is not "
                         f"a non-negative integer")
     losses = header.get("losses")

@@ -311,10 +311,13 @@ def _load_feature_file(path) -> FeatureSet:
     if not isinstance(doc, dict) or "features" not in doc:
         raise DataError(f"feature file {path} must contain a 'features' matrix")
     try:
-        features = np.asarray(doc["features"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+        features = np.asarray(doc["features"])
+    except ValueError as exc:
         raise DataError(f"feature file {path}: 'features' is not a numeric matrix") from exc
-    return FeatureSet(features=features, provenance=str(doc.get("provenance", path)))
+    try:
+        return FeatureSet(features=features, provenance=str(doc.get("provenance", path)))
+    except DataError as exc:
+        raise DataError(f"feature file {path}: {exc}") from exc
 
 
 def _write_text(path, text: str):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
 import os
 from dataclasses import dataclass, replace
 from itertools import accumulate, chain
@@ -20,6 +19,8 @@ import numpy as np
 
 from .exceptions import DataError
 from .rng import RngStream
+from .validation import (is_finite_array, is_finite_number, is_integer, is_integer_array,
+                         require_int)
 
 DEFAULT_N_MAX = 36
 
@@ -54,28 +55,29 @@ class Layout:
     id: str = ""
 
     def __post_init__(self):
-        geometry = _read_only(self.geometry, np.float64)
-        if geometry.ndim != 2 or geometry.shape[1] != 4 or not np.all(np.isfinite(geometry)):
+        geometry = np.asarray(self.geometry)
+        if geometry.ndim != 2 or geometry.shape[1] != 4 or not is_finite_array(geometry):
             raise DataError(f"layout {self.id!r}: geometry must be a finite [n, 4] array, "
                             f"got shape {geometry.shape}")
         n = len(geometry)
         if n == 0:
             raise DataError(f"layout {self.id!r} has no elements")
-        object.__setattr__(self, "geometry", geometry)
+        object.__setattr__(self, "geometry", _read_only(geometry, np.float64))
         if (self.labels is None) == (self.features is None):
             raise DataError(f"layout {self.id!r} needs exactly one of labels or features")
         if self.labels is not None:
             labels = np.asarray(self.labels)
-            if labels.shape != (n,) or labels.dtype.kind not in "iu" or np.any(labels < 0):
+            if (labels.shape != (n,) or not is_integer_array(labels)
+                    or not ((labels >= 0) & (labels < 2**63)).all()):
                 raise DataError(f"layout {self.id!r}: labels must be {n} non-negative "
                                 f"integers, got {labels.tolist()!r}")
             object.__setattr__(self, "labels", _read_only(labels, np.int64))
         else:
-            features = _read_only(self.features, np.float64)
-            if features.ndim != 2 or len(features) != n or not np.all(np.isfinite(features)):
+            features = np.asarray(self.features)
+            if features.ndim != 2 or len(features) != n or not is_finite_array(features):
                 raise DataError(f"layout {self.id!r}: features must be a finite [{n}, d] "
                                 f"array, got shape {features.shape}")
-            object.__setattr__(self, "features", features)
+            object.__setattr__(self, "features", _read_only(features, np.float64))
 
     @classmethod
     def _checked(cls, geometry, id, labels=None, features=None) -> "Layout":
@@ -221,29 +223,6 @@ def _require_list(value, where: str) -> list:
     return value
 
 
-def is_finite_number(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer literal beyond the float64 range
-        return False
-
-
-def require_int(value, where: str) -> int:
-    """``value`` as an int; a bool, a float or a string raises :class:`DataError`."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DataError(f"{where}: expected an integer, got {value!r}")
-    return int(value)
-
-
-def _require_numbers(value, count: int, where: str):
-    """Raise :class:`DataError` unless ``value`` is a JSON list of ``count`` finite numbers."""
-    if not (isinstance(value, list) and len(value) == count
-            and all(is_finite_number(v) for v in value)):
-        raise DataError(f"{where}: expected {count} finite numbers, got {value!r}")
-
-
 def _number_rows(rows: list, width: int) -> Optional[np.ndarray]:
     """Non-empty ``rows`` as a float64 ``[len(rows), width]`` array, or None unless every
     row is a JSON list of ``width`` finite numbers.  A bool is not a number here."""
@@ -256,7 +235,14 @@ def _number_rows(rows: list, width: int) -> Optional[np.ndarray]:
         values = np.array(flat, dtype=np.float64).reshape(-1, width)
     except OverflowError:  # an integer literal beyond the float64 range
         return None
-    return values if np.isfinite(values).all() else None
+    return values if is_finite_array(values) else None
+
+
+def _require_numbers(value, count: int, where: str):
+    """Raise :class:`DataError` unless ``value`` is a JSON list of ``count`` finite numbers,
+    by the test that :func:`_number_rows` makes of each row of a file."""
+    if _number_rows([value], count) is None:
+        raise DataError(f"{where}: expected {count} finite numbers, got {value!r}")
 
 
 def _label_array(values: list, num_classes: int) -> Optional[np.ndarray]:
@@ -465,13 +451,13 @@ class SynthSpec:
     rule: str = "grid_by_label"
 
     def __post_init__(self):
-        if self.num_classes < 1:
-            raise DataError("num_classes must be >= 1")
-        if self.num_layouts < 1:
-            raise DataError("num_layouts must be >= 1")
+        for name in ("num_classes", "num_layouts"):
+            if require_int(getattr(self, name), name) < 1:
+                raise DataError(f"{name} must be >= 1")
         lo, hi = self.elements_per_layout_range
-        if not (1 <= lo <= hi):
-            raise DataError(f"bad elements_per_layout_range {self.elements_per_layout_range}")
+        if not (is_integer(lo, 1) and is_integer(hi, lo, DEFAULT_N_MAX + 1)):
+            raise DataError(f"bad elements_per_layout_range {self.elements_per_layout_range}: "
+                            f"need integers 1 <= min <= max <= {DEFAULT_N_MAX}")
         if self.rule not in ("grid_by_label", "random_boxes"):
             raise DataError(f"unknown synthesis rule {self.rule!r}")
 

@@ -15,10 +15,10 @@ from .data import Batch, Dataset, atomic_path, batch_to_layouts, pad_batch, pad_
 from .denoiser import DenoiserConfig, denoise, init_denoiser_params
 from .exceptions import DataError, NumericError
 from .optim import BETA1, BETA2, EPS, AdamState, adam_step
-from .rng import SEED_END, RngStream
+from .rng import RngStream
 from .tensor import ParameterStore, Tensor, collect_grads, mul, sub, tsum
-from .validation import (check_feature_conditions, check_field_types, check_label_conditions,
-                         check_seed)
+from .validation import (SEED_END, check_feature_conditions, check_field_types,
+                         check_label_conditions, check_seed)
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,17 @@ class DiffusionConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        _check_schedule_range(self.timesteps, self.beta_start, self.beta_end)
+        if not (0.0 < self.beta_start < self.beta_end < 1.0):
+            raise ValueError(f"need 0 < beta_start < beta_end < 1, got "
+                             f"({self.beta_start}, {self.beta_end})")
+        if self.timesteps < 2:
+            raise ValueError("timesteps must be >= 2")
 
     def schedule(self) -> NoiseSchedule:
-        return build_schedule(self.timesteps, self.beta_start, self.beta_end)
+        beta = np.linspace(self.beta_start, self.beta_end, self.timesteps, dtype=np.float64)
+        alpha = 1.0 - beta
+        return NoiseSchedule(timesteps=self.timesteps, beta=beta, alpha=alpha,
+                             alpha_bar=np.cumprod(alpha), sigma=np.sqrt(beta))
 
     to_dict = asdict
 
@@ -57,23 +64,12 @@ class DiffusionConfig:
         return cls(**d)
 
 
-def _check_schedule_range(timesteps, beta_start, beta_end):
-    if not (0.0 < beta_start < beta_end < 1.0):
-        raise ValueError(f"need 0 < beta_start < beta_end < 1, got ({beta_start}, {beta_end})")
-    if timesteps < 2:
-        raise ValueError("timesteps must be >= 2")
-
-
 def build_schedule(timesteps: int = DiffusionConfig.timesteps,
                    beta_start: float = DiffusionConfig.beta_start,
                    beta_end: float = DiffusionConfig.beta_end) -> NoiseSchedule:
-    _check_schedule_range(timesteps, beta_start, beta_end)
-    beta = np.linspace(beta_start, beta_end, timesteps, dtype=np.float64)
-    alpha = 1.0 - beta
-    alpha_bar = np.cumprod(alpha)
-    sigma = np.sqrt(beta)
-    return NoiseSchedule(timesteps=timesteps, beta=beta, alpha=alpha,
-                         alpha_bar=alpha_bar, sigma=sigma)
+    """The schedule of ``DiffusionConfig(timesteps, beta_start, beta_end)``, which checks
+    the arguments: a TypeError for a wrong type, a ValueError for a value out of range."""
+    return DiffusionConfig(timesteps, beta_start, beta_end).schedule()
 
 
 def _check_t(t, timesteps: int):

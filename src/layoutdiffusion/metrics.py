@@ -17,6 +17,7 @@ import numpy as np
 
 from .data import Layout, to_corner_form
 from .exceptions import DataError
+from .validation import is_finite_array
 
 SIZE_CLAMP = 1e-6
 _LOG_CLAMP = 1.0 - 1e-9
@@ -397,11 +398,12 @@ class FeatureSet:
     provenance: str = "unknown"
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
+        feats = np.asarray(self.features)
         if feats.ndim != 2:
             raise DataError("features must be [num_layouts, feat_dim]")
-        if not np.all(np.isfinite(feats)):
+        if not is_finite_array(feats):
             raise DataError("features must be finite")
+        feats = np.asarray(feats, dtype=np.float64)
         if feats.shape[0] < feats.shape[1] + 1:
             raise DataError(
                 f"need at least feat_dim+1 = {feats.shape[1] + 1} layouts for a "

@@ -10,12 +10,33 @@ from __future__ import annotations
 import inspect
 from typing import Sequence
 
-from .data import pad_batch
+from .data import Dataset, Layout, pad_batch
 from .denoiser import DenoiserConfig
 from .diffusion import DiffusionConfig, TrainConfig, noise_loss, sample_layouts, train
-from .exceptions import NotFittedError
+from .exceptions import DataError, NotFittedError
 from .rng import RngStream
-from .validation import check_dataset, check_seed
+from .validation import check_seed
+
+
+def check_dataset(data) -> Dataset:
+    """Accept a Dataset or a sequence of layouts; reject anything else."""
+    if isinstance(data, Dataset):
+        if len(data) == 0:
+            raise DataError("dataset is empty")
+        return data
+    if isinstance(data, Sequence) and data and all(isinstance(l, Layout) for l in data):
+        modes = {l.attribute_mode for l in data}
+        if len(modes) != 1:
+            raise DataError("layouts mix categorical and continuous attributes")
+        if modes.pop() == "categorical":
+            num_classes = int(max(max(l.labels) for l in data)) + 1
+            names = tuple(f"class_{k}" for k in range(num_classes))
+            return Dataset(layouts=tuple(data), label_names=names)
+        dims = {int(l.features.shape[1]) for l in data}
+        if len(dims) != 1:
+            raise DataError("layouts have inconsistent feature dims")
+        return Dataset(layouts=tuple(data), feature_dim=dims.pop())
+    raise DataError("expected a Dataset or a non-empty sequence of Layout objects")
 
 
 class LayoutDiffusion:

@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .validation import SEED_END, is_integer
+
 # SplitMix64 constants (Steele, Lea & Flood).
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
 
 ALGORITHM = "splitmix64/box-muller-cos"
-SEED_END = 2**64  # seeds are 64-bit words: [0, SEED_END)
 
 _INV_2POW53 = float(2.0**-53)
 
@@ -40,13 +41,12 @@ class RngStream:
     algorithm = ALGORITHM
 
     def __init__(self, seed: int, counter: int = 0):
-        for key, value in (("seed", seed), ("counter", counter)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        for key, value, end in (("seed", seed, SEED_END), ("counter", counter, 2**63)):
+            if not is_integer(value):
                 raise ValueError(f"rng {key} {value!r} is not an integer")
+            if not is_integer(value, 0, end):
+                raise ValueError(f"rng {key} {int(value)!r} is not in [0, {end})")
         self.seed, self.counter = int(seed), int(counter)
-        for key, value, end in (("seed", self.seed, SEED_END), ("counter", self.counter, 2**63)):
-            if not 0 <= value < end:
-                raise ValueError(f"rng {key} {value!r} is not in [0, {end})")
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, counter={self.counter})"

@@ -1,19 +1,57 @@
-"""Input validation helpers for the estimator and CLI surfaces."""
+"""What counts as an integer or a finite number from outside the package, as a value and as
+an array, and the checks of configs, seeds and sampling conditions built on it.  Each
+caller passes its own range and raises its own errors."""
 from __future__ import annotations
 
+import math
 import typing
-from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, Layout, is_finite_number, require_int
 from .exceptions import DataError
-from .rng import SEED_END
+
+SEED_END = 2**64  # seeds are 64-bit words: [0, SEED_END)
+
+
+def is_integer(value, low=-math.inf, high=math.inf) -> bool:
+    """A Python or numpy integer, never a bool, in ``[low, high)``."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and low <= int(value) < high)
+
+
+def is_finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer literal beyond the float64 range
+        return False
+
+
+def is_integer_array(array: np.ndarray) -> bool:
+    """An array of integer dtype, never bool."""
+    return array.dtype.kind in "iu"
+
+
+def is_finite_array(array: np.ndarray) -> bool:
+    """An array of integer or float dtype (never bool or string) with no NaN or infinity;
+    an object array, as of an integer beyond int64, when each entry is_finite_number."""
+    if array.dtype.kind == "O":
+        return all(map(is_finite_number, array.flat))
+    return array.dtype.kind in "iuf" and bool(np.isfinite(array).all())
+
+
+def require_int(value, where: str) -> int:
+    """``value`` as an int; a bool, a float or a string raises :class:`DataError`."""
+    if not is_integer(value):
+        raise DataError(f"{where}: expected an integer, got {value!r}")
+    return int(value)
+
 
 def _holds(kind, value, bounded=True) -> bool:
     if kind is int:
-        return (isinstance(value, int) and not isinstance(value, bool)
-                and (not bounded or -2**63 <= value < 2**63))
+        end = 2**63 if bounded else math.inf
+        return is_integer(value, -end, end)
     if kind is float:
         return is_finite_number(value)
     return isinstance(value, kind)
@@ -50,27 +88,6 @@ def check_seed(value, name: str = "seed") -> int:
     return seed
 
 
-def check_dataset(data) -> Dataset:
-    """Accept a Dataset or a sequence of layouts; reject anything else."""
-    if isinstance(data, Dataset):
-        if len(data) == 0:
-            raise DataError("dataset is empty")
-        return data
-    if isinstance(data, Sequence) and data and all(isinstance(l, Layout) for l in data):
-        modes = {l.attribute_mode for l in data}
-        if len(modes) != 1:
-            raise DataError("layouts mix categorical and continuous attributes")
-        if modes.pop() == "categorical":
-            num_classes = int(max(max(l.labels) for l in data)) + 1
-            names = tuple(f"class_{k}" for k in range(num_classes))
-            return Dataset(layouts=tuple(data), label_names=names)
-        dims = {int(l.features.shape[1]) for l in data}
-        if len(dims) != 1:
-            raise DataError("layouts have inconsistent feature dims")
-        return Dataset(layouts=tuple(data), feature_dim=dims.pop())
-    raise DataError("expected a Dataset or a non-empty sequence of Layout objects")
-
-
 def check_label_conditions(conditions, num_classes: int) -> list:
     """Validate a list of label-id lists used as sampling conditions."""
     out = []
@@ -89,11 +106,14 @@ def check_label_conditions(conditions, num_classes: int) -> list:
 
 
 def check_feature_conditions(conditions, feature_dim: int) -> list:
-    """Validate a list of [n, feature_dim] feature arrays used as sampling conditions."""
-    out = [np.asarray(c, dtype=np.float64) for c in conditions]
+    """Validate a list of [n, feature_dim] arrays of finite numbers used as sampling
+    conditions; returns them as float64 arrays."""
+    out = [np.asarray(c) for c in conditions]
     for i, feats in enumerate(out):
         if feats.ndim != 2 or feats.shape[1] != feature_dim:
             raise DataError(f"condition {i}: expected [n, {feature_dim}] features")
         if feats.shape[0] == 0:
             raise DataError(f"condition {i} has no elements")
-    return out
+        if not is_finite_array(feats):
+            raise DataError(f"condition {i}: features must be finite numbers")
+    return [np.asarray(feats, dtype=np.float64) for feats in out]

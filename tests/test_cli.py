@@ -738,6 +738,17 @@ REFUSED_COMMANDS = [
      ["eval", "--generated", "{categorical}", "--reference", "{categorical}",
       "--frechet", "files", "--features-generated", "{categorical}",
       "--features-reference", "{categorical}"], "must contain a 'features' matrix"),
+    ("eval with a feature file of numeric strings",
+     ["eval", "--generated", "{categorical}", "--reference", "{categorical}",
+      "--frechet", "files", "--features-generated", "{string_features}",
+      "--features-reference", "{string_features}"], "string_features.json: features must be"),
+    ("eval with a feature file of bools",
+     ["eval", "--generated", "{categorical}", "--reference", "{categorical}",
+      "--frechet", "files", "--features-generated", "{bool_features}",
+      "--features-reference", "{bool_features}"], "bool_features.json: features must be"),
+    ("synth of more elements than a dataset file may hold",
+     ["synth", "--classes", "2", "--min-elements", "37", "--max-elements", "40", "--seed", "1"],
+     "need integers 1 <= min <= max <= 36"),
 ]
 
 
@@ -747,10 +758,14 @@ def test_a_refused_command_exits_3_naming_the_problem_without_output(tmp_path, c
                                                                      message):
     paths = {"categorical": synth(tmp_path), "missing": tmp_path / "missing",
              "continuous": features_file(tmp_path, "features.json", 2), "out": tmp_path / "out"}
+    for name, value in (("string_features", "1"), ("bool_features", True)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({"features": [[value, value]] * 4}))
     for mode in ("categorical", "continuous"):
         if f"{{{mode}_ckpt}}" in argv:
             paths[f"{mode}_ckpt"] = train(tmp_path, paths[mode], steps=1, name=f"{mode}.ckpt")
-    outputs = {"sample": ["--seed", "1", "-o", "{out}"], "eval": ["-o", "{out}"], "train": []}
+    outputs = {"sample": ["--seed", "1", "-o", "{out}"], "eval": ["-o", "{out}"], "train": [],
+               "synth": ["-o", "{out}"]}
     before = sorted(tmp_path.rglob("*"))
     argv = [arg.format(**paths) for arg in argv + outputs[argv[0]]]
     assert run(argv) == 3

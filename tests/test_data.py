@@ -127,6 +127,14 @@ MALFORMED_ARRAYS = {
     "features 1-d": dict(geometry=np.zeros((2, 4)), features=np.ones(2)),
     "features NaN": dict(geometry=np.zeros((1, 4)), features=[[0.5, np.nan]]),
     "one feature row for two rows": dict(geometry=np.zeros((2, 4)), features=np.ones((1, 2))),
+    "geometry strings": dict(geometry=[["0.1", "0.2", "0.3", "0.4"]], labels=[0]),
+    "geometry bools": dict(geometry=[[True, False, True, True]], labels=[0]),
+    "labels beyond int64": dict(geometry=np.zeros((1, 4)), labels=[2**63]),
+    "labels uint64 beyond int64": dict(geometry=np.zeros((1, 4)),
+                                       labels=np.array([2**64 - 1], dtype=np.uint64)),
+    "features strings": dict(geometry=np.zeros((1, 4)), features=[["1", "2"]]),
+    "features bools": dict(geometry=np.zeros((1, 4)), features=[[True, False]]),
+    "features integer beyond float64": dict(geometry=np.zeros((1, 4)), features=[[10**400]]),
 }
 
 
@@ -525,6 +533,19 @@ def test_synth_spec_validation():
         SynthSpec(num_layouts=10, num_classes=2, elements_per_layout_range=(5, 2))
     with pytest.raises(DataError):
         SynthSpec(num_layouts=10, num_classes=2, rule="spiral")
+    # Integers only, and no more elements than a dataset file may hold.
+    with pytest.raises(DataError, match="num_layouts"):
+        SynthSpec(num_layouts=True, num_classes=2)
+    with pytest.raises(DataError, match="num_classes"):
+        SynthSpec(num_layouts=10, num_classes=2.5)
+    with pytest.raises(DataError, match="<= 36"):
+        SynthSpec(num_layouts=10, num_classes=2, elements_per_layout_range=(37, 40))
+    with pytest.raises(DataError, match="<= 36"):
+        SynthSpec(num_layouts=10, num_classes=2, elements_per_layout_range=(2, 37))
+    with pytest.raises(DataError, match="integers"):
+        SynthSpec(num_layouts=10, num_classes=2, elements_per_layout_range=(2.0, 4))
+    spec = SynthSpec(num_layouts=2, num_classes=2, elements_per_layout_range=(36, 36))
+    assert {len(layout) for layout in make_synthetic_dataset(spec, 0).layouts} == {36}
 
 
 # -- batching -------------------------------------------------------------------

@@ -111,6 +111,13 @@ def test_float32_fit_on_continuous_layouts_keeps_float32_parameters():
         assert {arr.dtype for arr in arrays.values()} == {np.dtype(np.float32)}
 
 
+@pytest.mark.parametrize("value", ["1", True, np.nan, np.inf])
+def test_feature_conditions_must_be_finite_numbers(value):
+    model = desk_model(max_steps=1).fit(continuous_layouts([3, 3, 3]))
+    with pytest.raises(DataError, match="condition 0: features must be finite numbers"):
+        model.sample([[[value] * 3]], seed=1)
+
+
 def test_fit_rejects_garbage():
     with pytest.raises(DataError):
         desk_model().fit([1, 2, 3])
