@@ -53,6 +53,13 @@ def _signed_header(header: dict) -> bytes:
                       sort_keys=True).encode("utf-8")
 
 
+def _object_text(fields: dict) -> bytes:
+    """``json.dumps(header, sort_keys=True)``, encoded, for the header whose values
+    ``fields`` holds as JSON text."""
+    items = (f"{json.dumps(key)}: {fields[key]}" for key in sorted(fields))
+    return ("{" + ", ".join(items) + "}").encode("utf-8")
+
+
 def _manifest_entry(entry, path) -> tuple:
     """``(name, shape, offset)`` of one manifest entry, with their types checked."""
     if not isinstance(entry, dict):
@@ -102,13 +109,15 @@ def save_checkpoint(path, params: ParameterStore, adam_state: AdamState,
         "rng": rng_states,
         "optimizer": {"lr": adam_state.lr, "step": adam_state.step},
         "train_step": step,
-        "losses": list(losses),
     }
-    # Sign the header as a load reads it back: integer keys become strings.
-    header = json.loads(json.dumps(header))
-    header["sha256"] = _sha256([_signed_header(header), *blobs])
+    # Sign the header as a load reads it back: integer keys become strings.  The losses,
+    # a list of numbers, read back as they are written, so they are serialized once.
+    fields = {key: json.dumps(value, sort_keys=True)
+              for key, value in json.loads(json.dumps(header)).items()}
+    fields["losses"] = json.dumps(list(losses))
+    fields["sha256"] = json.dumps(_sha256([_object_text(fields), *blobs]))
     with atomic_path(path) as tmp_path, open(tmp_path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
+        fh.write(_object_text(fields))
         fh.write(b"\n")
         for blob in blobs:
             fh.write(blob)

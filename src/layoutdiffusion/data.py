@@ -111,9 +111,10 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "layouts", tuple(self.layouts))
-        object.__setattr__(self, "canvas", (float(self.canvas[0]), float(self.canvas[1])))
-        if self.canvas[0] <= 0 or self.canvas[1] <= 0:
-            raise DataError("canvas dimensions must be positive")
+        canvas = [v.item() if isinstance(v, np.generic) else v for v in self.canvas]
+        if len(canvas) != 2 or not all(is_finite_number(v) and v > 0 for v in canvas):
+            raise DataError(f"canvas must be two positive finite numbers, got {self.canvas!r}")
+        object.__setattr__(self, "canvas", (float(canvas[0]), float(canvas[1])))
         if (self.label_names is None) == (self.feature_dim is None):
             raise DataError("dataset needs exactly one of label_names or feature_dim")
         if self.label_names is not None:

@@ -15,9 +15,8 @@ import numpy as np
 
 from .exceptions import DataError
 from .rng import RngStream
-from .tensor import (ParameterStore, Tensor, as_tensor, concat, embedding, gelu,
-                     layer_norm, masked_softmax, matmul, put_rows, relu, reshape,
-                     take_rows, transpose)
+from .tensor import (ParameterStore, Tensor, as_tensor, attention, concat, embedding,
+                     gelu, layer_norm, matmul, put_rows, relu, reshape, take_rows)
 from .validation import check_field_types
 
 
@@ -48,10 +47,6 @@ class DenoiserConfig:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.ffn_dim is None:
             object.__setattr__(self, "ffn_dim", 4 * self.d_model)
-
-    @property
-    def head_dim(self) -> int:
-        return self.d_model // self.num_heads
 
     to_dict = asdict
 
@@ -136,7 +131,7 @@ def init_denoiser_params(config: DenoiserConfig, stream: RngStream,
 
 
 def _affine(x: Tensor, params: ParameterStore, prefix: str) -> Tensor:
-    return matmul(x, params[f"{prefix}.weight"]) + params[f"{prefix}.bias"]
+    return matmul(x, params[f"{prefix}.weight"], params[f"{prefix}.bias"])
 
 
 def embed_geometry(geometry, params: ParameterStore) -> Tensor:
@@ -184,28 +179,16 @@ def transformer_layer(tokens: Tensor, mask, params: ParameterStore, layer_index:
     """Post-norm block: self-attention + residual + LN, then FFN + residual + LN.
 
     ``tokens`` [T, d] are the valid slots of the [B, N] ``mask`` in
-    row-major order.  Only the attention product runs on the padded
-    [B, N] layout, where masked slots are excluded as keys; every other op
-    sees valid tokens alone.
+    row-major order.  Self-attention is one tape op (:func:`attention`),
+    the only one that runs on the padded [B, N] layout, where masked slots
+    are excluded as keys; every other op sees valid tokens alone.
     """
     p = f"layers.{layer_index:02d}"
-    mask = np.asarray(mask, dtype=bool)
-    b, n = mask.shape
-    index = np.flatnonzero(mask)
-    d = tokens.data.shape[-1]
-    heads, hd = config.num_heads, config.head_dim
-
-    def split_heads(x):
-        return transpose(reshape(put_rows(x, index, b * n), (b, n, heads, hd)), (0, 2, 1, 3))
-
-    q = split_heads(_affine(tokens, params, f"{p}.attn.wq"))
-    k = split_heads(_affine(tokens, params, f"{p}.attn.wk"))
-    v = split_heads(_affine(tokens, params, f"{p}.attn.wv"))
-
-    logits = matmul(q, transpose(k, (0, 1, 3, 2))) * float(1.0 / np.sqrt(hd))
-    weights = masked_softmax(logits, mask[:, None, None, :])
-    context = reshape(transpose(matmul(weights, v), (0, 2, 1, 3)), (b * n, d))
-    attended = _affine(take_rows(context, index), params, f"{p}.attn.wo")
+    q = _affine(tokens, params, f"{p}.attn.wq")
+    k = _affine(tokens, params, f"{p}.attn.wk")
+    v = _affine(tokens, params, f"{p}.attn.wv")
+    context = attention(q, k, v, mask, config.num_heads)
+    attended = _affine(context, params, f"{p}.attn.wo")
 
     normed = layer_norm(tokens + attended, params[f"{p}.ln1.scale"], params[f"{p}.ln1.shift"])
 

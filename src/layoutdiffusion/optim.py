@@ -38,10 +38,22 @@ def adam_step(params: ParameterStore, grads: dict, state: AdamState):
         g = np.asarray(grads[name])
         if g.shape != p.data.shape:
             raise NumericError(f"gradient shape {g.shape} != parameter shape {p.data.shape} for {name!r}")
-        m = BETA1 * state.m[name] + (1.0 - BETA1) * g
-        v = BETA2 * state.v[name] + (1.0 - BETA2) * (g * g)
-        update = state.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
-        new_arrays[name] = p.data - update
+        # m = B1 m + (1 - B1) g, v = B2 v + (1 - B2) g^2, p - lr (m / c1) / (sqrt(v / c2) + EPS),
+        # in that op order.  Only fresh arrays are written: a gradient or an old moment may
+        # share memory with another array.
+        m = BETA1 * state.m[name]
+        m += (1.0 - BETA1) * g
+        g2 = g * g
+        g2 *= 1.0 - BETA2
+        v = BETA2 * state.v[name]
+        v += g2
+        denom = v / c2
+        np.sqrt(denom, out=denom)
+        denom += EPS
+        update = m / c1
+        update *= state.lr
+        update /= denom
+        new_arrays[name] = np.subtract(p.data, update, out=update)
         new_m[name] = m
         new_v[name] = v
     new_state = AdamState(lr=state.lr, step=t, m=new_m, v=new_v)

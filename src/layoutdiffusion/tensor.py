@@ -1,10 +1,13 @@
 """Dense tensors with reverse-mode gradients for the denoiser graph.
 
 This is a deliberately small tape: it covers exactly the operations the
-denoiser and its loss need (affine maps, concatenation, row gather and
-scatter between packed and padded tokens, residual adds, layer
-normalization, masked softmax attention, GELU/ReLU feedforward,
-squared-error reduction).  It is not a general autodiff system.
+denoiser and its loss need (affine maps as one ``matmul`` node with its
+bias, concatenation, row gather and scatter between packed and padded
+tokens, residual adds, layer normalization, multi-head self-attention as
+one ``attention`` node, GELU/ReLU feedforward, squared-error reduction).
+``masked_softmax`` and ``transpose`` remain as the parts that
+``attention`` fuses, to check it against.  It is not a general autodiff
+system.
 
 Data is never mutated in place; every operation returns a new tensor.
 Gradients accumulate on leaves after calling :func:`backward` on a scalar.
@@ -164,12 +167,20 @@ def mul(a, b) -> Tensor:
     return _result(out_data, (a, b), bwd)
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product with leading batch dimensions on either operand."""
+def matmul(a, b, bias=None) -> Tensor:
+    """Matrix product with leading batch dimensions on either operand, plus an optional
+    ``bias`` broadcast over the product: an affine map as one tape node."""
     a, b = as_tensor(a), as_tensor(b)
     out_data = a.data @ b.data
+    parents = (a, b)
+    if bias is not None:
+        bias = as_tensor(bias)
+        out_data += bias.data  # the fresh product, so no other tensor sees the write
+        parents = (a, b, bias)
 
     def bwd(g):
+        if bias is not None and bias.requires_grad:
+            _accumulate(bias, _unbroadcast(g, bias.data.shape))
         if a.requires_grad:
             ga = g @ np.swapaxes(b.data, -1, -2)
             _accumulate(a, _unbroadcast(ga, a.data.shape))
@@ -177,7 +188,7 @@ def matmul(a, b) -> Tensor:
             gb = np.swapaxes(a.data, -1, -2) @ g
             _accumulate(b, _unbroadcast(gb, b.data.shape))
 
-    return _result(out_data, (a, b), bwd)
+    return _result(out_data, parents, bwd)
 
 
 def reshape(a, shape) -> Tensor:
@@ -341,6 +352,23 @@ def layer_norm(a, scale, shift, eps=1e-12) -> Tensor:
     return _result(out_data, (a, scale, shift), bwd)
 
 
+def _softmax(logits: np.ndarray, key_mask) -> np.ndarray:
+    """Masked softmax over the last axis, computed in one fresh array."""
+    key_mask = np.broadcast_to(np.asarray(key_mask, dtype=bool), logits.shape)
+    p = np.where(key_mask, logits, -np.inf)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
+def _softmax_grad(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The logits' gradient, given the output's gradient ``g`` and the softmax ``p``."""
+    out = g - (g * p).sum(axis=-1, keepdims=True)
+    out *= p
+    return out
+
+
 def masked_softmax(logits, key_mask) -> Tensor:
     """Softmax over the last axis with masked keys excluded.
 
@@ -349,18 +377,60 @@ def masked_softmax(logits, key_mask) -> Tensor:
     exactly zero.  Every row must keep at least one valid key.
     """
     logits = as_tensor(logits)
-    key_mask = np.broadcast_to(np.asarray(key_mask, dtype=bool), logits.data.shape)
-    z = np.where(key_mask, logits.data, -np.inf)
-    z = z - z.max(axis=-1, keepdims=True)
-    p = np.exp(z)
-    p = p / p.sum(axis=-1, keepdims=True)
+    p = _softmax(logits.data, key_mask)
 
     def bwd(g):
         if logits.requires_grad:
-            dot = (g * p).sum(axis=-1, keepdims=True)
-            _accumulate(logits, (g - dot) * p)
+            _accumulate(logits, _softmax_grad(g, p))
 
     return _result(p, (logits,), bwd)
+
+
+def attention(q, k, v, mask, heads: int) -> Tensor:
+    """Multi-head self-attention over packed tokens, as one tape node.
+
+    ``q``, ``k`` and ``v`` are [T, d]: the valid slots of the [B, N] boolean
+    ``mask`` in row-major order.  Each is scattered into a zero-padded
+    head-major [B, H, N, d / H] array; every query attends to the valid keys
+    of its own row through ``masked_softmax``'s arithmetic, and the context
+    comes back as [T, d].  Backward keeps only the three padded arrays and
+    the attention weights, and rebuilds the rest; every row of ``mask``
+    needs at least one valid slot.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    mask = np.asarray(mask, dtype=bool)
+    rows, slots = np.nonzero(mask)
+    b, n = mask.shape
+    t, d = q.data.shape
+    hd = d // heads
+
+    def pad(x):
+        out = np.zeros((b, heads, n, hd), dtype=x.dtype)
+        out[rows, :, slots] = x.reshape(t, heads, hd)
+        return out
+
+    def unpad(x):
+        return x[rows, :, slots].reshape(t, d)
+
+    qp, kp, vp = pad(q.data), pad(k.data), pad(v.data)
+    scale = float(1.0 / np.sqrt(hd))  # a Python float keeps a float32 graph in float32
+    logits = qp @ np.swapaxes(kp, -1, -2)
+    logits *= scale
+    p = _softmax(logits, mask[:, None, None, :])
+    out_data = unpad(p @ vp)
+
+    def bwd(g):
+        gc = pad(g)
+        gl = _softmax_grad(gc @ np.swapaxes(vp, -1, -2), p)
+        gl *= scale
+        if q.requires_grad:
+            _accumulate(q, unpad(gl @ kp))
+        if k.requires_grad:
+            _accumulate(k, unpad(np.swapaxes(np.swapaxes(qp, -1, -2) @ gl, -1, -2)))
+        if v.requires_grad:
+            _accumulate(v, unpad(np.swapaxes(p, -1, -2) @ gc))
+
+    return _result(out_data, (q, k, v), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,22 @@ def test_save_load_save_produces_identical_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_header_line_is_the_sorted_json_of_the_header_a_load_reads(tmp_path):
+    _, params, adam = make_state()
+    path = tmp_path / "model.ckpt"
+    echo = {"b": {10: "ten", 9: [1.5, None, True]}, "a": "\u00e9", "c": (1, 2)}
+    losses = [0.1 + 0.2, np.float64(1 / 3), 2, 1e-300]
+    save_checkpoint(path, params, adam, echo, {"train": RngStream(2).state()}, step=4,
+                    losses=losses)
+    _, _, header = load_checkpoint(path)
+    with open(path, "rb") as fh:
+        line = fh.readline()
+    assert line == json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+    assert header["config"] == {"a": "\u00e9", "b": {"10": "ten", "9": [1.5, None, True]},
+                                "c": [1, 2]}
+    assert header["losses"] == [0.1 + 0.2, 1 / 3, 2, 1e-300]
+
+
 def test_float32_round_trip(tmp_path):
     config, params, adam = make_state(dtype=np.float32)
     path = tmp_path / "f32.ckpt"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layoutdiffusion.data import (Layout, SynthSpec, batch_to_layouts,
+from layoutdiffusion.data import (Dataset, Layout, SynthSpec, batch_to_layouts,
                                   dataset_to_dict, denormalize_layout, grid_rule_box,
                                   load_dataset, make_synthetic_dataset,
                                   normalize_layout, pad_batch, pad_conditions,
@@ -161,6 +161,21 @@ def test_layout_equals_only_itself_and_is_hashable():
     assert a != b
     assert len({a, b}) == 2
     assert len({a, a}) == 1
+
+
+@pytest.mark.parametrize("canvas", [(float("nan"), 100), (float("inf"), 1), (100, -float("inf")),
+                                    ("100", 50), (True, 50), (50, np.bool_(True)), (0, 50),
+                                    (100, -1.0), (10**400, 50), (100,), (100, 50, 50)])
+def test_dataset_refuses_a_canvas_that_is_not_two_positive_finite_numbers(canvas):
+    with pytest.raises(DataError, match="canvas"):
+        Dataset(layouts=(), canvas=canvas, label_names=("a",))
+
+
+def test_dataset_accepts_python_and_numpy_real_canvas_sizes():
+    for canvas in [(100, 50), (0.5, 2.0), (np.float32(10), np.int64(20)), np.array([3.0, 4.0])]:
+        dataset = Dataset(layouts=(), canvas=canvas, label_names=("a",))
+        assert dataset.canvas == tuple(float(v) for v in canvas)
+        assert all(type(v) is float for v in dataset.canvas)
 
 
 def test_elements_view_yields_each_row():

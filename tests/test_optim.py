@@ -65,6 +65,34 @@ def test_state_is_functional():
     np.testing.assert_array_equal(state.m["w"], np.zeros(1))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_update_matches_three_line_formula_bit_for_bit(dtype):
+    from layoutdiffusion.optim import BETA1, BETA2
+
+    rng = np.random.default_rng(11)
+    shapes = {"a": (3, 5), "b": (7,)}
+    store = ParameterStore({k: Tensor(rng.normal(size=s).astype(dtype), requires_grad=True)
+                            for k, s in shapes.items()})
+    state = AdamState.initialize(store, lr=0.003)
+    ref_p = store.arrays()
+    ref_m = {k: np.zeros(s, dtype) for k, s in shapes.items()}
+    ref_v = {k: np.zeros(s, dtype) for k, s in shapes.items()}
+    for t in range(1, 6):
+        grads = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+        kept = {k: g.copy() for k, g in grads.items()}
+        store, state = adam_step(store, grads, state)
+        c1, c2 = 1.0 - BETA1**t, 1.0 - BETA2**t
+        for k, g in kept.items():
+            ref_m[k] = BETA1 * ref_m[k] + (1.0 - BETA1) * g
+            ref_v[k] = BETA2 * ref_v[k] + (1.0 - BETA2) * (g * g)
+            ref_p[k] = ref_p[k] - 0.003 * (ref_m[k] / c1) / (np.sqrt(ref_v[k] / c2) + EPS)
+            for got, want in ((store[k].data, ref_p[k]), (state.m[k], ref_m[k]),
+                              (state.v[k], ref_v[k])):
+                assert got.dtype == want.dtype == dtype
+                assert got.tobytes() == want.tobytes()
+            np.testing.assert_array_equal(grads[k], g)  # the gradient is not written into
+
+
 def test_finite_difference_on_square():
     store = make_store(x=[3.0])
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from layoutdiffusion.exceptions import NumericError
-from layoutdiffusion.tensor import (ParameterStore, Tensor, backward, collect_grads,
-                                    concat, embedding, gelu, layer_norm,
+from layoutdiffusion.tensor import (ParameterStore, Tensor, attention, backward,
+                                    collect_grads, concat, embedding, gelu, layer_norm,
                                     masked_softmax, matmul, mul, put_rows, relu,
                                     reshape, take_rows, transpose, tsum)
 
@@ -73,11 +73,20 @@ def test_matmul_grads_2d_3d_4d():
     check_op(lambda t: matmul(Tensor(a3), t), (4, 5))
     check_op(lambda t: matmul(Tensor(a4), t), (2, 2, 4, 3))
     check_op(lambda t: matmul(t, Tensor(b4)), (2, 2, 3, 4))
+    bias = RNG.normal(size=5)
+    check_op(lambda t: matmul(t, Tensor(w), Tensor(bias)), (2, 3, 4))
+    check_op(lambda t: matmul(Tensor(a3), t, Tensor(bias)), (4, 5))
+    check_op(lambda t: matmul(Tensor(a3), Tensor(w), t), (5,))
+    check_op(lambda t: matmul(Tensor(a3), Tensor(w), t), (3, 5))  # broadcast over the batch
+    np.testing.assert_array_equal(matmul(Tensor(a3), Tensor(w), Tensor(bias)).data,
+                                  (matmul(Tensor(a3), Tensor(w)) + Tensor(bias)).data)
 
 
 def test_matmul_grads_batched_by_2d_weight_both_tracked():
     for a_shape in [(2, 3, 4), (2, 2, 3, 4)]:
         check_grads(matmul, [RNG.normal(size=a_shape), RNG.normal(size=(4, 5))])
+        check_grads(matmul, [RNG.normal(size=a_shape), RNG.normal(size=(4, 5)),
+                             RNG.normal(size=5)])
 
 
 def test_reshape_transpose_concat_grad():
@@ -143,6 +152,55 @@ def test_masked_softmax_grad_and_zeros():
     p = masked_softmax(Tensor(RNG.normal(size=(3, 4))), mask).data
     assert np.all(p[:, 2] == 0.0)
     np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
+
+
+ATTN_MASK = np.array([[True, True, False, True, True],  # padded slot inside the row
+                      [False, False, True, False, False],  # one valid key
+                      [True, True, True, False, False]])
+ATTN_HEADS = 2
+
+
+def attention_inputs(dtype=np.float64):
+    tokens = int(ATTN_MASK.sum())
+    return [RNG.normal(size=(tokens, 6)).astype(dtype) for _ in range(3)]
+
+
+def composite_attention(q, k, v, mask, heads):
+    """The attention chain of separate tape ops that ``attention`` runs as one node."""
+    b, n = mask.shape
+    d = q.data.shape[-1]
+    hd = d // heads
+    index = np.flatnonzero(mask)
+
+    def split_heads(x):
+        return transpose(reshape(put_rows(x, index, b * n), (b, n, heads, hd)), (0, 2, 1, 3))
+
+    q, k, v = split_heads(q), split_heads(k), split_heads(v)
+    logits = matmul(q, transpose(k, (0, 1, 3, 2))) * float(1.0 / np.sqrt(hd))
+    weights = masked_softmax(logits, mask[:, None, None, :])
+    context = reshape(transpose(matmul(weights, v), (0, 2, 1, 3)), (b * n, d))
+    return take_rows(context, index)
+
+
+def test_attention_grads():
+    check_grads(lambda q, k, v: attention(q, k, v, ATTN_MASK, ATTN_HEADS), attention_inputs(),
+                atol=1e-6)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_attention_equals_composite_chain_bit_for_bit(dtype):
+    inputs = attention_inputs(dtype)
+    proj = RNG.normal(size=inputs[0].shape).astype(dtype)
+    results = []
+    for build in (attention, composite_attention):
+        leaves = [Tensor(x.copy(), requires_grad=True) for x in inputs]
+        out = build(*leaves, ATTN_MASK, ATTN_HEADS)
+        backward(tsum(mul(out, Tensor(proj))))
+        results.append([out.data] + [leaf.grad for leaf in leaves])
+    for fused, chain in zip(*results):
+        assert fused.dtype == chain.dtype == dtype
+        assert np.array_equal(fused, chain)
+
 
 
 def test_grad_of_sum_is_ones():
