@@ -47,12 +47,6 @@ def _sha256(blobs) -> str:
     return digest.hexdigest()
 
 
-def _signed_header(header: dict) -> bytes:
-    """The header as its digest covers it: sorted keys, without the digest."""
-    return json.dumps({k: v for k, v in header.items() if k != "sha256"},
-                      sort_keys=True).encode("utf-8")
-
-
 def _object_text(fields: dict) -> bytes:
     """``json.dumps(header, sort_keys=True)``, encoded, for the header whose values
     ``fields`` holds as JSON text."""
@@ -174,7 +168,9 @@ def load_checkpoint(path):
     if offset != len(blob):
         raise DataError(f"checkpoint {path}: {len(blob) - offset} bytes after the last array")
     digest = header.get("sha256")
-    signed = [blob] if version == 1 else [_signed_header(header), blob]
+    fields = {key: json.dumps(value, sort_keys=True)
+              for key, value in header.items() if key != "sha256"}
+    signed = [blob] if version == 1 else [_object_text(fields), blob]
     if (digest is not None or version != 1) and _sha256(signed) != digest:
         raise DataError(f"checkpoint {path}: SHA-256 missing, or header or binary section "
                         f"does not match it")

@@ -127,12 +127,9 @@ def cmd_synth(args) -> int:
             "elements_per_layout_range": [args.min_elements, args.max_elements],
             "version": __version__}
     save_dataset(dataset, args.output, meta=meta)
-    histogram = np.zeros(args.classes, dtype=np.int64)
-    total = 0
-    for layout in dataset.layouts:
-        histogram += np.bincount(layout.labels, minlength=args.classes)
-        total += len(layout)
-    print(f"wrote {len(dataset)} layouts ({total} elements) to {args.output}")
+    labels = np.concatenate([layout.labels for layout in dataset.layouts])
+    histogram = np.bincount(labels, minlength=args.classes)
+    print(f"wrote {len(dataset)} layouts ({len(labels)} elements) to {args.output}")
     for k, name in enumerate(dataset.label_names):
         print(f"  {name}: {histogram[k]}")
     return EXIT_OK
@@ -379,6 +376,14 @@ def cmd_render(args) -> int:
                                             canvas=dataset.canvas, label_names=names))
         print(f"wrote {args.output}")
         return EXIT_OK
+    # Each id names one file inside the output directory: refused are the ids that are
+    # taken already (an earlier layout's, or one that is no file name) and paths.
+    taken, separators = {"", ".", ".."}, {"/", "\0", os.sep, os.altsep} - {None}
+    for layout in dataset.layouts:
+        if layout.id in taken or any(separator in layout.id for separator in separators):
+            raise DataError(f"layout {layout.id!r}: its id is empty, '.', '..', a repeat or "
+                            f"holds a path separator, so it cannot name a file in {args.output}")
+        taken.add(layout.id)
     os.makedirs(args.output, exist_ok=True)
     for layout in dataset.layouts:
         _write_text(os.path.join(args.output, f"{layout.id}.svg"),

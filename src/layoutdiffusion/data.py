@@ -390,30 +390,51 @@ def load_dataset(path, strict_geometry: bool = True) -> Dataset:
                    label_names=label_names, feature_dim=feature_dim)
 
 
+def _attribute_column(dataset: Dataset, bounds: list) -> np.ndarray:
+    """The labels or features of all of ``dataset``'s layouts, as one array in layout order.
+
+    A layout that a load of the saved file would refuse (one of the other attribute
+    mode, with a label outside the vocabulary, or with features of a width other than
+    ``feature_dim``) is a :class:`DataError` naming the first such layout.
+    """
+    categorical = dataset.mode == "categorical"
+    name, width = ("labels", ()) if categorical else ("features", (dataset.feature_dim,))
+    columns = [getattr(layout, name) for layout in dataset.layouts]
+    fault = next((i for i, column in enumerate(columns)
+                  if column is None or column.shape[1:] != width), len(columns))
+    column = np.concatenate(columns[:fault] or [np.empty((0,) + width)])
+    outside = np.flatnonzero(column >= dataset.num_classes) if categorical else ()
+    if len(outside):
+        fault = np.searchsorted(bounds, outside[0], side="right") - 1
+    if fault < len(columns):
+        need = (f"label ids below {dataset.num_classes}" if categorical
+                else f"features of width {dataset.feature_dim}")
+        raise DataError(f"cannot save layout {dataset.layouts[fault].id!r}: the dataset "
+                        f"needs {need}")
+    return column
+
+
 def dataset_to_dict(dataset: Dataset, meta: Optional[dict] = None, include_clamped=False) -> dict:
-    """Dataset as a schema dict with bbox back in canvas units."""
+    """Dataset as a schema dict with bbox back in canvas units, built in array passes over
+    all of its elements.  A layout that the dataset's attribute head cannot hold is a
+    :class:`DataError`."""
     doc = {"canvas": {"width": dataset.canvas[0], "height": dataset.canvas[1]}}
     if dataset.mode == "categorical":
         doc["labels"] = list(dataset.label_names)
     else:
         doc["feature_dim"] = dataset.feature_dim
+    layouts = dataset.layouts
+    bounds = list(accumulate(map(len, layouts), initial=0))
+    attributes = _attribute_column(dataset, bounds)
+    geometry = np.concatenate([layout.geometry for layout in layouts] or [np.empty((0, 4))])
     ranges = _canvas_ranges(dataset.canvas)
-    entries = []
-    for layout in dataset.layouts:
-        bboxes = denormalize_layout(layout, dataset.canvas).geometry.tolist()
-        if include_clamped:
-            clamped = ((np.clip(layout.geometry, -1.0, 1.0) + 1.0) * ranges / 2.0).tolist()
-        attribute_key, attributes = (("label", layout.labels) if layout.labels is not None
-                                     else ("feature", layout.features))
-        elements = []
-        for row, attribute in enumerate(attributes.tolist()):
-            entry = {"bbox": bboxes[row]}
-            if include_clamped:
-                entry["bbox_clamped"] = clamped[row]
-            entry[attribute_key] = attribute
-            elements.append(entry)
-        entries.append({"id": layout.id, "elements": elements})
-    doc["layouts"] = entries
+    fields = {"bbox": ((geometry + 1.0) * ranges / 2.0).tolist()}
+    if include_clamped:
+        fields["bbox_clamped"] = ((np.clip(geometry, -1.0, 1.0) + 1.0) * ranges / 2.0).tolist()
+    fields["label" if dataset.mode == "categorical" else "feature"] = attributes.tolist()
+    elements = [dict(zip(fields, row)) for row in zip(*fields.values())]
+    doc["layouts"] = [{"id": layout.id, "elements": elements[start:stop]}
+                      for layout, start, stop in zip(layouts, bounds, bounds[1:])]
     if meta is not None:
         doc["meta"] = meta
     return doc
@@ -421,16 +442,28 @@ def dataset_to_dict(dataset: Dataset, meta: Optional[dict] = None, include_clamp
 
 @contextlib.contextmanager
 def atomic_path(path):
-    """A temporary path next to ``path`` to write instead; it is moved onto
-    ``path`` when the block ends without an exception, so a failed write
-    leaves the previous file intact, and removed otherwise."""
-    tmp_path = os.fspath(path) + ".tmp"
+    """A new temporary path next to ``path`` to write instead.  When the block ends
+    without an exception, the file is flushed to disk and moved onto ``path``, and the
+    move is flushed too; otherwise it is removed.  So a failed write leaves the previous
+    file intact, and each writer, even of the same path, has a file of its own."""
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp_path = os.path.join(directory, f"{name}.{os.urandom(8).hex()}.tmp")
+    # Mode 0o666 as open() uses, so the umask sets a new file's mode as it would there.
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         yield tmp_path
+        os.fsync(fd)
         os.replace(tmp_path, path)
+    except BaseException:
+        os.remove(tmp_path)
+        raise
     finally:
-        if os.path.exists(tmp_path):
-            os.remove(tmp_path)
+        os.close(fd)
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def save_dataset(dataset: Dataset, path, meta: Optional[dict] = None, include_clamped=False):
@@ -463,8 +496,8 @@ class SynthSpec:
             raise DataError(f"unknown synthesis rule {self.rule!r}")
 
 
-def grid_rule_box(label: int, num_classes: int) -> np.ndarray:
-    """The fixed normalized box assigned to a class by the grid rule.
+def grid_rule_box(label, num_classes: int) -> np.ndarray:
+    """The fixed normalized box, ``[..., 4]``, that the grid rule assigns to each label.
 
     Classes tile a near-square grid; each box fills 70% of its cell.  The
     map depends on the label only, so layout geometry under this rule is a
@@ -472,13 +505,13 @@ def grid_rule_box(label: int, num_classes: int) -> np.ndarray:
     """
     cols = int(np.ceil(np.sqrt(num_classes)))
     rows = int(np.ceil(num_classes / cols))
-    r, c = divmod(int(label), cols)
+    r, c = np.divmod(label, cols)
     # Unit-frame cell center and box size, then to the [-1, 1] encoding.
-    cx = (c + 0.5) / cols
-    cy = (r + 0.5) / rows
-    w = 0.7 / cols
-    h = 0.7 / rows
-    return np.array([2 * cx - 1, 2 * cy - 1, 2 * w - 1, 2 * h - 1])
+    box = np.empty(np.shape(label) + (4,))
+    box[..., 0] = (c + 0.5) / cols
+    box[..., 1] = (r + 0.5) / rows
+    box[..., 2:] = 0.7 / cols, 0.7 / rows
+    return 2 * box - 1
 
 
 def make_synthetic_dataset(spec: SynthSpec, seed: int) -> Dataset:
@@ -489,16 +522,14 @@ def make_synthetic_dataset(spec: SynthSpec, seed: int) -> Dataset:
     for i in range(spec.num_layouts):
         n = int(stream.integers(lo, hi + 1)[()]) if lo < hi else lo
         labels = stream.integers(0, spec.num_classes, [n])
-        geometry = np.empty((n, 4))
-        for row, label in enumerate(labels):
-            if spec.rule == "grid_by_label":
-                geometry[row] = grid_rule_box(int(label), spec.num_classes)
-            else:
-                # Box fully inside the unit frame: size first, then center.
-                wh = 0.05 + 0.45 * stream.uniform([2])
-                cx = wh[0] / 2 + (1 - wh[0]) * stream.uniform()[()]
-                cy = wh[1] / 2 + (1 - wh[1]) * stream.uniform()[()]
-                geometry[row] = [2 * cx - 1, 2 * cy - 1, 2 * wh[0] - 1, 2 * wh[1] - 1]
+        if spec.rule == "grid_by_label":
+            geometry = grid_rule_box(labels, spec.num_classes)
+        else:
+            # Boxes inside the unit frame: per element draw w, h, then each center's place.
+            draws = stream.uniform([n, 4])
+            wh = 0.05 + 0.45 * draws[:, :2]
+            centers = wh / 2 + (1 - wh) * draws[:, 2:]
+            geometry = np.concatenate([2 * centers - 1, 2 * wh - 1], axis=1)
         layouts.append(Layout(geometry=geometry, labels=labels, id=f"synth-{i:06d}"))
     label_names = tuple(f"class_{k}" for k in range(spec.num_classes))
     return Dataset(layouts=tuple(layouts), canvas=(100.0, 100.0), label_names=label_names)
@@ -516,17 +547,14 @@ def pad_conditions(conditions) -> tuple:
     conditions = [np.asarray(c) for c in conditions]
     if not conditions:
         raise DataError("cannot batch zero layouts")
-    batch_size = len(conditions)
-    n_max = max(len(c) for c in conditions)
-    trailing = conditions[0].shape[1:]
-    dtype = np.int64 if not trailing else np.float64
-    attributes = np.zeros((batch_size, n_max) + trailing, dtype=dtype)
-    mask = np.zeros((batch_size, n_max), dtype=bool)
-    for row, cond in enumerate(conditions):
-        if cond.shape[1:] != trailing:
-            raise DataError("cannot batch layouts with mixed attribute modes or feature dims")
-        attributes[row, :len(cond)] = cond
-        mask[row, :len(cond)] = True
+    shapes = {c.shape[1:] for c in conditions}
+    if len(shapes) > 1:
+        raise DataError("cannot batch layouts with mixed attribute modes or feature dims")
+    (trailing,) = shapes
+    lengths = np.array([len(c) for c in conditions])
+    mask = np.arange(lengths.max()) < lengths[:, None]
+    attributes = np.zeros(mask.shape + trailing, dtype=np.float64 if trailing else np.int64)
+    attributes[mask] = np.concatenate(conditions)
     return attributes, mask
 
 
@@ -536,8 +564,7 @@ def pad_batch(layouts: Sequence[Layout]) -> Batch:
     attributes, mask = pad_conditions(
         [l.labels if l.attribute_mode == "categorical" else l.features for l in layouts])
     geometry = np.zeros(mask.shape + (4,))
-    for row, layout in enumerate(layouts):
-        geometry[row, :len(layout)] = layout.geometry
+    geometry[mask] = np.concatenate([layout.geometry for layout in layouts])
     return Batch(geometry=geometry, attributes=attributes, mask=mask)
 
 

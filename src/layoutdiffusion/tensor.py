@@ -309,15 +309,16 @@ def gelu(a) -> Tensor:
     """GELU in its tanh form; smooth, with a closed-form derivative."""
     a = as_tensor(a)
     x = a.data
-    x2 = x * x  # ``x**3`` would go through libm pow, several times slower
-    inner = _GELU_C * (x + _GELU_A * x2 * x)
+    # ``x**3`` would go through libm pow, several times slower.  The backward computes
+    # ``x * x`` again rather than keep a third array of this size on the tape.
+    inner = _GELU_C * (x + _GELU_A * (x * x) * x)
     th = np.tanh(inner)
     out_data = 0.5 * x * (1.0 + th)
 
     def bwd(g):
         if a.requires_grad:
             sech2 = 1.0 - th * th
-            local = 0.5 * (1.0 + th) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
+            local = 0.5 * (1.0 + th) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3.0 * _GELU_A * (x * x))
             _accumulate(a, g * local)
 
     return _result(out_data, (a,), bwd)

@@ -968,6 +968,33 @@ def test_render_directory_mode(tmp_path):
     assert len(list(out_dir.glob("*.svg"))) == 3
 
 
+def layouts_with_ids(tmp_path, ids):
+    doc = {"canvas": {"width": 100, "height": 100}, "labels": ["text"],
+           "layouts": [{"id": lid, "elements": [{"label": 0, "bbox": [50, 50, 20, 10]}]}
+                       for lid in ids]}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("ids, culprit", [
+    (["a", "../escaped", "b"], "../escaped"), (["a", "dup", "dup"], "dup"),
+    (["/abs/escaped"], "/abs/escaped"), ([""], ""), (["a", "."], "."), ([".."], ".."),
+    (["nul\0id"], "nul\0id"), (["a/b"], "a/b")])
+def test_render_refuses_an_id_that_is_no_unique_file_name(tmp_path, capsys, ids, culprit):
+    path = layouts_with_ids(tmp_path, ids)
+    assert run(["render", "--input", str(path), "-o", str(tmp_path / "renders")]) == 3
+    assert f"error: layout {culprit!r}: its id is" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["in.json"]
+
+
+def test_render_index_mode_writes_any_id_to_the_output_path(tmp_path):
+    path = layouts_with_ids(tmp_path, ["a", "../escaped"])
+    assert run(["render", "--input", str(path), "--index", "1",
+                "-o", str(tmp_path / "one.svg")]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json", "one.svg"]
+
+
 def test_render_bad_index(tmp_path, capsys):
     data = synth(tmp_path, layouts=3)
     code = run(["render", "--input", str(data), "--index", "99",

@@ -1,13 +1,15 @@
 import json
 import math
+import os
 
+import data_oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layoutdiffusion.data import (Dataset, Layout, SynthSpec, batch_to_layouts,
-                                  dataset_to_dict, denormalize_layout, grid_rule_box,
+from layoutdiffusion.data import (DEFAULT_N_MAX, Dataset, Layout, SynthSpec, atomic_path,
+                                  batch_to_layouts, dataset_to_dict, denormalize_layout, grid_rule_box,
                                   load_dataset, make_synthetic_dataset,
                                   normalize_layout, pad_batch, pad_conditions,
                                   save_dataset, to_corner_form)
@@ -637,3 +639,181 @@ def test_dataset_to_dict_includes_meta():
     doc = dataset_to_dict(ds, meta={"origin": "test"})
     assert doc["meta"] == {"origin": "test"}
     assert len(doc["layouts"]) == 2
+
+
+# -- writing: refusals and atomic files ------------------------------------------
+
+
+def labelled(lid, labels):
+    return Layout(geometry=np.zeros((len(labels), 4)), labels=labels, id=lid)
+
+
+def featured(lid, width, n=2):
+    return Layout(geometry=np.zeros((n, 4)), features=np.ones((n, width)), id=lid)
+
+
+SAVE_FAULTS = {
+    "a label outside the vocabulary": (
+        Dataset(layouts=(labelled("l0", [0, 1]), labelled("l1", [1, 3]),
+                         labelled("l2", [5, 0])), label_names=("a", "b")),
+        "'l1': the dataset needs label ids below 2"),
+    "a continuous layout in a categorical dataset": (
+        Dataset(layouts=(labelled("l0", [0]), featured("l1", 2), labelled("l2", [7])),
+                label_names=("a", "b")),
+        "'l1': the dataset needs label ids below 2"),
+    "a label fault before a mode fault": (
+        Dataset(layouts=(labelled("l0", [0]), labelled("l1", [2]), featured("l2", 2)),
+                label_names=("a", "b")),
+        "'l1': the dataset needs label ids below 2"),
+    "a categorical layout in a continuous dataset": (
+        Dataset(layouts=(featured("l0", 2), labelled("l1", [0]), featured("l2", 3)),
+                feature_dim=2),
+        "'l1': the dataset needs features of width 2"),
+    "features of another width": (
+        Dataset(layouts=(featured("l0", 2), featured("l1", 3)), feature_dim=2),
+        "'l1': the dataset needs features of width 2"),
+}
+
+
+@pytest.mark.parametrize("dataset, message", SAVE_FAULTS.values(), ids=SAVE_FAULTS.keys())
+def test_save_refuses_a_layout_that_a_load_would_refuse(tmp_path, dataset, message):
+    with pytest.raises(DataError) as raised:
+        save_dataset(dataset, tmp_path / "ds.json")
+    assert str(raised.value) == f"cannot save layout {message}"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_save_leaves_a_foreign_tmp_file_alone(tmp_path):
+    foreign = tmp_path / "ds.json.tmp"
+    foreign.write_bytes(b"not the dataset\x00")
+    save_dataset(make_synthetic_dataset(SynthSpec(num_layouts=2, num_classes=2), 1),
+                 tmp_path / "ds.json")
+    assert foreign.read_bytes() == b"not the dataset\x00"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.json", "ds.json.tmp"]
+    assert len(load_dataset(tmp_path / "ds.json")) == 2
+
+
+def test_two_interleaved_writers_of_one_path_leave_one_whole_file(tmp_path):
+    path = tmp_path / "out.csv"
+    with atomic_path(path) as first:
+        with open(first, "w") as fh:
+            fh.write("AAA")
+        with atomic_path(path) as second, open(second, "w") as fh:
+            fh.write("BBBBBBBBBBBBB")
+        assert path.read_text() == "BBBBBBBBBBBBB"
+        with open(first, "a") as fh:
+            fh.write("AAA")
+    assert path.read_text() == "AAAAAA"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_a_new_file_gets_the_mode_that_open_gives(tmp_path):
+    with open(tmp_path / "plain", "w"):
+        pass
+    save_dataset(make_synthetic_dataset(SynthSpec(num_layouts=1, num_classes=1), 0),
+                 tmp_path / "ds.json")
+    assert os.stat(tmp_path / "ds.json").st_mode == os.stat(tmp_path / "plain").st_mode
+
+
+# -- writers against their per-element, per-layout and per-row oracles -----------
+
+
+def assert_same_arrays(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(rule=st.sampled_from(["grid_by_label", "random_boxes"]),
+       num_classes=st.integers(1, 40), num_layouts=st.integers(1, 5),
+       low=st.integers(1, DEFAULT_N_MAX), spread=st.one_of(st.just(0), st.integers(0, 35)),
+       seed=st.one_of(st.sampled_from([0, 2**63 + 11, 2**64 - 1]), st.integers(0, 2**64 - 1)))
+def test_synthesis_matches_the_per_element_oracle_bit_for_bit(rule, num_classes, num_layouts,
+                                                              low, spread, seed):
+    spec = SynthSpec(num_layouts=num_layouts, num_classes=num_classes, rule=rule,
+                     elements_per_layout_range=(low, min(low + spread, DEFAULT_N_MAX)))
+    got = make_synthetic_dataset(spec, seed)
+    want = data_oracle.make_synthetic_dataset(spec, seed)
+    assert (got.canvas, got.label_names) == (want.canvas, want.label_names)
+    assert [layout.id for layout in got.layouts] == [layout.id for layout in want.layouts]
+    for a, b in zip(got.layouts, want.layouts):
+        assert_same_arrays(a.geometry, b.geometry)
+        assert_same_arrays(a.labels, b.labels)
+
+
+@pytest.mark.parametrize("num_classes", [1, 4, 7, 40, 10**6 + 3])
+def test_grid_rule_box_of_a_label_array_is_the_scalar_box_of_each(num_classes):
+    labels = np.unique(np.linspace(0, num_classes - 1, 64).astype(np.int64))
+    boxes = grid_rule_box(labels, num_classes)
+    assert boxes.shape == (len(labels), 4)
+    for label, box in zip(labels, boxes):
+        assert box.tobytes() == data_oracle.grid_rule_box(int(label), num_classes).tobytes()
+    assert_same_arrays(grid_rule_box(int(labels[-1]), num_classes), boxes[-1])
+
+
+@st.composite
+def saved_datasets(draw):
+    """A dataset to save, categorical or continuous, whose boxes may overshoot the canvas;
+    with or without ``meta`` and the clamped boxes."""
+    feature_dim = draw(st.one_of(st.none(), st.integers(1, 3)))
+    canvas = (draw(st.floats(0.5, 1000)), draw(st.floats(0.5, 1000)))
+    values = st.one_of(st.floats(-3, 3), st.sampled_from([-1.0, 1.0, -0.0, 5e-324]))
+    layouts = []
+    for i in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(1, 5))
+        geometry = np.reshape(draw(st.lists(values, min_size=4 * n, max_size=4 * n)), (n, 4))
+        if feature_dim is None:
+            attributes = {"labels": draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))}
+        else:
+            width = n * feature_dim
+            attributes = {"features": np.reshape(draw(st.lists(
+                st.floats(-1e6, 1e6), min_size=width, max_size=width)), (n, feature_dim))}
+        layouts.append(Layout(geometry=geometry, id=draw(st.text(max_size=3)), **attributes))
+    dataset = Dataset(layouts=layouts, canvas=canvas, feature_dim=feature_dim,
+                      label_names=None if feature_dim else ("text", "image", "button"))
+    meta = draw(st.one_of(st.none(), st.fixed_dictionaries({"seed": st.integers()})))
+    return dataset, meta, draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(saved_datasets())
+def test_save_matches_the_per_layout_oracle_byte_for_byte(tmp_path_factory, case):
+    dataset, meta, include_clamped = case
+    path = tmp_path_factory.mktemp("save") / "ds.json"
+    save_dataset(dataset, path, meta=meta, include_clamped=include_clamped)
+    want = data_oracle.dataset_to_dict(dataset, meta=meta, include_clamped=include_clamped)
+    assert path.read_text() == json.dumps(want, indent=1) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(lengths=st.lists(st.integers(1, DEFAULT_N_MAX), min_size=1, max_size=9),
+       feature_dim=st.one_of(st.none(), st.integers(1, 3)), seed=st.integers(0, 2**32 - 1))
+def test_padding_matches_the_per_row_oracle_bit_for_bit(lengths, feature_dim, seed):
+    rng = np.random.default_rng(seed)
+    layouts = [Layout(geometry=rng.uniform(-1, 1, (n, 4)), id=str(i),
+                      **({"labels": rng.integers(0, 5, n)} if feature_dim is None
+                         else {"features": rng.normal(size=(n, feature_dim))}))
+               for i, n in enumerate(lengths)]
+    conditions = [l.labels if feature_dim is None else l.features for l in layouts]
+    for batch_conditions in (conditions, conditions[:1]):
+        for got, want in zip(pad_conditions(batch_conditions),
+                             data_oracle.pad_conditions(batch_conditions)):
+            assert_same_arrays(got, want)
+    want_attributes, want_mask = data_oracle.pad_conditions(conditions)
+    batch = pad_batch(layouts)
+    assert_same_arrays(batch.attributes, want_attributes)
+    assert_same_arrays(batch.mask, want_mask)
+    want_geometry = np.zeros(want_mask.shape + (4,))
+    for row, layout in enumerate(layouts):
+        want_geometry[row, :len(layout)] = layout.geometry
+    assert_same_arrays(batch.geometry, want_geometry)
+
+
+@pytest.mark.parametrize("conditions", [[], [np.ones((1, 3)), np.ones((2, 2))],
+                                        [[1, 2], np.ones((1, 2))], [np.ones((2, 2)), [0]]])
+def test_padding_refuses_what_the_per_row_oracle_refuses_with_its_message(conditions):
+    with pytest.raises(DataError) as want:
+        data_oracle.pad_conditions(conditions)
+    with pytest.raises(DataError) as got:
+        pad_conditions(conditions)
+    assert str(got.value) == str(want.value)
