@@ -24,13 +24,13 @@ from .model import LayoutDiffusion
 from .optim import AdamState, adam_step
 from .render import render_svg
 from .rng import RngStream
-from .tensor import ParameterStore, Tensor, backward, collect_grads
+from .tensor import Tensor, backward, collect_grads
 
 __all__ = [
     "AdamState", "Batch", "DataError", "Dataset", "DenoiserConfig",
     "DiffusionConfig", "Element", "FeatureSet", "Layout", "LayoutDiffusion",
     "LayoutDiffusionError", "MetricFrame", "NoiseSchedule", "NotFittedError",
-    "NumericError", "ParameterStore", "RngStream", "SampleResult", "SynthSpec",
+    "NumericError", "RngStream", "SampleResult", "SynthSpec",
     "Tensor", "TrainConfig", "adam_step", "alignment_blt", "alignment_kikuchi",
     "backward", "batch_to_layouts", "build_schedule", "collect_grads", "denoise",
     "denormalize_layout", "evaluate_collections",

@@ -28,7 +28,6 @@ import numpy as np
 from .data import atomic_path
 from .exceptions import DataError
 from .optim import AdamState
-from .tensor import ParameterStore, Tensor
 from .validation import is_finite_number, is_integer
 
 FORMAT_VERSION = 3  # 2: the digest covers the header too; 3: the header holds the losses
@@ -70,13 +69,13 @@ def _manifest_entry(entry, path) -> tuple:
     return name, tuple(shape), offset
 
 
-def save_checkpoint(path, params: ParameterStore, adam_state: AdamState,
+def save_checkpoint(path, params: dict, adam_state: AdamState,
                     config_echo: dict, rng_states: dict, step: int, *, losses=()):
-    """Write the run state at ``step``; ``losses`` holds the loss of each step 1..step."""
+    """Write the run state at ``step``: the name -> array ``params`` and Adam's moments.
+    ``losses`` holds the loss of each step 1..step."""
     arrays = {}
-    for name, tensor in params.items():
-        arrays[f"params.{name}"] = tensor.data
-    for name in params.names():
+    for name, arr in params.items():
+        arrays[f"params.{name}"] = arr
         arrays[f"adam.m.{name}"] = adam_state.m[name]
         arrays[f"adam.v.{name}"] = adam_state.v[name]
 
@@ -118,7 +117,8 @@ def save_checkpoint(path, params: ParameterStore, adam_state: AdamState,
 
 
 def load_checkpoint(path):
-    """Returns (params, adam_state, header) with arrays bit-identical to save."""
+    """Returns ``(params, adam_state, header)``: ``params`` and Adam's moments are
+    name -> array dicts, bit-identical to what was saved."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         blob = fh.read()
@@ -189,8 +189,6 @@ def load_checkpoint(path):
     if not set(param_arrays) == set(m) == set(v):
         raise DataError(f"checkpoint {path}: parameters and Adam moments have different names")
 
-    params = ParameterStore({name: Tensor(arr, requires_grad=True)
-                             for name, arr in param_arrays.items()})
     # Older headers also carry beta1/beta2/eps, which were always Adam's constants.
     adam_state = AdamState(lr=opt["lr"], step=opt["step"], m=m, v=v)
-    return params, adam_state, header
+    return param_arrays, adam_state, header

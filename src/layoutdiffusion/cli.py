@@ -90,8 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--labels", help="comma-separated label ids, e.g. 0,1,1,2")
     group.add_argument("--conditions", help="dataset-schema JSON supplying conditions")
-    p.add_argument("--num-samples", type=_positive_int, default=1,
-                   help="with --labels: how many layouts to draw for the condition")
+    p.add_argument("--num-samples", type=_positive_int,
+                   help="with --labels only: how many layouts to draw for the condition "
+                        "(default 1)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("-o", "--output", required=True)
 
@@ -184,7 +185,7 @@ def _load_run(path):
         raise DataError(f"checkpoint {path}: {len(params)} arrays cannot hold the layers")
     want = {name: (shape, np.dtype(config.dtype))
             for name, shape in param_shapes(config.denoiser).items()}
-    for kind, arrays in (("params", params.arrays()), ("adam.m", adam_state.m),
+    for kind, arrays in (("params", params), ("adam.m", adam_state.m),
                          ("adam.v", adam_state.v)):
         got = {name: (arr.shape, arr.dtype) for name, arr in arrays.items()}
         for name in sorted(got.keys() | want.keys()):
@@ -281,7 +282,7 @@ def cmd_sample(args) -> int:
             labels = [int(tok) for tok in args.labels.split(",") if tok != ""]
         except ValueError as exc:
             raise DataError(f"bad --labels value {args.labels!r}") from exc
-        conditions = [labels] * args.num_samples
+        conditions = [labels] * (args.num_samples or 1)
     else:
         cond_dataset = load_dataset(args.conditions, strict_geometry=False)
         if cond_dataset.mode != trained.mode:
@@ -396,9 +397,22 @@ _COMMANDS = {"synth": cmd_synth, "train": cmd_train, "sample": cmd_sample,
              "eval": cmd_eval, "render": cmd_render}
 
 
+def _refuse_unread_flags(parser, args):
+    """A usage error for a flag that the command would silently ignore."""
+    if args.command == "sample" and args.conditions is not None and args.num_samples is not None:
+        parser.error("sample: --num-samples applies to --labels only; --conditions draws "
+                     "one layout per condition")
+    if args.command == "eval" and args.frechet != "files":
+        for flag, path in (("--features-generated", args.features_generated),
+                           ("--features-reference", args.features_reference)):
+            if path is not None:
+                parser.error(f"eval: {flag} is read only with --frechet files")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _refuse_unread_flags(parser, args)
     try:
         return _COMMANDS[args.command](args)
     except NumericError as exc:

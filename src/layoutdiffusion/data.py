@@ -111,14 +111,24 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "layouts", tuple(self.layouts))
-        canvas = [v.item() if isinstance(v, np.generic) else v for v in self.canvas]
+        canvas = self.canvas.tolist() if isinstance(self.canvas, np.ndarray) else self.canvas
+        canvas = ([v.item() if isinstance(v, np.generic) else v for v in canvas]
+                  if isinstance(canvas, (tuple, list)) else ())
         if len(canvas) != 2 or not all(is_finite_number(v) and v > 0 for v in canvas):
             raise DataError(f"canvas must be two positive finite numbers, got {self.canvas!r}")
         object.__setattr__(self, "canvas", (float(canvas[0]), float(canvas[1])))
         if (self.label_names is None) == (self.feature_dim is None):
             raise DataError("dataset needs exactly one of label_names or feature_dim")
         if self.label_names is not None:
+            if not (isinstance(self.label_names, (tuple, list))
+                    and all(isinstance(name, str) for name in self.label_names)):
+                raise DataError(f"label_names must be a list or tuple of strings, got "
+                                f"{self.label_names!r}")
             object.__setattr__(self, "label_names", tuple(self.label_names))
+        elif not is_integer(self.feature_dim, 1):
+            raise DataError(f"feature_dim must be an integer >= 1, got {self.feature_dim!r}")
+        else:
+            object.__setattr__(self, "feature_dim", int(self.feature_dim))
 
     def __len__(self):
         return len(self.layouts)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .exceptions import DataError
 from .rng import RngStream
-from .tensor import (ParameterStore, Tensor, as_tensor, attention, concat, embedding,
+from .tensor import (Tensor, as_tensor, attention, concat, embedding,
                      gelu, layer_norm, matmul, put_rows, relu, reshape, take_rows)
 from .validation import check_field_types
 
@@ -110,8 +110,9 @@ def param_shapes(config: DenoiserConfig) -> dict:
 
 
 def init_denoiser_params(config: DenoiserConfig, stream: RngStream,
-                         dtype=np.float64) -> ParameterStore:
-    """Label table 0.02 * N(0, 1), other weights Glorot uniform, LN scales 1, the rest 0."""
+                         dtype=np.float64) -> dict:
+    """Name -> array in :func:`param_shapes` order: label table 0.02 * N(0, 1), other
+    weights Glorot uniform, LN scales 1, the rest 0."""
     params = {}
     for name, shape in param_shapes(config).items():
         if name == "attr.weight" and config.num_classes is not None:
@@ -122,24 +123,24 @@ def init_denoiser_params(config: DenoiserConfig, stream: RngStream,
             value = np.ones(shape)
         else:
             value = np.zeros(shape)
-        params[name] = Tensor(value.astype(dtype), requires_grad=True)
-    return ParameterStore(params)
+        params[name] = value.astype(dtype)
+    return params
 
 
 # ---------------------------------------------------------------------------
 # forward pass
 
 
-def _affine(x: Tensor, params: ParameterStore, prefix: str) -> Tensor:
+def _affine(x: Tensor, params: dict, prefix: str) -> Tensor:
     return matmul(x, params[f"{prefix}.weight"], params[f"{prefix}.bias"])
 
 
-def embed_geometry(geometry, params: ParameterStore) -> Tensor:
+def embed_geometry(geometry, params: dict) -> Tensor:
     """Affine map of per-element (cx, cy, w, h) into model width."""
     return _affine(as_tensor(geometry), params, "geom")
 
 
-def embed_attributes(attributes, index, params: ParameterStore,
+def embed_attributes(attributes, index, params: dict,
                      config: DenoiserConfig) -> Tensor:
     """Table lookup for label ids, affine projection for feature vectors.
 
@@ -154,13 +155,13 @@ def embed_attributes(attributes, index, params: ParameterStore,
             bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
             raise DataError(f"label id {bad} outside vocabulary of {config.num_classes}")
         return embedding(params["attr.weight"], ids.reshape(-1)[index])
-    feats = Tensor(np.asarray(attributes, dtype=params["attr.weight"].data.dtype))
+    feats = Tensor(np.asarray(attributes, dtype=as_tensor(params["attr.weight"]).data.dtype))
     if feats.data.shape[-1] != config.attr_dim:
         raise DataError(f"feature dim {feats.data.shape[-1]} != configured {config.attr_dim}")
     return _affine(take_rows(reshape(feats, (-1, config.attr_dim)), index), params, "attr")
 
 
-def fuse_tokens(h_attr: Tensor, h_geom: Tensor, te, params: ParameterStore) -> Tensor:
+def fuse_tokens(h_attr: Tensor, h_geom: Tensor, te, params: dict) -> Tensor:
     """Concatenate the two embeddings, fuse with an affine map, add TE(t).
 
     All three are packed per token: ``te`` [T, d] holds each token's
@@ -174,7 +175,7 @@ def fuse_tokens(h_attr: Tensor, h_geom: Tensor, te, params: ParameterStore) -> T
     return fused + Tensor(te.astype(fused.data.dtype))
 
 
-def transformer_layer(tokens: Tensor, mask, params: ParameterStore, layer_index: int,
+def transformer_layer(tokens: Tensor, mask, params: dict, layer_index: int,
                       config: DenoiserConfig) -> Tensor:
     """Post-norm block: self-attention + residual + LN, then FFN + residual + LN.
 
@@ -198,14 +199,16 @@ def transformer_layer(tokens: Tensor, mask, params: ParameterStore, layer_index:
     return layer_norm(normed + ffn_out, params[f"{p}.ln2.scale"], params[f"{p}.ln2.shift"])
 
 
-def denoise(geometry, t, attributes, mask, params: ParameterStore,
+def denoise(geometry, t, attributes, mask, params: dict,
             config: DenoiserConfig) -> Tensor:
     """Predict the noise on each element's geometry; masked slots return zero.
 
     ``geometry`` is [B, N, 4], ``t`` one integer step per batch row,
     ``attributes`` label ids [B, N] or features [B, N, attr_dim],
-    ``mask`` [B, N] booleans marking real elements.  The network runs on
-    the valid slots only, so its cost follows the element count, not B * N.
+    ``mask`` [B, N] booleans marking real elements; ``params`` maps each name
+    of :func:`param_shapes` to an array, or to a tape tensor to differentiate.
+    The network runs on the valid slots only, so its cost follows the element
+    count, not B * N.
     """
     geometry = as_tensor(geometry)
     b, n, _ = geometry.data.shape

@@ -16,7 +16,7 @@ from .denoiser import DenoiserConfig, denoise, init_denoiser_params
 from .exceptions import DataError, NumericError
 from .optim import BETA1, BETA2, EPS, AdamState, adam_step
 from .rng import RngStream
-from .tensor import ParameterStore, Tensor, collect_grads, mul, sub, tsum
+from .tensor import Tensor, as_tensor, collect_grads, mul, sub, tsum
 from .validation import (SEED_END, check_feature_conditions, check_field_types,
                          check_label_conditions, check_seed)
 
@@ -112,7 +112,7 @@ def posterior_mean(g_t, t, noise_pred, schedule: NoiseSchedule) -> np.ndarray:
     return (g_t - beta / np.sqrt(1.0 - ab) * np.asarray(noise_pred)) / np.sqrt(alpha)
 
 
-def p_sample_step(g_t, t: int, attributes, mask, params: ParameterStore,
+def p_sample_step(g_t, t: int, attributes, mask, params: dict,
                   denoiser_config: DenoiserConfig, schedule: NoiseSchedule,
                   stream: RngStream) -> np.ndarray:
     """One ancestral sampling step from step ``t`` down to ``t - 1``.
@@ -142,20 +142,21 @@ class SampleResult:
     geometry_clamped: Optional[np.ndarray]
 
 
-def sample(attributes, mask, params: ParameterStore, denoiser_config: DenoiserConfig,
+def sample(attributes, mask, params: dict, denoiser_config: DenoiserConfig,
            schedule: NoiseSchedule, stream: RngStream,
            config: Optional[DiffusionConfig] = None) -> SampleResult:
     """Generate geometry for the given attributes by full ancestral sampling.
 
     Returns the raw trajectory endpoint and, when clamping is enabled, a
-    [-1, 1]-clamped copy intended for rendering only.  The reverse steps run
-    on untracked copies of the parameters, so they record no tape.  The first
-    step that leaves a non-finite value raises :class:`NumericError`.
+    [-1, 1]-clamped copy intended for rendering only.  ``params`` maps names to
+    arrays; they are wrapped once as untracked tensors, so the reverse steps
+    record no tape.  The first step that leaves a non-finite value raises
+    :class:`NumericError`.
     """
-    params = ParameterStore({name: t.detach() for name, t in params.items()})
+    params = {name: Tensor(arr) for name, arr in params.items()}
     mask = np.asarray(mask, dtype=bool)
     b, n = mask.shape
-    dtype = params[params.names()[0]].data.dtype
+    dtype = next(iter(params.values())).data.dtype
     g = stream.gaussian((b, n, 4)).astype(dtype) * mask[..., None]
     for t in range(schedule.timesteps, 0, -1):
         g = p_sample_step(g, t, attributes, mask, params, denoiser_config, schedule, stream)
@@ -167,7 +168,7 @@ def sample(attributes, mask, params: ParameterStore, denoiser_config: DenoiserCo
     return SampleResult(geometry_raw=g, geometry_clamped=clamped)
 
 
-def sample_layouts(conditions, params: ParameterStore, config: TrainConfig, seed,
+def sample_layouts(conditions, params: dict, config: TrainConfig, seed,
                    clamped: bool = False) -> list:
     """One layout per condition (label ids, or ``[n, attr_dim]`` features, as the denoiser
     takes them), drawn by :func:`sample` under ids ``sample-000000, ...``.  ``clamped``
@@ -195,22 +196,22 @@ def sample_layouts(conditions, params: ParameterStore, config: TrainConfig, seed
 @dataclass(frozen=True)
 class TrainStepResult:
     loss: float
-    params: ParameterStore
+    params: dict
     adam_state: AdamState
     t: np.ndarray
     noise: np.ndarray
     noise_pred: np.ndarray
 
 
-def noise_loss(batch: Batch, params: ParameterStore, denoiser_config: DenoiserConfig,
+def noise_loss(batch: Batch, params: dict, denoiser_config: DenoiserConfig,
                schedule: NoiseSchedule, stream: RngStream, denoise_fn: Callable = denoise):
     """The masked noise-regression loss; returns ``(loss, t, noise, noise_pred)``.
 
     One timestep is drawn per layout; the squared error is averaged over
     valid slots and coordinates only.  ``loss`` and ``noise_pred`` are tape
-    tensors, so the loss can be differentiated.
+    tensors; the loss can be differentiated when ``params`` holds tracked leaves.
     """
-    dtype = params[params.names()[0]].data.dtype
+    dtype = as_tensor(next(iter(params.values()))).data.dtype
     b = batch.size
     mask_f = batch.mask.astype(dtype)[..., None]
     t = stream.integers(1, schedule.timesteps + 1, [b])
@@ -226,16 +227,18 @@ def noise_loss(batch: Batch, params: ParameterStore, denoiser_config: DenoiserCo
     return loss, t, noise, noise_pred
 
 
-def training_step(batch: Batch, params: ParameterStore, denoiser_config: DenoiserConfig,
+def training_step(batch: Batch, params: dict, denoiser_config: DenoiserConfig,
                   schedule: NoiseSchedule, adam_state: AdamState, stream: RngStream,
                   denoise_fn: Callable = denoise) -> TrainStepResult:
-    """One noise-prediction step: :func:`noise_loss`, then an Adam update."""
-    loss, t, noise, noise_pred = noise_loss(batch, params, denoiser_config, schedule,
+    """One noise-prediction step on the name -> array ``params``: :func:`noise_loss` on
+    gradient-tracked leaves made from them, then an Adam update into new arrays."""
+    leaves = {name: Tensor(arr, requires_grad=True) for name, arr in params.items()}
+    loss, t, noise, noise_pred = noise_loss(batch, leaves, denoiser_config, schedule,
                                             stream, denoise_fn)
     loss_value = float(loss.data)
     if not np.isfinite(loss_value):
         raise NumericError("training loss is not finite")
-    grads = collect_grads(loss, params)
+    grads = collect_grads(loss, leaves)
     new_params, new_state = adam_step(params, grads, adam_state)
     return TrainStepResult(loss=loss_value, params=new_params, adam_state=new_state,
                            t=t, noise=noise, noise_pred=noise_pred.data)
@@ -314,7 +317,7 @@ def _require_fields(d, cls, where: str):
 
 @dataclass
 class TrainResult:
-    params: ParameterStore
+    params: dict
     adam_state: AdamState
     train_stream: RngStream
     losses: list
@@ -327,7 +330,7 @@ def _sample_batch(dataset: Dataset, batch_size: int, stream: RngStream) -> Batch
 
 
 def train(dataset: Dataset, config: TrainConfig,
-          start_params: Optional[ParameterStore] = None,
+          start_params: Optional[dict] = None,
           start_adam: Optional[AdamState] = None,
           start_stream: Optional[RngStream] = None,
           start_step: int = 0,

@@ -9,8 +9,12 @@ one ``attention`` node, GELU/ReLU feedforward, squared-error reduction).
 ``attention`` fuses, to check it against.  It is not a general autodiff
 system.
 
-Data is never mutated in place; every operation returns a new tensor.
-Gradients accumulate on leaves after calling :func:`backward` on a scalar.
+Data is never mutated in place; every operation returns a new tensor, and
+takes a plain array wherever it takes a tensor.  The package holds its
+parameters as name -> array dicts: only a training step wraps them as
+gradient-tracked leaves, and :func:`collect_grads` reads the leaves'
+gradients back as arrays.  Gradients accumulate on leaves after calling
+:func:`backward` on a scalar.
 Gradients, like data, are never mutated in place either, so a gradient may
 share memory with another tensor's gradient and is stored without a copy.
 """
@@ -33,9 +37,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     # Arithmetic sugar; everything routes through the module-level ops.
     def __add__(self, other):
@@ -434,65 +435,17 @@ def attention(q, k, v, mask, heads: int) -> Tensor:
     return _result(out_data, (q, k, v), bwd)
 
 
-# ---------------------------------------------------------------------------
-# parameter container
+def collect_grads(loss: Tensor, leaves: dict) -> dict:
+    """Run backward from ``loss`` and return the gradient array of each named leaf.
 
-
-class ParameterStore:
-    """Named, lexicographically ordered map of gradient-tracked tensors."""
-
-    def __init__(self, params: dict):
-        self._params = {name: params[name] for name in sorted(params)}
-        for name, t in self._params.items():
-            if not isinstance(t, Tensor):
-                raise TypeError(f"parameter {name!r} is not a Tensor")
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self):
-        return len(self._params)
-
-    def __iter__(self):
-        return iter(self._params)
-
-    def names(self):
-        return list(self._params)
-
-    def items(self):
-        return self._params.items()
-
-    def arrays(self) -> dict:
-        return {name: t.data for name, t in self._params.items()}
-
-    def replace(self, arrays: dict) -> "ParameterStore":
-        """New store with the given arrays substituted (shapes must match)."""
-        out = dict(self._params)
-        for name, arr in arrays.items():
-            if name not in out:
-                raise KeyError(f"unknown parameter {name!r}")
-            if out[name].data.shape != np.asarray(arr).shape:
-                raise ValueError(f"shape mismatch for parameter {name!r}")
-            out[name] = Tensor(arr, requires_grad=True)
-        return ParameterStore(out)
-
-    def zero_grads(self):
-        for t in self._params.values():
-            t.grad = None
-
-
-def collect_grads(loss: Tensor, params: ParameterStore) -> dict:
-    """Run backward from ``loss`` and return per-parameter gradient arrays.
-
-    Parameters the loss never touched get explicit zero gradients.
+    The leaves' gradients are cleared first; leaves the loss never touched
+    get explicit zero gradients.
     """
-    params.zero_grads()
+    for t in leaves.values():
+        t.grad = None
     backward(loss)
     grads = {}
-    for name, t in params.items():
+    for name, t in leaves.items():
         if t.grad is None:
             grads[name] = np.zeros_like(t.data)
         else:

@@ -2,11 +2,10 @@
 import numpy as np
 
 from layoutdiffusion.exceptions import NumericError
-from layoutdiffusion.tensor import ParameterStore
 
 
-def finite_difference_grad(f, params: ParameterStore, h: float = 1e-5) -> dict:
-    """Central-difference gradients of a scalar function of the parameters.
+def finite_difference_grad(f, params: dict, h: float = 1e-5) -> dict:
+    """Central-difference gradients of a scalar function of the name -> array parameters.
 
     Slow (two evaluations per coordinate); this is the oracle the analytic
     backward pass is checked against, so it must stay independent of it.
@@ -14,8 +13,7 @@ def finite_difference_grad(f, params: ParameterStore, h: float = 1e-5) -> dict:
     if h <= 0:
         raise ValueError("h must be positive")
     grads = {}
-    base = params.arrays()
-    for name, arr in base.items():
+    for name, arr in params.items():
         g = np.zeros_like(arr, dtype=np.float64)
         flat = arr.reshape(-1)
         gflat = g.reshape(-1)
@@ -25,8 +23,8 @@ def finite_difference_grad(f, params: ParameterStore, h: float = 1e-5) -> dict:
             plus[i] = orig + h
             minus = arr.copy().reshape(-1)
             minus[i] = orig - h
-            f_plus = f(params.replace({name: plus.reshape(arr.shape)}))
-            f_minus = f(params.replace({name: minus.reshape(arr.shape)}))
+            f_plus = f({**params, name: plus.reshape(arr.shape)})
+            f_minus = f({**params, name: minus.reshape(arr.shape)})
             if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
                 raise NumericError(f"non-finite evaluation while differencing {name!r}")
             gflat[i] = (f_plus - f_minus) / (2.0 * h)

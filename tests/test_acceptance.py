@@ -118,10 +118,11 @@ def worst_gradient_error(labels, mask):
         diff = sub(pred, Tensor(target))
         return mul(tsum(mul(diff, diff)), 1.0 / target.size)
 
-    grads = collect_grads(loss_fn(params), params)
+    leaves = {name: Tensor(arr, requires_grad=True) for name, arr in params.items()}
+    grads = collect_grads(loss_fn(leaves), leaves)
     fd = finite_difference_grad(lambda s: float(loss_fn(s).data), params, h=1e-5)
     worst = 0.0
-    for name in params.names():
+    for name in params:
         a, b = grads[name], fd[name]
         rel = np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-4)
         worst = max(worst, float(rel.max()))

@@ -19,7 +19,7 @@ def make_state(dtype=np.float64, seed=0):
     params = init_denoiser_params(config, RngStream(seed), dtype=dtype)
     adam = AdamState.initialize(params, lr=1e-3)
     # make the moments non-trivial
-    grads = {name: np.full_like(t.data, 0.25) for name, t in params.items()}
+    grads = {name: np.full_like(arr, 0.25) for name, arr in params.items()}
     from layoutdiffusion.optim import adam_step
     params, adam = adam_step(params, grads, adam)
     return config, params, adam
@@ -33,9 +33,9 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
     save_checkpoint(path, params, adam, {"note": "t"}, rng_states, step=7, losses=losses)
     loaded_params, loaded_adam, header = load_checkpoint(path)
 
-    assert loaded_params.names() == params.names()
-    for name in params.names():
-        a, b = params[name].data, loaded_params[name].data
+    assert sorted(loaded_params) == sorted(params)
+    for name in params:
+        a, b = params[name], loaded_params[name]
         assert a.dtype == b.dtype
         assert np.array_equal(a, b)
         assert np.array_equal(adam.m[name], loaded_adam.m[name])
@@ -85,8 +85,8 @@ def test_failed_save_leaves_previous_checkpoint(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
     loaded, _, header = load_checkpoint(path)
     assert header["train_step"] == 1
-    for name in params.names():
-        assert np.array_equal(loaded[name].data, params[name].data)
+    for name in params:
+        assert np.array_equal(loaded[name], params[name])
 
 
 def test_save_load_save_produces_identical_bytes(tmp_path):
@@ -122,9 +122,9 @@ def test_float32_round_trip(tmp_path):
     save_checkpoint(path, params, adam, {}, {"train": RngStream(0).state()}, step=0)
     loaded_params, _, header = load_checkpoint(path)
     assert header["precision"] == "float32"
-    for name in params.names():
-        assert loaded_params[name].data.dtype == np.float32
-        assert np.array_equal(loaded_params[name].data, params[name].data)
+    for name in params:
+        assert loaded_params[name].dtype == np.float32
+        assert np.array_equal(loaded_params[name], params[name])
 
 
 def test_header_is_json_first_line(tmp_path):
@@ -187,8 +187,8 @@ def test_checkpoint_without_digest_still_loads(saved):
     rewrite(path, version_1)
     loaded, adam, _ = load_checkpoint(path)
     assert adam.step == 1
-    for name in params.names():
-        assert np.array_equal(loaded[name].data, params[name].data)
+    for name in params:
+        assert np.array_equal(loaded[name], params[name])
 
 
 @pytest.mark.parametrize("version", [2, 3])
@@ -262,8 +262,8 @@ def test_version_1_digest_covers_the_binary_section_only(saved):
     rewrite(path, version_1)
     loaded, _, header = load_checkpoint(path)
     assert header["format_version"] == 1
-    for name in params.names():
-        assert np.array_equal(loaded[name].data, params[name].data)
+    for name in params:
+        assert np.array_equal(loaded[name], params[name])
 
 
 def test_overlapping_offsets_rejected(saved):

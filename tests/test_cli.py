@@ -15,7 +15,6 @@ from layoutdiffusion.checkpoint import load_checkpoint, save_checkpoint
 from layoutdiffusion.cli import main
 from layoutdiffusion.denoiser import DenoiserConfig
 from layoutdiffusion.diffusion import DiffusionConfig, TrainConfig, read_loss_log
-from layoutdiffusion.tensor import ParameterStore, Tensor
 
 TRAIN_FLAGS = ["--d-model", "16", "--num-layers", "1", "--num-heads", "2",
                "--ffn-dim", "16", "--timesteps", "20", "--learning-rate", "1e-3",
@@ -87,8 +86,8 @@ def test_train_keeps_the_largest_64_bit_seeds_through_a_resume(tmp_path):
     resumed_params, _, resumed_header = load_checkpoint(resumed)
     whole_params, _, _ = load_checkpoint(whole)
     assert resumed_header["config"]["train"]["train_seed"] == 2**64 - 1
-    for name in whole_params.names():
-        assert np.array_equal(resumed_params[name].data, whole_params[name].data)
+    for name in whole_params:
+        assert np.array_equal(resumed_params[name], whole_params[name])
 
 
 @pytest.mark.parametrize("flag", ["--init-seed", "--train-seed"])
@@ -466,13 +465,12 @@ def test_parameters_that_do_not_fit_the_config_exit_3_without_output(tmp_path, c
     data = synth(tmp_path)
     ckpt = train(tmp_path, data, steps=2)
     params, adam, header = load_checkpoint(ckpt)
-    arrays = dict(params.items())
     if case == "head.bias missing":
-        for store in (arrays, adam.m, adam.v):
+        for store in (params, adam.m, adam.v):
             del store["head.bias"]
     else:
-        arrays["head.bias"] = Tensor(np.zeros(3))
-    save_checkpoint(ckpt, ParameterStore(arrays), adam, header["config"], header["rng"],
+        params["head.bias"] = np.zeros(3)
+    save_checkpoint(ckpt, params, adam, header["config"], header["rng"],
                     header["train_step"], losses=header["losses"])
     assert_both_commands_exit_3(tmp_path, capsys, data, ckpt)
 
@@ -609,7 +607,7 @@ def test_sample_with_non_finite_parameters_exits_4_without_output(tmp_path, caps
     data = synth(tmp_path)
     ckpt = train(tmp_path, data)
     params, adam, header = load_checkpoint(ckpt)
-    params = params.replace({"head.bias": np.full(4, np.nan)})
+    params = {**params, "head.bias": np.full(4, np.nan)}
     save_checkpoint(ckpt, params, adam, header["config"], header["rng"], header["train_step"],
                     losses=header["losses"])
     out = tmp_path / "s.json"
@@ -701,7 +699,7 @@ def test_float32_runs_on_continuous_features_stay_float32(tmp_path):
     for path in (ckpt, resumed):
         params, adam, header = load_checkpoint(path)
         assert header["precision"] == "float32"
-        for arrays in (params.arrays(), adam.m, adam.v):
+        for arrays in (params, adam.m, adam.v):
             assert {arr.dtype for arr in arrays.values()} == {np.dtype(np.float32)}
 
 
@@ -771,6 +769,39 @@ def test_a_refused_command_exits_3_naming_the_problem_without_output(tmp_path, c
     assert run(argv) == 3
     assert message in capsys.readouterr().err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+UNREAD_FLAGS = [
+    ("sample --num-samples with --conditions",
+     ["sample", "--checkpoint", "{missing}", "--conditions", "{missing}", "--num-samples", "5",
+      "--seed", "1", "-o", "{out}"], "--num-samples"),
+    ("eval --features-generated without --frechet",
+     ["eval", "--generated", "{missing}", "--reference", "{missing}", "--features-generated",
+      "{missing}", "-o", "{out}"], "--features-generated"),
+    ("eval --features-reference with --frechet trivial",
+     ["eval", "--generated", "{missing}", "--reference", "{missing}", "--frechet", "trivial",
+      "--features-reference", "{missing}", "-o", "{out}"], "--features-reference"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", [case[1:] for case in UNREAD_FLAGS],
+                         ids=[case[0] for case in UNREAD_FLAGS])
+def test_a_flag_the_command_would_ignore_is_a_usage_error_before_any_file(tmp_path, capsys,
+                                                                          argv, flag):
+    paths = {"missing": tmp_path / "missing", "out": tmp_path / "out"}
+    with pytest.raises(SystemExit) as exc:
+        run([arg.format(**paths) for arg in argv])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sample_labels_draws_one_layout_without_num_samples(tmp_path):
+    ckpt = train(tmp_path, synth(tmp_path), steps=1)
+    out = tmp_path / "s.json"
+    assert run(["sample", "--checkpoint", str(ckpt), "--labels", "0,1", "--seed", "1",
+                "-o", str(out)]) == 0
+    assert len(json.loads(out.read_text())["layouts"]) == 1
 
 
 def test_eval_self_comparison(tmp_path, capsys):

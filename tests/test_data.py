@@ -167,10 +167,32 @@ def test_layout_equals_only_itself_and_is_hashable():
 
 @pytest.mark.parametrize("canvas", [(float("nan"), 100), (float("inf"), 1), (100, -float("inf")),
                                     ("100", 50), (True, 50), (50, np.bool_(True)), (0, 50),
-                                    (100, -1.0), (10**400, 50), (100,), (100, 50, 50)])
+                                    (100, -1.0), (10**400, 50), (100,), (100, 50, 50), 5, None,
+                                    "ab", np.array(100.0), np.array([[100.0, 50.0]])])
 def test_dataset_refuses_a_canvas_that_is_not_two_positive_finite_numbers(canvas):
     with pytest.raises(DataError, match="canvas"):
         Dataset(layouts=(), canvas=canvas, label_names=("a",))
+
+
+@pytest.mark.parametrize("heads", [dict(label_names=["a", 1]), dict(label_names="ab"),
+                                   dict(label_names={"a": 0}), dict(feature_dim=0),
+                                   dict(feature_dim=-1), dict(feature_dim=True),
+                                   dict(feature_dim="3"), dict(feature_dim=2.5)])
+def test_dataset_refuses_an_attribute_head_that_a_load_would_refuse(heads):
+    with pytest.raises(DataError, match="label_names|feature_dim"):
+        Dataset(layouts=(), **heads)
+
+
+def test_dataset_attribute_heads_round_trip_through_a_file(tmp_path):
+    path = tmp_path / "d.json"
+    for heads in (dict(label_names=["a", "b"]), dict(label_names=()),
+                  dict(feature_dim=np.int64(3))):
+        dataset = Dataset(layouts=(), **heads)
+        save_dataset(dataset, path)
+        loaded = load_dataset(path)
+        assert (loaded.label_names, loaded.feature_dim) == (dataset.label_names,
+                                                            dataset.feature_dim)
+        assert type(dataset.feature_dim) in (int, type(None))
 
 
 def test_dataset_accepts_python_and_numpy_real_canvas_sizes():

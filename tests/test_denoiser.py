@@ -9,7 +9,7 @@ from layoutdiffusion.denoiser import (DenoiserConfig, denoise, element_position_
 from layoutdiffusion.diffusion import build_schedule, noise_loss
 from layoutdiffusion.exceptions import DataError
 from layoutdiffusion.rng import RngStream
-from layoutdiffusion.tensor import ParameterStore, Tensor, backward, collect_grads, mul, tsum
+from layoutdiffusion.tensor import Tensor, backward, collect_grads, mul, tsum
 
 RNG = np.random.default_rng(77)
 
@@ -63,7 +63,7 @@ def test_timestep_embedding_rejects_odd_width():
 def test_embed_geometry_zero_gives_bias(setup):
     config, params = setup
     out = embed_geometry(np.zeros((2, 3, 4)), params).data
-    np.testing.assert_allclose(out, np.broadcast_to(params["geom.bias"].data, out.shape))
+    np.testing.assert_allclose(out, np.broadcast_to(params["geom.bias"], out.shape))
 
 
 def test_embed_geometry_is_affine(setup):
@@ -78,7 +78,7 @@ def test_embed_geometry_is_affine(setup):
 def test_embed_geometry_matches_matmul_oracle(setup):
     _, params = setup
     x = RNG.normal(size=(2, 5, 4))
-    expected = x @ params["geom.weight"].data + params["geom.bias"].data
+    expected = x @ params["geom.weight"] + params["geom.bias"]
     np.testing.assert_allclose(embed_geometry(x, params).data, expected, atol=1e-6)
 
 
@@ -109,7 +109,7 @@ def test_embed_attributes_continuous_zero_gives_bias():
     params = init_denoiser_params(config, RngStream(3))
     out = embed_attributes(np.zeros((2, 3, 5)), np.array([0, 2, 5]), params, config).data
     assert out.shape == (3, config.d_model)
-    np.testing.assert_allclose(out, np.broadcast_to(params["attr.bias"].data, out.shape))
+    np.testing.assert_allclose(out, np.broadcast_to(params["attr.bias"], out.shape))
 
 
 def test_embed_attributes_continuous_rejects_wrong_dim():
@@ -129,7 +129,7 @@ def test_fuse_tokens_zero_te_is_pure_fusion(setup):
     te0 = np.zeros((5, config.d_model))
     out = fuse_tokens(h_attr, h_geom, te0, params).data
     oracle = (np.concatenate([h_attr.data, h_geom.data], axis=-1)
-              @ params["fuse.weight"].data + params["fuse.bias"].data)
+              @ params["fuse.weight"] + params["fuse.bias"])
     np.testing.assert_allclose(out, oracle, atol=1e-6)
 
 
@@ -159,8 +159,8 @@ def test_fuse_tokens_rejects_bad_te_shape(setup):
 def layer_oracle(x, mask, params, idx, config):
     """Straight-line re-implementation of one post-norm block."""
     p = f"layers.{idx:02d}"
-    getw = lambda n: params[f"{p}.{n}.weight"].data
-    getb = lambda n: params[f"{p}.{n}.bias"].data
+    getw = lambda n: params[f"{p}.{n}.weight"]
+    getb = lambda n: params[f"{p}.{n}.bias"]
     b, n, d = x.shape
     heads, hd = config.num_heads, config.d_model // config.num_heads
 
@@ -181,7 +181,7 @@ def layer_oracle(x, mask, params, idx, config):
         mu = z.mean(-1, keepdims=True)
         var = ((z - mu) ** 2).mean(-1, keepdims=True)
         y = (z - mu) / np.sqrt(var + 1e-12)
-        return y * params[f"{p}.{which}.scale"].data + params[f"{p}.{which}.shift"].data
+        return y * params[f"{p}.{which}.scale"] + params[f"{p}.{which}.shift"]
 
     normed = ln(x + attended, "ln1")
     hidden = normed @ getw("ffn.lin1") + getb("ffn.lin1")
@@ -212,8 +212,8 @@ def test_single_valid_element_attends_to_itself(setup):
     x = RNG.normal(size=(1, 3, config.d_model))
     mask = np.array([[True, False, False]])
     p = "layers.00"
-    v = x[0, 0] @ params[f"{p}.attn.wv.weight"].data + params[f"{p}.attn.wv.bias"].data
-    attended = v @ params[f"{p}.attn.wo.weight"].data + params[f"{p}.attn.wo.bias"].data
+    v = x[0, 0] @ params[f"{p}.attn.wv.weight"] + params[f"{p}.attn.wv.bias"]
+    attended = v @ params[f"{p}.attn.wo.weight"] + params[f"{p}.attn.wo.bias"]
     oracle = layer_oracle(x, mask, params, 0, config)
     out = transformer_layer(Tensor(x[mask]), mask, params, 0, config).data
     np.testing.assert_allclose(out, oracle[mask], atol=1e-8)
@@ -221,14 +221,14 @@ def test_single_valid_element_attends_to_itself(setup):
     z = x[0, 0] + attended
     mu, var = z.mean(), ((z - z.mean()) ** 2).mean()
     y = (z - mu) / np.sqrt(var + 1e-12)
-    expected_first = y * params[f"{p}.ln1.scale"].data + params[f"{p}.ln1.shift"].data
-    hidden = expected_first @ params[f"{p}.ffn.lin1.weight"].data + params[f"{p}.ffn.lin1.bias"].data
+    expected_first = y * params[f"{p}.ln1.scale"] + params[f"{p}.ln1.shift"]
+    hidden = expected_first @ params[f"{p}.ffn.lin1.weight"] + params[f"{p}.ffn.lin1.bias"]
     c = np.sqrt(2 / np.pi)
     hidden = 0.5 * hidden * (1 + np.tanh(c * (hidden + 0.044715 * hidden**3)))
-    z2 = expected_first + hidden @ params[f"{p}.ffn.lin2.weight"].data + params[f"{p}.ffn.lin2.bias"].data
+    z2 = expected_first + hidden @ params[f"{p}.ffn.lin2.weight"] + params[f"{p}.ffn.lin2.bias"]
     mu2, var2 = z2.mean(), ((z2 - z2.mean()) ** 2).mean()
     y2 = (z2 - mu2) / np.sqrt(var2 + 1e-12)
-    expected = y2 * params[f"{p}.ln2.scale"].data + params[f"{p}.ln2.shift"].data
+    expected = y2 * params[f"{p}.ln2.scale"] + params[f"{p}.ln2.shift"]
     np.testing.assert_allclose(out[0], expected, atol=1e-8)
 
 
@@ -336,13 +336,14 @@ def test_masked_slots_leave_the_output_bit_identical(mode):
 def test_every_parameter_of_the_layout_is_read_by_the_forward_pass(mode):
     config = tiny_config(**MODES[mode])
     params = init_denoiser_params(config, RngStream(9))
-    assert {name: t.data.shape for name, t in params.items()} == param_shapes(config)
+    assert {name: arr.shape for name, arr in params.items()} == param_shapes(config)
     # A parameter that denoise never reads gets a zero gradient, both
     # analytically and by finite differences, so only this check sees it.
     geometry, _, attributes, mask = ragged_inputs(config)
-    loss = noise_loss(Batch(geometry=geometry, attributes=attributes, mask=mask), params,
+    leaves = {name: Tensor(arr, requires_grad=True) for name, arr in params.items()}
+    loss = noise_loss(Batch(geometry=geometry, attributes=attributes, mask=mask), leaves,
                       config, build_schedule(100), RngStream(1))[0]
-    grads = collect_grads(loss, params)
+    grads = collect_grads(loss, leaves)
     assert [name for name, grad in grads.items() if not np.any(grad)] == []
 
 
@@ -367,16 +368,19 @@ def test_tracked_geometry_gets_gradients_on_valid_slots(setup):
     assert np.all(g.grad[~mask] == 0.0)
 
 
-def test_denoise_on_detached_params_records_no_tape(setup):
+def test_denoise_on_arrays_records_no_tape_and_leaves_them_unchanged(setup):
     config, params = setup
-    detached = ParameterStore({name: t.detach() for name, t in params.items()})
+    before = {name: arr.copy() for name, arr in params.items()}
     geometry = RNG.normal(size=(2, 4, 4))
     labels = RNG.integers(0, config.num_classes, size=(2, 4))
     mask = np.array([[True, True, False, False], [True, True, True, True]])
-    out = denoise(geometry, np.array([1, 1000]), labels, mask, detached, config)
+    out = denoise(geometry, np.array([1, 1000]), labels, mask, params, config)
     assert out._parents == ()
     assert out._backward is None
     assert not out.requires_grad
+    for name, arr in params.items():
+        assert type(arr) is np.ndarray, name
+        assert arr.dtype == before[name].dtype and arr.tobytes() == before[name].tobytes(), name
 
 
 def test_denoise_relu_option_changes_output():

@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 
 from layoutdiffusion import diffusion
+from layoutdiffusion.checkpoint import load_checkpoint, save_checkpoint
 from layoutdiffusion.data import SynthSpec, make_synthetic_dataset, pad_batch
 from layoutdiffusion.denoiser import DenoiserConfig, denoise, init_denoiser_params
 from layoutdiffusion.diffusion import (DiffusionConfig, TrainConfig, build_schedule,
                                        p_sample_step, posterior_mean, q_sample,
                                        sample, train, training_step)
 from layoutdiffusion.exceptions import NumericError
-from layoutdiffusion.optim import BETA1, BETA2, EPS, AdamState
+from layoutdiffusion.optim import BETA1, BETA2, EPS, AdamState, adam_step
 from layoutdiffusion.rng import RngStream
-from layoutdiffusion.tensor import ParameterStore, Tensor
+from layoutdiffusion.tensor import Tensor
 
 RNG = np.random.default_rng(55)
 
@@ -32,10 +33,8 @@ def alpha_bar_fraction_oracle(timesteps, beta_start, beta_end):
 def zero_denoiser_params(config):
     """Real parameters with a zeroed output head: noise prediction is 0."""
     params = init_denoiser_params(config, RngStream(0))
-    return params.replace({
-        "head.weight": np.zeros_like(params["head.weight"].data),
-        "head.bias": np.zeros_like(params["head.bias"].data),
-    })
+    return {**params, "head.weight": np.zeros_like(params["head.weight"]),
+            "head.bias": np.zeros_like(params["head.bias"])}
 
 
 # -- schedule ------------------------------------------------------------------
@@ -307,11 +306,11 @@ def test_sample_deterministic_and_shaped():
     assert not np.array_equal(a.geometry_raw, c.geometry_raw)
 
 
-def test_sample_builds_no_tape_and_leaves_params_tracked(monkeypatch):
+def test_sample_takes_arrays_records_no_tape_and_leaves_them_unchanged(monkeypatch):
     config = DenoiserConfig(d_model=16, num_layers=1, num_heads=2, ffn_dim=16,
                             num_classes=2)
     params = init_denoiser_params(config, RngStream(5))
-    detached = ParameterStore({name: t.detach() for name, t in params.items()})
+    before = {name: arr.copy() for name, arr in params.items()}
     sched = build_schedule(20, 1e-4, 0.02)
     labels = np.array([[0, 1, 1], [1, 0, 0]])
     mask = np.array([[True, True, False], [True, True, True]])
@@ -322,21 +321,20 @@ def test_sample_builds_no_tape_and_leaves_params_tracked(monkeypatch):
         return outputs[-1]
 
     monkeypatch.setattr(diffusion, "denoise", recording_denoise)
-    tracked = sample(labels, mask, params, config, sched, RngStream(42))
+    sample(labels, mask, params, config, sched, RngStream(42))
     assert len(outputs) == sched.timesteps
-    assert not any(out.requires_grad for out in outputs)
-    untracked = sample(labels, mask, detached, config, sched, RngStream(42))
-    assert np.array_equal(tracked.geometry_raw, untracked.geometry_raw)
-    for name, t in params.items():
-        assert t.requires_grad, name
-        assert t.grad is None, name
+    assert not any(out.requires_grad or out._parents for out in outputs)
+    assert params.keys() == before.keys()
+    for name, arr in params.items():
+        assert type(arr) is np.ndarray, name
+        assert arr.dtype == before[name].dtype and arr.tobytes() == before[name].tobytes(), name
 
 
 def test_sample_stops_at_the_first_non_finite_step(monkeypatch):
     config = DenoiserConfig(d_model=16, num_layers=1, num_heads=2, ffn_dim=16,
                             num_classes=2)
     params = init_denoiser_params(config, RngStream(5))
-    params = params.replace({"head.bias": np.full(4, np.nan)})
+    params = {**params, "head.bias": np.full(4, np.nan)}
     sched = build_schedule(20, 1e-4, 0.02)
     steps = []
 
@@ -396,9 +394,45 @@ def test_training_step_advances_optimizer():
     adam = AdamState.initialize(params, lr=1e-3)
     result = training_step(batch, params, config, sched, adam, RngStream(1))
     assert result.adam_state.step == 1
-    changed = any(not np.array_equal(result.params[n].data, params[n].data)
-                  for n in params.names())
+    changed = any(not np.array_equal(result.params[n], params[n]) for n in params)
     assert changed
+
+
+def test_training_step_leaves_its_input_arrays_bit_identical():
+    config, params, sched, batch = small_training_setup()
+    adam = AdamState.initialize(params, lr=1e-3)
+    adam = training_step(batch, params, config, sched, adam, RngStream(1)).adam_state
+    inputs = {"params": params, "adam.m": adam.m, "adam.v": adam.v}
+    before = {kind: {name: arr.copy() for name, arr in arrays.items()}
+              for kind, arrays in inputs.items()}
+    result = training_step(batch, params, config, sched, adam, RngStream(2))
+    assert result.adam_state.step == 2
+    for kind, arrays in inputs.items():
+        assert arrays.keys() == before[kind].keys()
+        for name, arr in arrays.items():
+            assert type(arr) is np.ndarray, (kind, name)
+            assert arr.tobytes() == before[kind][name].tobytes(), (kind, name)
+
+
+def test_parameters_are_stored_as_a_dict_of_plain_arrays(tmp_path):
+    def assert_plain(params):
+        assert type(params) is dict
+        assert params and all(type(arr) is np.ndarray for arr in params.values())
+
+    config, params, sched, batch = small_training_setup()
+    assert_plain(params)
+    adam = AdamState.initialize(params, lr=1e-3)
+    stepped, adam = adam_step(params, {name: np.ones_like(arr) for name, arr in params.items()},
+                              adam)
+    assert_plain(stepped)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, stepped, adam, {}, {}, step=1)
+    assert_plain(load_checkpoint(path)[0])
+    dataset = make_synthetic_dataset(SynthSpec(num_layouts=4, num_classes=3), 9)
+    train_config = TrainConfig(denoiser=config, diffusion=DiffusionConfig(timesteps=10),
+                               batch_size=2, max_steps=1)
+    trained = train(dataset, train_config)
+    assert_plain(trained.params)
 
 
 def test_train_loop_is_deterministic_and_resumable():
@@ -416,8 +450,8 @@ def test_train_loop_is_deterministic_and_resumable():
     resumed = train(dataset, config, start_params=half.params,
                     start_adam=half.adam_state, start_stream=half.train_stream,
                     start_step=half.step)
-    for name in full.params.names():
-        np.testing.assert_array_equal(full.params[name].data, resumed.params[name].data)
+    for name in full.params:
+        np.testing.assert_array_equal(full.params[name], resumed.params[name])
     assert full.train_stream.state() == resumed.train_stream.state()
     assert [l for _, l in full.losses[3:]] == [l for _, l in resumed.losses]
 
@@ -430,7 +464,7 @@ def test_train_config_precision_float32():
                          learning_rate=1e-3, batch_size=2, max_steps=2,
                          init_seed=0, train_seed=1, precision="float32")
     result = train(dataset, config)
-    assert result.params["head.weight"].data.dtype == np.float32
+    assert result.params["head.weight"].dtype == np.float32
 
 
 def test_train_config_validation():

@@ -107,7 +107,7 @@ def test_fit_accepts_continuous_layout_sequence():
 
 def test_float32_fit_on_continuous_layouts_keeps_float32_parameters():
     model = desk_model(max_steps=2, precision="float32").fit(continuous_layouts([3, 3, 3]))
-    for arrays in (model.params_.arrays(), model.adam_state_.m, model.adam_state_.v):
+    for arrays in (model.params_, model.adam_state_.m, model.adam_state_.v):
         assert {arr.dtype for arr in arrays.values()} == {np.dtype(np.float32)}
 
 

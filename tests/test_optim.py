@@ -4,19 +4,18 @@ import pytest
 from layoutdiffusion.exceptions import NumericError
 from fd_oracle import finite_difference_grad
 from layoutdiffusion.optim import EPS, AdamState, adam_step
-from layoutdiffusion.tensor import ParameterStore, Tensor
+from layoutdiffusion.tensor import Tensor
 
 
 def make_store(**arrays):
-    return ParameterStore({k: Tensor(np.asarray(v, dtype=np.float64), requires_grad=True)
-                           for k, v in arrays.items()})
+    return {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
 
 
 def test_zero_gradients_leave_params_unchanged():
     store = make_store(w=[1.0, -2.0, 3.0])
     state = AdamState.initialize(store, lr=0.1)
     new_store, new_state = adam_step(store, {"w": np.zeros(3)}, state)
-    np.testing.assert_array_equal(new_store["w"].data, store["w"].data)
+    np.testing.assert_array_equal(new_store["w"], store["w"])
     assert new_state.step == 1
 
 
@@ -27,7 +26,7 @@ def test_first_step_is_signed_lr():
     state = AdamState.initialize(store, lr=lr)
     new_store, _ = adam_step(store, {"w": g}, state)
     expected = -lr * g / (np.abs(g) + EPS)
-    np.testing.assert_allclose(new_store["w"].data, expected, atol=lr * 1e-6)
+    np.testing.assert_allclose(new_store["w"], expected, atol=lr * 1e-6)
 
 
 def test_quadratic_descent_matches_reference_recurrence():
@@ -43,10 +42,10 @@ def test_quadratic_descent_matches_reference_recurrence():
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         x = x - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
-        grad = 2.0 * store["x"].data
+        grad = 2.0 * store["x"]
         store, state = adam_step(store, {"x": grad}, state)
-        history.append(abs(float(store["x"].data[0])))
-        assert float(store["x"].data[0]) == pytest.approx(x, abs=1e-14)
+        history.append(abs(float(store["x"][0])))
+        assert float(store["x"][0]) == pytest.approx(x, abs=1e-14)
     assert all(a > b for a, b in zip([1.0] + history, history))
 
 
@@ -71,10 +70,9 @@ def test_update_matches_three_line_formula_bit_for_bit(dtype):
 
     rng = np.random.default_rng(11)
     shapes = {"a": (3, 5), "b": (7,)}
-    store = ParameterStore({k: Tensor(rng.normal(size=s).astype(dtype), requires_grad=True)
-                            for k, s in shapes.items()})
+    store = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
     state = AdamState.initialize(store, lr=0.003)
-    ref_p = store.arrays()
+    ref_p = dict(store)
     ref_m = {k: np.zeros(s, dtype) for k, s in shapes.items()}
     ref_v = {k: np.zeros(s, dtype) for k, s in shapes.items()}
     for t in range(1, 6):
@@ -86,7 +84,7 @@ def test_update_matches_three_line_formula_bit_for_bit(dtype):
             ref_m[k] = BETA1 * ref_m[k] + (1.0 - BETA1) * g
             ref_v[k] = BETA2 * ref_v[k] + (1.0 - BETA2) * (g * g)
             ref_p[k] = ref_p[k] - 0.003 * (ref_m[k] / c1) / (np.sqrt(ref_v[k] / c2) + EPS)
-            for got, want in ((store[k].data, ref_p[k]), (state.m[k], ref_m[k]),
+            for got, want in ((store[k], ref_p[k]), (state.m[k], ref_m[k]),
                               (state.v[k], ref_v[k])):
                 assert got.dtype == want.dtype == dtype
                 assert got.tobytes() == want.tobytes()
@@ -97,7 +95,7 @@ def test_finite_difference_on_square():
     store = make_store(x=[3.0])
 
     def f(s):
-        return float((s["x"].data ** 2).sum())
+        return float((s["x"] ** 2).sum())
 
     grads = finite_difference_grad(f, store, h=1e-5)
     assert grads["x"][0] == pytest.approx(6.0, abs=1e-8)
@@ -142,8 +140,9 @@ def test_backward_matches_fd_on_two_layer_toy():
         diff = out - Tensor(target)
         return mul(tsum(mul(diff, diff)), 1.0 / target.size)
 
-    grads = collect_grads(forward(store), store)
+    leaves = {name: Tensor(arr, requires_grad=True) for name, arr in store.items()}
+    grads = collect_grads(forward(leaves), leaves)
     fd = finite_difference_grad(lambda s: float(forward(s).data), store, h=1e-5)
-    for name in store.names():
+    for name in store:
         denom = np.maximum(np.maximum(np.abs(grads[name]), np.abs(fd[name])), 1e-4)
         assert (np.abs(grads[name] - fd[name]) / denom).max() < 1e-4

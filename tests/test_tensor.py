@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from layoutdiffusion.exceptions import NumericError
-from layoutdiffusion.tensor import (ParameterStore, Tensor, attention, backward,
+from layoutdiffusion.tensor import (Tensor, attention, backward,
                                     collect_grads, concat, embedding, gelu, layer_norm,
                                     masked_softmax, matmul, mul, put_rows, relu,
                                     reshape, take_rows, transpose, tsum)
@@ -234,27 +234,11 @@ def test_data_not_mutated_by_ops():
     np.testing.assert_array_equal(t.data, np.ones((2, 2)))
 
 
-def test_parameter_store_sorted_and_replace():
-    store = ParameterStore({
-        "b": Tensor(np.zeros(2), requires_grad=True),
-        "a": Tensor(np.ones(3), requires_grad=True),
-    })
-    assert store.names() == ["a", "b"]
-    replaced = store.replace({"a": np.full(3, 5.0)})
-    assert replaced["a"].data.tolist() == [5.0, 5.0, 5.0]
-    # original untouched
-    assert store["a"].data.tolist() == [1.0, 1.0, 1.0]
-    with pytest.raises(KeyError):
-        store.replace({"missing": np.zeros(1)})
-    with pytest.raises(ValueError):
-        store.replace({"a": np.zeros(99)})
-
-
 def test_collect_grads_zero_for_untouched_params():
-    store = ParameterStore({
+    store = {
         "used": Tensor(np.ones(3), requires_grad=True),
         "unused": Tensor(np.ones(4), requires_grad=True),
-    })
+    }
     loss = tsum(mul(store["used"], store["used"]))
     grads = collect_grads(loss, store)
     np.testing.assert_allclose(grads["used"], 2 * np.ones(3))
@@ -262,9 +246,16 @@ def test_collect_grads_zero_for_untouched_params():
 
 
 def test_collect_grads_constant_loss_gives_all_zeros():
-    store = ParameterStore({"p": Tensor(np.ones(2), requires_grad=True)})
+    store = {"p": Tensor(np.ones(2), requires_grad=True)}
     grads = collect_grads(Tensor(np.float64(0.0)), store)
     np.testing.assert_array_equal(grads["p"], np.zeros(2))
+
+
+def test_collect_grads_clears_the_gradients_of_an_earlier_backward():
+    leaves = {"p": Tensor(np.array([2.0]), requires_grad=True)}
+    backward(tsum(mul(leaves["p"], 5.0)))
+    grads = collect_grads(tsum(mul(leaves["p"], 3.0)), leaves)
+    np.testing.assert_array_equal(grads["p"], [3.0])
 
 
 def test_grad_accumulates_over_reuse():

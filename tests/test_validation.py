@@ -10,7 +10,7 @@ import pytest
 from checkpoint_signing import resign
 
 from layoutdiffusion.checkpoint import load_checkpoint, save_checkpoint
-from layoutdiffusion.data import SynthSpec, load_dataset
+from layoutdiffusion.data import Dataset, SynthSpec, load_dataset, save_dataset
 from layoutdiffusion.denoiser import DenoiserConfig, init_denoiser_params
 from layoutdiffusion.diffusion import TrainConfig, build_schedule
 from layoutdiffusion.exceptions import DataError
@@ -51,6 +51,13 @@ def dataset_with(tmp_path, labels=None, feature_dim=None):
     doc["layouts"] = [{"id": "x", "elements": [element]}]
     path = tmp_path / "data.json"
     path.write_text(json.dumps(doc))
+    load_dataset(path)
+
+
+def dataset_object(tmp_path, feature_dim):
+    """Build an empty continuous ``Dataset`` with ``feature_dim``, save it and load it back."""
+    path = tmp_path / "data.json"
+    save_dataset(Dataset(layouts=(), feature_dim=feature_dim), path)
     load_dataset(path)
 
 
@@ -125,6 +132,8 @@ ENTRIES = {
                            DataError, "label", json=True),
     "dataset feature_dim": Entry(lambda v, tmp: dataset_with(tmp, feature_dim=v), 1,
                                  float("inf"), DataError, DataError, "feature_dim", json=True),
+    "Dataset feature_dim": Entry(lambda v, tmp: dataset_object(tmp, v), 1, float("inf"),
+                                 DataError, DataError, "feature_dim"),
     "check_seed": Entry(lambda v, tmp: check_seed(v), 0, 2**64, DataError, DataError, "seed"),
     "RngStream seed": Entry(lambda v, tmp: RngStream(v), 0, 2**64, ValueError, ValueError,
                             "rng seed"),
