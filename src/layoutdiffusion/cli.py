@@ -16,11 +16,11 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
-from .data import (Dataset, atomic_path, load_dataset, make_synthetic_dataset, save_dataset,
-                   SynthSpec)
+from .data import (DEFAULT_N_MAX, Dataset, atomic_path, load_dataset, make_synthetic_dataset,
+                   save_dataset, SynthSpec)
 from .denoiser import DenoiserConfig, param_shapes
-from .diffusion import (DiffusionConfig, TrainConfig, read_loss_log, sample_layouts, train,
-                        write_loss_log)
+from .diffusion import (DiffusionConfig, TrainConfig, TrainResult, read_loss_log,
+                        sample_layouts, train, write_loss_log)
 from .exceptions import DataError, LayoutDiffusionError, NumericError
 from .metrics import FeatureSet, evaluate_collections, trivial_features
 from .render import render_svg
@@ -67,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss-log", help="CSV loss log to write from the checkpoint's loss "
                                       "history (default: checkpoint + .loss.csv); never read")
     p.add_argument("--resume", help="checkpoint to continue from (reuses its config and "
-                                    "loss history; only --max-steps applies on top)")
+                                    "loss history; only --max-steps may be given on top, "
+                                    "not --config or another config flag)")
     p.add_argument("--d-model", type=int)
     p.add_argument("--num-layers", type=int)
     p.add_argument("--num-heads", type=int)
@@ -225,7 +226,7 @@ def cmd_train(args) -> int:
     loss_log = args.loss_log or args.checkpoint + ".loss.csv"
 
     if args.resume:
-        start_params, start_adam, header, config, trained, start_stream = _load_run(args.resume)
+        params, adam_state, header, config, trained, stream = _load_run(args.resume)
         for key, ours, theirs in (("labels", dataset.label_names, trained.label_names),
                                   ("feature_dim", dataset.feature_dim, trained.feature_dim)):
             if ours != theirs:
@@ -233,13 +234,12 @@ def cmd_train(args) -> int:
                                 f"{ours!r} != {theirs!r}")
         if args.max_steps is not None:
             config = dataclasses.replace(config, max_steps=args.max_steps)
-        start_step = header["train_step"]
         losses = (header["losses"] if header["format_version"] == FORMAT_VERSION
                   else _legacy_history(args.resume, header))
+        run = TrainResult(params, adam_state, stream, losses)
     else:
         config = _merged_train_config(args, dataset)
-        start_params = start_adam = start_stream = None
-        start_step, losses = 0, []
+        run = None
 
     config_echo = {"train": config.to_dict(), "dataset": dataset_echo, "version": __version__}
     for out_path in (args.checkpoint, loss_log):
@@ -247,26 +247,18 @@ def cmd_train(args) -> int:
         if not os.path.isdir(parent):
             raise DataError(f"output directory does not exist: {parent}")
 
-    def save_run(step, params, adam_state, stream):
-        """The checkpoint, then the log rendered from the history it holds."""
-        save_checkpoint(args.checkpoint, params, adam_state, config_echo,
-                        {"train": stream.state()}, step, losses=losses)
-        write_loss_log(loss_log, enumerate(losses, start=1))
-
-    def checkpoint_cb(step, loss, params, adam_state, stream):
-        losses.append(loss)
-        if step == config.max_steps or (config.checkpoint_every
-                                         and step % config.checkpoint_every == 0):
-            save_run(step, params, adam_state, stream)
-
-    result = train(dataset, config, start_params=start_params, start_adam=start_adam,
-                   start_stream=start_stream, start_step=start_step, on_step=checkpoint_cb)
-    if result.step == start_step:  # no step trained, so the callback saved nothing
-        save_run(result.step, result.params, result.adam_state, result.train_stream)
-    if result.losses:
-        first = result.losses[0][1]
-        last = result.losses[-1][1]
-        print(f"trained {len(result.losses)} steps: loss {first:.6f} -> {last:.6f}")
+    # Save every checkpoint_every steps above the start and at the end, the log after.
+    start = run.step if run else 0
+    every = config.checkpoint_every
+    stops = list(range(start - start % every + every, config.max_steps, every)) if every else []
+    for stop in stops + [max(config.max_steps, start)]:
+        run = train(dataset, dataclasses.replace(config, max_steps=stop), start=run)
+        save_checkpoint(args.checkpoint, run.params, run.adam_state, config_echo,
+                        {"train": run.train_stream.state()}, run.step, losses=run.losses)
+        write_loss_log(loss_log, run.losses)
+    if run.step > start:
+        print(f"trained {run.step - start} steps: loss {run.losses[start]:.6f} -> "
+              f"{run.losses[-1]:.6f}")
     print(f"checkpoint: {args.checkpoint}")
     print(f"loss log: {loss_log}")
     return EXIT_OK
@@ -282,6 +274,8 @@ def cmd_sample(args) -> int:
             labels = [int(tok) for tok in args.labels.split(",") if tok != ""]
         except ValueError as exc:
             raise DataError(f"bad --labels value {args.labels!r}") from exc
+        if len(labels) > DEFAULT_N_MAX:
+            raise DataError(f"--labels has {len(labels)} labels, limit is {DEFAULT_N_MAX}")
         conditions = [labels] * (args.num_samples or 1)
     else:
         cond_dataset = load_dataset(args.conditions, strict_geometry=False)
@@ -399,6 +393,14 @@ _COMMANDS = {"synth": cmd_synth, "train": cmd_train, "sample": cmd_sample,
 
 def _refuse_unread_flags(parser, args):
     """A usage error for a flag that the command would silently ignore."""
+    if args.command == "train" and args.resume is not None:
+        # Every other flag sets the config, which a resume takes from the checkpoint.
+        read = ("command", "dataset", "checkpoint", "loss_log", "resume", "max_steps")
+        unread = [f"--{name.replace('_', '-')}" for name, value in vars(args).items()
+                  if value is not None and name not in read]
+        if unread:
+            parser.error(f"train: --resume reuses the checkpoint's config, so only "
+                         f"--max-steps applies; refused: {' '.join(unread)}")
     if args.command == "sample" and args.conditions is not None and args.num_samples is not None:
         parser.error("sample: --num-samples applies to --labels only; --conditions draws "
                      "one layout per condition")

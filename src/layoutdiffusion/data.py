@@ -426,15 +426,20 @@ def _attribute_column(dataset: Dataset, bounds: list) -> np.ndarray:
 
 def dataset_to_dict(dataset: Dataset, meta: Optional[dict] = None, include_clamped=False) -> dict:
     """Dataset as a schema dict with bbox back in canvas units, built in array passes over
-    all of its elements.  A layout that the dataset's attribute head cannot hold is a
-    :class:`DataError`."""
+    all of its elements.  A layout that a load would refuse (of more elements than
+    ``DEFAULT_N_MAX``, or that the attribute head cannot hold) is a :class:`DataError`."""
     doc = {"canvas": {"width": dataset.canvas[0], "height": dataset.canvas[1]}}
     if dataset.mode == "categorical":
         doc["labels"] = list(dataset.label_names)
     else:
         doc["feature_dim"] = dataset.feature_dim
     layouts = dataset.layouts
-    bounds = list(accumulate(map(len, layouts), initial=0))
+    sizes = list(map(len, layouts))
+    fault = next((i for i, size in enumerate(sizes) if size > DEFAULT_N_MAX), None)
+    if fault is not None:
+        raise DataError(f"cannot save layout {layouts[fault].id!r}: it has {sizes[fault]} "
+                        f"elements, limit is {DEFAULT_N_MAX}")
+    bounds = list(accumulate(sizes, initial=0))
     attributes = _attribute_column(dataset, bounds)
     geometry = np.concatenate([layout.geometry for layout in layouts] or [np.empty((0, 4))])
     ranges = _canvas_ranges(dataset.canvas)

@@ -198,19 +198,13 @@ class TrainStepResult:
     loss: float
     params: dict
     adam_state: AdamState
-    t: np.ndarray
-    noise: np.ndarray
-    noise_pred: np.ndarray
 
 
 def noise_loss(batch: Batch, params: dict, denoiser_config: DenoiserConfig,
-               schedule: NoiseSchedule, stream: RngStream, denoise_fn: Callable = denoise):
-    """The masked noise-regression loss; returns ``(loss, t, noise, noise_pred)``.
-
-    One timestep is drawn per layout; the squared error is averaged over
-    valid slots and coordinates only.  ``loss`` and ``noise_pred`` are tape
-    tensors; the loss can be differentiated when ``params`` holds tracked leaves.
-    """
+               schedule: NoiseSchedule, stream: RngStream) -> Tensor:
+    """The masked noise-regression loss as a tape tensor, differentiable when ``params``
+    holds tracked leaves: one timestep is drawn per layout, and the squared error is
+    averaged over valid slots and coordinates only."""
     dtype = as_tensor(next(iter(params.values()))).data.dtype
     b = batch.size
     mask_f = batch.mask.astype(dtype)[..., None]
@@ -219,29 +213,26 @@ def noise_loss(batch: Batch, params: dict, denoiser_config: DenoiserConfig,
     g0 = batch.geometry.astype(dtype)
     g_t = q_sample(g0, t, noise, schedule, mask=batch.mask)
 
-    noise_pred = denoise_fn(g_t, t, batch.attributes, batch.mask, params, denoiser_config)
+    noise_pred = denoise(g_t, t, batch.attributes, batch.mask, params, denoiser_config)
     diff = sub(noise_pred, Tensor(noise))
     masked_sq = mul(mul(diff, diff), Tensor(mask_f))
     count = float(batch.mask.sum()) * 4.0
-    loss = mul(tsum(masked_sq), 1.0 / count)
-    return loss, t, noise, noise_pred
+    return mul(tsum(masked_sq), 1.0 / count)
 
 
 def training_step(batch: Batch, params: dict, denoiser_config: DenoiserConfig,
-                  schedule: NoiseSchedule, adam_state: AdamState, stream: RngStream,
-                  denoise_fn: Callable = denoise) -> TrainStepResult:
+                  schedule: NoiseSchedule, adam_state: AdamState,
+                  stream: RngStream) -> TrainStepResult:
     """One noise-prediction step on the name -> array ``params``: :func:`noise_loss` on
     gradient-tracked leaves made from them, then an Adam update into new arrays."""
     leaves = {name: Tensor(arr, requires_grad=True) for name, arr in params.items()}
-    loss, t, noise, noise_pred = noise_loss(batch, leaves, denoiser_config, schedule,
-                                            stream, denoise_fn)
+    loss = noise_loss(batch, leaves, denoiser_config, schedule, stream)
     loss_value = float(loss.data)
     if not np.isfinite(loss_value):
         raise NumericError("training loss is not finite")
     grads = collect_grads(loss, leaves)
     new_params, new_state = adam_step(params, grads, adam_state)
-    return TrainStepResult(loss=loss_value, params=new_params, adam_state=new_state,
-                           t=t, noise=noise, noise_pred=noise_pred.data)
+    return TrainStepResult(loss=loss_value, params=new_params, adam_state=new_state)
 
 
 @dataclass(frozen=True)
@@ -315,13 +306,18 @@ def _require_fields(d, cls, where: str):
         raise ValueError(f"{where} lacks fields {missing}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainResult:
+    """A run after ``step`` steps: the state to go on from, and the loss of each step."""
+
     params: dict
     adam_state: AdamState
     train_stream: RngStream
     losses: list
-    step: int
+
+    @property
+    def step(self) -> int:
+        return len(self.losses)
 
 
 def _sample_batch(dataset: Dataset, batch_size: int, stream: RngStream) -> Batch:
@@ -329,35 +325,29 @@ def _sample_batch(dataset: Dataset, batch_size: int, stream: RngStream) -> Batch
     return pad_batch([dataset.layouts[i] for i in idx])
 
 
-def train(dataset: Dataset, config: TrainConfig,
-          start_params: Optional[dict] = None,
-          start_adam: Optional[AdamState] = None,
-          start_stream: Optional[RngStream] = None,
-          start_step: int = 0,
+def train(dataset: Dataset, config: TrainConfig, start: Optional[TrainResult] = None,
           on_step: Optional[Callable] = None) -> TrainResult:
-    """Run the training loop; resumable by passing a loaded state back in."""
+    """The run of ``config`` to ``max_steps``, from scratch or on from the run ``start`` (left
+    unchanged); ``on_step(step, loss, params, adam_state, stream)`` follows each step."""
     if len(dataset) == 0:
         raise DataError("cannot train on an empty dataset")
     schedule = config.diffusion.schedule()
-    params = start_params
-    if params is None:
+    if start is None:
         params = init_denoiser_params(config.denoiser, RngStream(config.init_seed),
                                       dtype=config.dtype)
-    adam_state = start_adam or AdamState.initialize(params, lr=config.learning_rate)
-    stream = start_stream or RngStream(config.train_seed)
-
-    losses = []
-    step = start_step
-    while step < config.max_steps:
+        adam_state = AdamState.initialize(params, lr=config.learning_rate)
+        stream, losses = RngStream(config.train_seed), []
+    else:
+        params, adam_state, losses = start.params, start.adam_state, list(start.losses)
+        stream = RngStream.from_state(start.train_stream.state())
+    while len(losses) < config.max_steps:
         batch = _sample_batch(dataset, config.batch_size, stream)
         result = training_step(batch, params, config.denoiser, schedule, adam_state, stream)
         params, adam_state = result.params, result.adam_state
-        step += 1
-        losses.append((step, result.loss))
+        losses.append(result.loss)
         if on_step is not None:
-            on_step(step, result.loss, params, adam_state, stream)
-    return TrainResult(params=params, adam_state=adam_state, train_stream=stream,
-                       losses=losses, step=step)
+            on_step(len(losses), result.loss, params, adam_state, stream)
+    return TrainResult(params, adam_state, stream, losses)
 
 
 def read_loss_log(path) -> list:
@@ -371,9 +361,9 @@ def read_loss_log(path) -> list:
 
 
 def write_loss_log(path, losses):
-    """Write ``(step, loss)`` rows as CSV; a failed write leaves the previous log intact."""
+    """Write ``step,loss`` CSV rows from step 1; a failed write leaves the previous log intact."""
     with atomic_path(path) as tmp_path, open(tmp_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "loss"])
-        for step, loss in losses:
+        for step, loss in enumerate(losses, start=1):
             writer.writerow([step, repr(loss)])

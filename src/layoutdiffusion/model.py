@@ -115,7 +115,7 @@ class LayoutDiffusion:
         self.schedule_ = config.diffusion.schedule()
         self.params_ = result.params
         self.adam_state_ = result.adam_state
-        self.loss_history_ = [loss for _, loss in result.losses]
+        self.loss_history_ = result.losses
         self.n_steps_ = result.step
         self.label_names_ = dataset.label_names
         self.feature_dim_ = dataset.feature_dim
@@ -140,5 +140,5 @@ class LayoutDiffusion:
         self._check_fitted()
         dataset = check_dataset(layouts)
         loss = noise_loss(pad_batch(dataset.layouts), self.params_, self.config_.denoiser,
-                          self.schedule_, RngStream(0))[0]
+                          self.schedule_, RngStream(0))
         return -float(loss.data)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import signal
@@ -220,9 +221,13 @@ def test_a_run_interrupted_after_a_checkpoint_resumes_to_the_same_files(tmp_path
             == (tmp_path / "whole.ckpt.loss.csv").read_bytes())
 
 
-@pytest.mark.parametrize("steps, saved", [(4, [2, 4]), (5, [2, 4, 5]), (0, [0])])
-def test_train_saves_each_checkpoint_step_once(tmp_path, monkeypatch, steps, saved):
-    """Also a run that trains no step, such as a resume at its last step, saves once."""
+@pytest.mark.parametrize("steps, saved, resume_to, resaved", [
+    (4, [2, 4], None, [4]), (5, [2, 4, 5], None, [5]), (0, [0], None, [0]),
+    (3, [2, 3], 7, [4, 6, 7]), (3, [2, 3], 1, [3])])
+def test_train_saves_each_checkpoint_step_once(tmp_path, monkeypatch, steps, saved, resume_to,
+                                               resaved):
+    """A resume saves every checkpoint_every steps above its start, then at the end.  A
+    run that trains no step, such as a resume at or past its last step, saves once."""
     data = synth(tmp_path)
     real_save = cli.save_checkpoint
     recorded = []
@@ -235,9 +240,13 @@ def test_train_saves_each_checkpoint_step_once(tmp_path, monkeypatch, steps, sav
     ckpt = train(tmp_path, data, steps=steps, extra=EVERY_2)
     assert recorded == saved
     recorded.clear()
+    to = [] if resume_to is None else ["--max-steps", str(resume_to)]
     assert run(["train", "--dataset", str(data), "--checkpoint", str(ckpt),
-                "--resume", str(ckpt)]) == 0
-    assert recorded == [steps]
+                "--resume", str(ckpt), *to]) == 0
+    assert recorded == resaved
+    losses = load_checkpoint(ckpt)[2]["losses"]
+    assert len(losses) == resaved[-1]
+    assert read_loss_log(tmp_path / "model.ckpt.loss.csv") == list(enumerate(losses, start=1))
 
 
 def test_a_killed_run_resumes_to_the_same_files(tmp_path):
@@ -781,6 +790,10 @@ UNREAD_FLAGS = [
     ("eval --features-reference with --frechet trivial",
      ["eval", "--generated", "{missing}", "--reference", "{missing}", "--frechet", "trivial",
       "--features-reference", "{missing}", "-o", "{out}"], "--features-reference"),
+    ("train --resume with --config and config flags",
+     ["train", "--dataset", "{missing}", "--checkpoint", "{out}", "--resume", "{missing}",
+      "--learning-rate", "0.5", "--d-model", "64", "--config", "{missing}"],
+     "refused: --config --d-model --learning-rate\n"),
 ]
 
 
@@ -794,6 +807,49 @@ def test_a_flag_the_command_would_ignore_is_a_usage_error_before_any_file(tmp_pa
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+RESUME_REFUSED = [*zip(TRAIN_FLAGS[::2], TRAIN_FLAGS[1::2]), ("--activation", "relu"),
+                  ("--positional-encoding", None), ("--beta-start", "1e-4"),
+                  ("--beta-end", "0.02"), ("--precision", "float64"),
+                  ("--checkpoint-every", "2"), ("--config", "config.json")]
+
+
+def test_train_resume_refuses_each_config_flag_it_would_ignore(tmp_path, capsys):
+    args = vars(cli.build_parser().parse_args(["train", "--dataset", "d", "--checkpoint", "c"]))
+    fields = {f.name for cls in (DenoiserConfig, DiffusionConfig, TrainConfig)
+              for f in dataclasses.fields(cls)}
+    assert ({flag[2:].replace("-", "_") for flag, _ in RESUME_REFUSED}
+            == (args.keys() & fields) - {"max_steps"} | {"config"})
+    data = synth(tmp_path)
+    ckpt = train(tmp_path, data, steps=2)
+    (tmp_path / "config.json").write_text("{}")
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    resume = ["train", "--dataset", str(data), "--checkpoint", str(ckpt), "--resume", str(ckpt),
+              "--max-steps", "3"]
+    for flag, value in RESUME_REFUSED:
+        with pytest.raises(SystemExit) as exc:
+            run([*resume, flag, *([] if value is None else [value])])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"refused: {flag}\n"), flag
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+    assert run(resume) == 0
+    assert load_checkpoint(ckpt)[2]["train_step"] == 3
+
+
+def test_sample_refuses_more_labels_than_a_layout_holds(tmp_path, capsys):
+    ckpt = train(tmp_path, synth(tmp_path), steps=1)
+    before = sorted(tmp_path.iterdir())
+    too_many = ",".join(["1"] * 37)
+    assert run(sample_args(ckpt, tmp_path / "s.json", labels=too_many)) == 3
+    assert "--labels has 37 labels, limit is 36" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+    # 36 labels make a file that the other commands read back.
+    out = tmp_path / "s36.json"
+    assert run(sample_args(ckpt, out, labels=",".join(["1"] * 36))) == 0
+    assert run(["render", "--input", str(out), "--index", "1", "-o",
+                str(tmp_path / "one.svg")]) == 0
+    assert run(["eval", "--generated", str(out), "--reference", str(out)]) == 0
 
 
 def test_sample_labels_draws_one_layout_without_num_samples(tmp_path):

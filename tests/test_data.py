@@ -694,6 +694,10 @@ SAVE_FAULTS = {
     "features of another width": (
         Dataset(layouts=(featured("l0", 2), featured("l1", 3)), feature_dim=2),
         "'l1': the dataset needs features of width 2"),
+    "more elements than a file holds": (
+        Dataset(layouts=(labelled("l0", [0] * 36), labelled("l1", [1] * 37),
+                         labelled("l2", [5] * 40)), label_names=("a", "b")),
+        "'l1': it has 37 elements, limit is 36"),
 }
 
 

@@ -362,7 +362,7 @@ def small_training_setup():
     return config, params, sched, batch
 
 
-def test_training_step_with_perfect_stub_gives_zero_loss():
+def test_training_step_with_perfect_stub_gives_zero_loss(monkeypatch):
     config, params, sched, batch = small_training_setup()
     adam = AdamState.initialize(params, lr=1e-3)
     g0 = batch.geometry
@@ -372,21 +372,32 @@ def test_training_step_with_perfect_stub_gives_zero_loss():
         eps = (g_t - np.sqrt(ab) * g0) / np.sqrt(1 - ab)
         return Tensor(eps * mask[..., None])
 
-    result = training_step(batch, params, config, sched, adam, RngStream(0),
-                           denoise_fn=perfect_denoiser)
+    monkeypatch.setattr(diffusion, "denoise", perfect_denoiser)
+    result = training_step(batch, params, config, sched, adam, RngStream(0))
     assert result.loss == pytest.approx(0.0, abs=1e-20)
 
 
-def test_training_step_loss_nonnegative_and_recomputable():
+def test_training_step_loss_nonnegative_and_recomputable(monkeypatch):
     config, params, sched, batch = small_training_setup()
     adam = AdamState.initialize(params, lr=1e-3)
+    seen = {}
+
+    def recording_denoise(g_t, t, *args):
+        seen["t"], seen["noise_pred"] = t, denoise(g_t, t, *args)
+        return seen["noise_pred"]
+
+    monkeypatch.setattr(diffusion, "denoise", recording_denoise)
     result = training_step(batch, params, config, sched, adam, RngStream(1))
     assert result.loss >= 0.0
+    # A stream of the same seed draws the same timesteps, then the same noise.
+    replay = RngStream(1)
+    assert np.array_equal(replay.integers(1, sched.timesteps + 1, [batch.size]), seen["t"])
     mask_f = batch.mask[..., None].astype(float)
-    recomputed = float(((result.noise_pred - result.noise) ** 2 * mask_f).sum()
+    noise = replay.gaussian(batch.geometry.shape) * mask_f
+    recomputed = float(((seen["noise_pred"].data - noise) ** 2 * mask_f).sum()
                        / (batch.mask.sum() * 4))
     assert abs(result.loss - recomputed) < 1e-10
-    assert result.t.min() >= 1 and result.t.max() <= sched.timesteps
+    assert seen["t"].min() >= 1 and seen["t"].max() <= sched.timesteps
 
 
 def test_training_step_advances_optimizer():
@@ -447,13 +458,23 @@ def test_train_loop_is_deterministic_and_resumable():
 
     half_config = TrainConfig.from_dict({**config.to_dict(), "max_steps": 3})
     half = train(dataset, half_config)
-    resumed = train(dataset, config, start_params=half.params,
-                    start_adam=half.adam_state, start_stream=half.train_stream,
-                    start_step=half.step)
+    before = (half.train_stream.state(), list(half.losses),
+              {name: arr.copy() for name, arr in half.params.items()})
+    resumed = train(dataset, config, start=half)
     for name in full.params:
         np.testing.assert_array_equal(full.params[name], resumed.params[name])
     assert full.train_stream.state() == resumed.train_stream.state()
-    assert [l for _, l in full.losses[3:]] == [l for _, l in resumed.losses]
+    assert full.losses == resumed.losses and resumed.step == 6
+    # The start is left as it was: its stream, its history and its arrays.
+    assert half.train_stream.state() == before[0] and half.step == 3
+    assert half.losses == before[1]
+    for name, arr in before[2].items():
+        assert half.params[name].tobytes() == arr.tobytes()
+    # A start at or past max_steps comes back as a copy.
+    again = train(dataset, half_config, start=full)
+    assert again.losses == full.losses and again.losses is not full.losses
+    assert again.train_stream.state() == full.train_stream.state()
+    assert again.train_stream is not full.train_stream
 
 
 def test_train_config_precision_float32():
@@ -496,7 +517,7 @@ def test_train_config_takes_every_64_bit_seed():
 
 def test_failed_loss_log_rewrite_leaves_the_previous_log(tmp_path, monkeypatch):
     path = tmp_path / "run.loss.csv"
-    diffusion.write_loss_log(path, [(1, 0.5), (2, 0.25), (3, 0.125)])
+    diffusion.write_loss_log(path, [0.5, 0.25, 0.125])
     before = path.read_bytes()
     real_writer = diffusion.csv.writer
 
@@ -514,7 +535,7 @@ def test_failed_loss_log_rewrite_leaves_the_previous_log(tmp_path, monkeypatch):
 
     monkeypatch.setattr(diffusion.csv, "writer", FailingWriter)
     with pytest.raises(OSError):
-        diffusion.write_loss_log(path, [(1, 0.5), (2, 0.25), (3, 0.125), (4, 0.0625)])
+        diffusion.write_loss_log(path, [0.5, 0.25, 0.125, 0.0625])
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert diffusion.read_loss_log(path) == [(1, 0.5), (2, 0.25), (3, 0.125)]

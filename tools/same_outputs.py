@@ -10,7 +10,9 @@ directory, in one subprocess with ``PYTHONPATH=<checkout>/src``: seeded
 ``synth`` of both rules, float64 categorical and continuous ``train`` with
 ``--checkpoint-every`` and a resumed run next to a straight one, a float32 run,
 ``sample --labels`` and ``--conditions``, three ``eval`` variants, ``render``,
-and the estimator's losses, ``score`` and raw and clamped layouts as JSON.
+the estimator's losses, ``score`` and raw and clamped layouts as JSON, and a
+resume with ``--max-steps`` below the checkpoint's step (which trains nothing
+and saves once).
 Each step's exit code, stdout and stderr go into ``<step>.log``.  Every file
 name starts with the number of the step that writes it, so the sorted walk of
 the two directories follows the matrix.
@@ -121,6 +123,9 @@ MATRIX = [
     ("18-render-index", "cli", ["render", "--input", "02-boxes.json", "--index", "3",
                                 "-o", "18-one.svg"]),
     ("19-estimator", "python", ESTIMATOR),
+    ("20-train-resumed-below", "cli", ["train", "--dataset", "01-grid.json", "--checkpoint",
+                                       "20-below.ckpt", "--resume", "04-cat.ckpt",
+                                       "--max-steps", "6"]),
 ]
 
 # Runs in the checkout's interpreter: the steps in order up to the first that fails, each
