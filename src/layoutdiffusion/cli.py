@@ -325,6 +325,8 @@ def cmd_eval(args) -> int:
         raise DataError("generated and reference attribute modes differ")
     if generated.mode == "categorical" and generated.label_names != reference.label_names:
         raise DataError("incompatible label vocabularies between generated and reference")
+    if not generated.layouts or not reference.layouts:
+        raise DataError("evaluation needs non-empty collections")
 
     features = None
     if args.frechet == "trivial":

@@ -753,6 +753,12 @@ REFUSED_COMMANDS = [
      ["eval", "--generated", "{categorical}", "--reference", "{categorical}",
       "--frechet", "files", "--features-generated", "{bool_features}",
       "--features-reference", "{bool_features}"], "bool_features.json: features must be"),
+    ("eval --frechet trivial with an empty generated file",
+     ["eval", "--generated", "{empty}", "--reference", "{categorical}", "--frechet", "trivial"],
+     "evaluation needs non-empty collections"),
+    ("eval --frechet trivial with an empty reference file",
+     ["eval", "--generated", "{categorical}", "--reference", "{empty}", "--frechet", "trivial"],
+     "evaluation needs non-empty collections"),
     ("synth of more elements than a dataset file may hold",
      ["synth", "--classes", "2", "--min-elements", "37", "--max-elements", "40", "--seed", "1"],
      "need integers 1 <= min <= max <= 36"),
@@ -768,6 +774,9 @@ def test_a_refused_command_exits_3_naming_the_problem_without_output(tmp_path, c
     for name, value in (("string_features", "1"), ("bool_features", True)):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps({"features": [[value, value]] * 4}))
+    paths["empty"] = tmp_path / "empty.json"
+    paths["empty"].write_text(json.dumps({**json.loads(paths["categorical"].read_text()),
+                                          "layouts": []}))
     for mode in ("categorical", "continuous"):
         if f"{{{mode}_ckpt}}" in argv:
             paths[f"{mode}_ckpt"] = train(tmp_path, paths[mode], steps=1, name=f"{mode}.ckpt")

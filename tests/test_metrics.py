@@ -1,11 +1,13 @@
 import itertools
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import metrics_oracle
 from layoutdiffusion import metrics
 from layoutdiffusion.data import Layout, to_corner_form
 from layoutdiffusion.exceptions import DataError
@@ -532,6 +534,62 @@ def test_max_iou_empty_collection_rejected():
         max_iou([], collection(2))
 
 
+# -- gathered frames against the per-group oracle ----------------------------------------
+
+
+@st.composite
+def mixed_collections(draw):
+    """Generated and reference layouts of 1-36 elements that share label multisets.  The
+    first multiset has a label run above ``ENUMERATION_LIMIT``; boxes repeat, sit on
+    grid values and may have zero size."""
+    multisets = [[0] * draw(st.integers(ENUMERATION_LIMIT + 1, 12))
+                 + draw(st.lists(st.integers(1, 5), max_size=6))]
+    multisets += draw(st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=36),
+                               min_size=1, max_size=3))
+    pool = draw(st.lists(st.tuples(*[COORDINATE] * 4), min_size=1, max_size=6))
+
+    def layout():
+        labels = draw(st.permutations(draw(st.sampled_from(multisets))))
+        boxes = [pool[draw(st.integers(0, len(pool) - 1))] for _ in labels]
+        return Layout(geometry=np.array(boxes), labels=labels, id="x")
+
+    return ([layout() for _ in range(draw(st.integers(1, 6)))],
+            [layout() for _ in range(draw(st.integers(1, 6)))])
+
+
+def per_layout_bytes(layouts):
+    """The five per-layout metrics, arrays by their bytes and collection means by repr."""
+    return ([fn(layouts).tobytes()
+             for fn in (alignment_kikuchi, overlap_kikuchi, overlap_blt, perceptual_iou)]
+            + [repr(alignment_blt(layouts, include_y)) for include_y in (False, True)])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(mixed_collections())
+def test_per_layout_metrics_match_the_per_group_oracle_bit_for_bit(collections):
+    layouts = collections[0] + collections[1]
+    with mock.patch.object(metrics, "_per_layout", metrics_oracle.per_layout):
+        want = per_layout_bytes(layouts)
+    assert per_layout_bytes(layouts) == want
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(mixed_collections())
+def test_max_iou_matches_the_per_group_oracle_bit_for_bit(collections):
+    generated, reference = collections
+    groups = {}
+    for side, layouts in enumerate(collections):
+        for layout in layouts:
+            groups.setdefault(metrics._label_multiset(layout), ([], []))[side].append(layout)
+    shared = [(a, b) for a, b in groups.values() if a and b]
+    want = [metrics_oracle.pair_max_iou(a, b).tobytes() for a, b in shared]
+    for chunk in (metrics._CHUNK_VALUES, 1):
+        with mock.patch.object(metrics, "_CHUNK_VALUES", chunk):
+            assert [pair_max_iou(a, b).tobytes() for a, b in shared] == want
+            assert repr(max_iou(generated, reference)) == repr(
+                metrics_oracle.max_iou(generated, reference))
+
+
 # -- frechet distance ------------------------------------------------------------------
 
 
@@ -595,6 +653,16 @@ def test_trivial_features_shape():
     fs = trivial_features(layouts, n_max=4, num_classes=2)
     assert fs.features.shape == (40, 4 * 4 + 2)
     assert fs.provenance == "trivial-geometry-histogram"
+
+
+def test_trivial_features_refuse_no_layouts_and_labels_outside_the_classes():
+    with pytest.raises(DataError, match="at least one layout"):
+        trivial_features([], n_max=4, num_classes=2)
+    layouts = collection(5, count=3, n=3)
+    outside = unit_layout((0.5, 0.5, 0.2, 0.2, 1), (0.3, 0.3, 0.2, 0.2, 2), id="wide")
+    for pool in ([outside], [*layouts, outside], [outside, *layouts]):
+        with pytest.raises(DataError, match="layout 'wide' has label 2, outside the 2 classes"):
+            trivial_features(pool, n_max=4, num_classes=2)
 
 
 # -- invariances and report -------------------------------------------------------------

@@ -9,10 +9,11 @@ Each checkout runs one fixed matrix of commands (``MATRIX``) in a fresh empty
 directory, in one subprocess with ``PYTHONPATH=<checkout>/src``: seeded
 ``synth`` of both rules, float64 categorical and continuous ``train`` with
 ``--checkpoint-every`` and a resumed run next to a straight one, a float32 run,
-``sample --labels`` and ``--conditions``, three ``eval`` variants, ``render``,
-the estimator's losses, ``score`` and raw and clamped layouts as JSON, and a
-resume with ``--max-steps`` below the checkpoint's step (which trains nothing
-and saves once).
+``sample --labels`` and ``--conditions``, four ``eval`` variants (one of them on
+layouts of up to 36 elements, whose label runs above six take Max IoU's
+Hungarian path), ``render``, the estimator's losses, ``score`` and raw and
+clamped layouts as JSON, and a resume with ``--max-steps`` below the
+checkpoint's step (which trains nothing and saves once).
 Each step's exit code, stdout and stderr go into ``<step>.log``.  Every file
 name starts with the number of the step that writes it, so the sorted walk of
 the two directories follows the matrix.
@@ -126,6 +127,8 @@ MATRIX = [
     ("20-train-resumed-below", "cli", ["train", "--dataset", "01-grid.json", "--checkpoint",
                                        "20-below.ckpt", "--resume", "04-cat.ckpt",
                                        "--max-steps", "6"]),
+    ("21-eval-boxes", "cli", ["eval", "--generated", "13-float32.json", "--reference",
+                              "02-boxes.json", "-o", "21-eval-boxes.json"]),
 ]
 
 # Runs in the checkout's interpreter: the steps in order up to the first that fails, each
