@@ -6,14 +6,21 @@ variance at each reverse step is the (constant) forward variance.
 from __future__ import annotations
 
 import csv
+import os
+import pickle
+import signal
+import threading
+import warnings
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .data import Batch, Dataset, atomic_path, batch_to_layouts, pad_batch, pad_conditions
-from .denoiser import DenoiserConfig, denoise, init_denoiser_params
-from .exceptions import DataError, NumericError
+from .denoiser import DenoiserConfig, denoise, embed_attributes, init_denoiser_params
+from .exceptions import DataError, LayoutDiffusionError, NumericError
 from .optim import BETA1, BETA2, EPS, AdamState, adam_step
 from .rng import RngStream
 from .tensor import Tensor, as_tensor, collect_grads, mul, sub, tsum
@@ -152,20 +159,174 @@ def sample(attributes, mask, params: dict, denoiser_config: DenoiserConfig,
     arrays; they are wrapped once as untracked tensors, so the reverse steps
     record no tape.  The first step that leaves a non-finite value raises
     :class:`NumericError`.
+
+    The rows' chains share nothing, so they run in contiguous shards side by side
+    (:func:`_shard_bounds`): the first in this process, each other one in a forked
+    child.  Each row takes the same noise words as in one full-batch chain, so the
+    geometry, the error and ``stream``'s final counter do not depend on the shards.
+    A child that dies raises :class:`LayoutDiffusionError`; every child is reaped
+    before this returns or raises.
     """
     params = {name: Tensor(arr) for name, arr in params.items()}
-    mask = np.asarray(mask, dtype=bool)
+    attributes, mask = np.asarray(attributes), np.asarray(mask, dtype=bool)
     b, n = mask.shape
-    dtype = next(iter(params.values())).data.dtype
-    g = stream.gaussian((b, n, 4)).astype(dtype) * mask[..., None]
-    for t in range(schedule.timesteps, 0, -1):
-        g = p_sample_step(g, t, attributes, mask, params, denoiser_config, schedule, stream)
-        bad = int(np.count_nonzero(~np.isfinite(g)))
-        if bad:
-            raise NumericError(f"sampling produced {bad} non-finite values at reverse step {t}")
+    start = stream.counter
+    bounds = _shard_bounds(attributes, mask, params, denoiser_config)
+    chain = partial(_reverse_chain, attributes, mask, params, denoiser_config, schedule, stream)
+    children = []  # (pid, read end of its pipe, lo, hi) of each forked shard not yet reaped
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            children.append((*_fork_shard(chain, lo, hi), lo, hi))
+        outcomes = [chain(0, bounds[1])]
+        while children:
+            pid, fd, lo, hi = children[0]
+            data = _read_all(fd)
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            os.close(fd)
+            outcomes.append(_shard_outcome(data, status, lo, hi))
+    finally:  # children left here mean an error: kill and reap them
+        for pid, fd, _, _ in children:
+            with suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            os.close(fd)
+    failures = [(t, int(np.count_nonzero(~np.isfinite(g)))) for t, g in outcomes if t]
+    if failures:
+        t = max(step for step, _ in failures)
+        bad = sum(count for step, count in failures if step == t)
+        # The words a serial chain draws up to step t: the start, and each step above 1.
+        stream.counter = start + 8 * b * n * (schedule.timesteps + 2 - max(t, 2))
+        raise NumericError(f"sampling produced {bad} non-finite values at reverse step {t}")
+    g = np.concatenate([g for _, g in outcomes])
     clamp = config.clamp_output if config is not None else True
     clamped = np.clip(g, -1.0, 1.0) * mask[..., None] if clamp else None
     return SampleResult(geometry_raw=g, geometry_clamped=clamped)
+
+
+def _shard_bounds(attributes, mask, params: dict, denoiser_config: DenoiserConfig) -> list:
+    """Row bounds ``[0, ..., B]`` of :func:`sample`'s shards: one per usable CPU, up to
+    one per row, each with about the same number of valid elements.
+
+    One shard where forking is missing or unsafe (a threaded process can deadlock in
+    the child), for inputs the denoiser refuses, so that a serial chain raises the
+    error, and where a shard would change the denoiser's bytes (:func:`_same_bytes`).
+    Every shard keeps all ``N`` columns, so attention sees the same padded rows.
+    """
+    b = mask.shape[0]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    shards = min(cpus or 1, b)
+    if (shards < 2 or not hasattr(os, "fork") or threading.active_count() > 1
+            or attributes.shape[:2] != mask.shape):
+        return [0, b]
+    try:
+        embed_attributes(attributes, np.empty(0, np.intp), params, denoiser_config)
+    except Exception:
+        return [0, b]
+    elements = np.cumsum(mask.sum(axis=1))
+    cuts = np.searchsorted(elements, elements[-1] * np.arange(1, shards) / shards) + 1
+    bounds = sorted({0, b, *np.clip(cuts, 1, b - 1).tolist()})
+    tokens = [0, *elements[np.array(bounds[1:]) - 1].tolist()]
+    return bounds if _same_bytes(params, denoiser_config, tokens) else [0, b]
+
+
+def _same_bytes(params: dict, denoiser_config: DenoiserConfig, tokens: list) -> bool:
+    """Whether every affine map over packed tokens gives the rows ``tokens[i]:tokens[i+1]``
+    the same bytes alone as in the whole ``[tokens[-1], K]`` product.  BLAS picks its
+    kernel, and with it the order of each sum, by the sizes (a one-row product is a
+    matrix-vector call, and small products take their own kernel); every other op of
+    the denoiser works per token or per row."""
+    table = "attr.weight" if denoiser_config.num_classes is not None else None
+    weights = {w.data.shape: w.data for name, w in params.items()
+               if w.data.ndim == 2 and name != table}
+    for (k, _), w in weights.items():
+        x = RngStream(0).uniform((tokens[-1], k)).astype(w.dtype)
+        parts = [x[lo:hi].copy() @ w for lo, hi in zip(tokens[:-1], tokens[1:])]
+        if np.concatenate(parts).tobytes() != (x @ w).tobytes():
+            return False
+    return True
+
+
+class _RowSlice:
+    """Rows ``lo:hi`` of each full-batch Gaussian draw from ``stream``, which still
+    advances past the whole draw: a counter-based word depends on its counter alone."""
+
+    def __init__(self, stream: RngStream, lo: int, hi: int, rows: int):
+        self.stream, self.lo, self.hi, self.rows = stream, lo, hi, rows
+
+    def gaussian(self, shape) -> np.ndarray:
+        words_per_row = 2 * int(np.prod(shape[1:]))
+        self.stream.counter += words_per_row * self.lo
+        z = self.stream.gaussian(shape)
+        self.stream.counter += words_per_row * (self.rows - self.hi)
+        return z
+
+
+def _reverse_chain(attributes, mask, params: dict, denoiser_config: DenoiserConfig,
+                   schedule: NoiseSchedule, stream: RngStream, lo: int, hi: int,
+                   parent: Optional[int] = None) -> tuple:
+    """The whole reverse chain of rows ``lo:hi``: ``(0, geometry)``, or ``(t, geometry)``
+    at the first step ``t`` that leaves a non-finite value.  A child forked by
+    ``parent`` exits once that process has died."""
+    rows = _RowSlice(stream, lo, hi, mask.shape[0])
+    attributes, mask = attributes[lo:hi], mask[lo:hi]
+    dtype = next(iter(params.values())).data.dtype
+    g = rows.gaussian((*mask.shape, 4)).astype(dtype) * mask[..., None]
+    for t in range(schedule.timesteps, 0, -1):
+        if parent is not None and os.getppid() != parent:
+            os._exit(1)
+        g = p_sample_step(g, t, attributes, mask, params, denoiser_config, schedule, rows)
+        if not np.isfinite(g).all():
+            return t, g
+    return 0, g
+
+
+def _fork_shard(chain, lo: int, hi: int) -> tuple:
+    """``(pid, read end of its pipe)`` of a child that runs ``chain(lo, hi)`` and sends
+    back its pickled outcome, or the exception it raised.  The child ends through
+    ``os._exit``: it flushes no inherited buffer and runs no exit hook."""
+    read_fd, write_fd = os.pipe()
+    parent = os.getpid()
+    # Python 3.12 warns of any other OS thread; BLAS's pool is shut down at a fork.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                outcome = chain(lo, hi, parent)
+            except Exception as exc:
+                outcome = exc
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(outcome, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _read_all(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _shard_outcome(data: bytes, status: int, lo: int, hi: int) -> tuple:
+    """The outcome a reaped child sent, or its exception raised, or an error for a
+    child that died first."""
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        how = f"signal {-code}" if code < 0 else f"exit status {code}"
+        raise LayoutDiffusionError(f"the sampler's shard of rows {lo}:{hi} ended with "
+                                   f"{how} before it sent its geometry")
+    outcome = pickle.loads(data)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def sample_layouts(conditions, params: dict, config: TrainConfig, seed,

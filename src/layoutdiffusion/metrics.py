@@ -31,14 +31,15 @@ _PERMUTATIONS = tuple(np.array(list(itertools.permutations(range(c))), dtype=np.
 _CHUNK_VALUES = 1 << 18
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricFrame:
     """Corner/center coordinates in [0, 1]^2 of equal-count layouts.
 
     ``values`` is one ``[8, L, n]`` array whose rows are the ``[L, n]`` fields
     ``cx, cy, width, height, left, top, right, bottom`` (``[8, N]`` for the N
     elements of a whole collection), so indexing a frame and gathering
-    layouts from one are each a single numpy call.
+    layouts from one are each a single numpy call.  A frame equals only itself
+    and hashes by identity.
     """
 
     values: np.ndarray

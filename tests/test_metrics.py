@@ -162,6 +162,13 @@ def test_perceptual_iou_in_unit_interval_random():
         assert 0.0 <= v <= 1.0
 
 
+def test_metric_frames_compare_and_hash_by_identity():
+    a = MetricFrame.from_geometry(np.zeros((2, 3, 4)))
+    b = MetricFrame.from_geometry(np.zeros((2, 3, 4)))
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
 def rasterized_iou(layout, resolution=2048):
     """Point-sampled rasterization: a pixel counts if its center is inside."""
     frame = MetricFrame.from_layouts([layout])[0]

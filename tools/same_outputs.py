@@ -9,7 +9,10 @@ Each checkout runs one fixed matrix of commands (``MATRIX``) in a fresh empty
 directory, in one subprocess with ``PYTHONPATH=<checkout>/src``: seeded
 ``synth`` of both rules, float64 categorical and continuous ``train`` with
 ``--checkpoint-every`` and a resumed run next to a straight one, a float32 run,
-``sample --labels`` and ``--conditions``, four ``eval`` variants (one of them on
+``sample --labels`` and ``--conditions``, with one batch of a single row (which
+samples in one process) next to batches of three rows and more (which the sampler
+splits into forked shards where there are several usable CPUs, step 10's three rows
+unevenly), four ``eval`` variants (one of them on
 layouts of up to 36 elements, whose label runs above six take Max IoU's
 Hungarian path), ``render``, the estimator's losses, ``score`` and raw and
 clamped layouts as JSON, and a resume with ``--max-steps`` below the
@@ -129,6 +132,8 @@ MATRIX = [
                                        "--max-steps", "6"]),
     ("21-eval-boxes", "cli", ["eval", "--generated", "13-float32.json", "--reference",
                               "02-boxes.json", "-o", "21-eval-boxes.json"]),
+    ("22-sample-one", "cli", ["sample", "--checkpoint", "06-resumed.ckpt", "--labels", "3,1",
+                              "--num-samples", "1", "--seed", "4", "-o", "22-one.json"]),
 ]
 
 # Runs in the checkout's interpreter: the steps in order up to the first that fails, each
