@@ -104,6 +104,11 @@ class Layout:
 
 @dataclass(frozen=True)
 class Dataset:
+    """Layouts with their canvas and one attribute head, ``label_names`` or ``feature_dim``.
+    Each layout must have the head's mode, label ids below ``len(label_names)`` or features
+    of width ``feature_dim``, and at most ``DEFAULT_N_MAX`` elements, so that every dataset
+    saves and loads back; else a :class:`DataError` names the first layout that does not."""
+
     layouts: tuple
     canvas: tuple = (100.0, 100.0)
     label_names: Optional[tuple] = None
@@ -129,6 +134,29 @@ class Dataset:
             raise DataError(f"feature_dim must be an integer >= 1, got {self.feature_dim!r}")
         else:
             object.__setattr__(self, "feature_dim", int(self.feature_dim))
+        # The first item of ``layouts``, in order, that the head cannot hold, if any.
+        layouts, categorical = self.layouts, self.label_names is not None
+        name, width = ("labels", ()) if categorical else ("features", (self.feature_dim,))
+        fault = next((i for i, layout in enumerate(layouts)
+                      if not (isinstance(layout, Layout) and len(layout) <= DEFAULT_N_MAX
+                              and getattr(layout, name) is not None
+                              and getattr(layout, name).shape[1:] == width)), len(layouts))
+        if categorical and fault:  # an earlier layout may hold a label outside the vocabulary
+            columns = [layout.labels for layout in layouts[:fault]]
+            outside = np.flatnonzero(np.concatenate(columns) >= len(self.label_names))
+            if len(outside):
+                ends = list(accumulate(map(len, columns)))
+                fault = int(np.searchsorted(ends, outside[0], side="right"))
+        if fault < len(layouts):
+            layout = layouts[fault]
+            if not isinstance(layout, Layout):
+                raise DataError(f"dataset item {fault} is a {type(layout).__name__}, not a Layout")
+            if len(layout) > DEFAULT_N_MAX:
+                raise DataError(f"layout {layout.id!r}: it has {len(layout)} elements, limit is "
+                                f"{DEFAULT_N_MAX}")
+            need = (f"label ids below {len(self.label_names)}" if categorical
+                    else f"features of width {self.feature_dim}")
+            raise DataError(f"layout {layout.id!r}: the dataset needs {need}")
 
     def __len__(self):
         return len(self.layouts)
@@ -382,7 +410,7 @@ def load_dataset(path, strict_geometry: bool = True) -> Dataset:
     canvas = (float(width), float(height))
 
     if mode == "categorical":
-        label_names = tuple(str(s) for s in _require_list(doc["labels"], f"{where} labels"))
+        label_names = tuple(_require_list(doc["labels"], f"{where} labels"))
         feature_dim = None
         attribute, size = "label", len(label_names)
     else:
@@ -396,57 +424,33 @@ def load_dataset(path, strict_geometry: bool = True) -> Dataset:
     layouts = _checked_layouts(entries, attribute, size, canvas, strict_geometry)
     if layouts is None:
         _raise_first_fault(entries, where, attribute, size, canvas, strict_geometry)
-    return Dataset(layouts=layouts, canvas=canvas,
-                   label_names=label_names, feature_dim=feature_dim)
-
-
-def _attribute_column(dataset: Dataset, bounds: list) -> np.ndarray:
-    """The labels or features of all of ``dataset``'s layouts, as one array in layout order.
-
-    A layout that a load of the saved file would refuse (one of the other attribute
-    mode, with a label outside the vocabulary, or with features of a width other than
-    ``feature_dim``) is a :class:`DataError` naming the first such layout.
-    """
-    categorical = dataset.mode == "categorical"
-    name, width = ("labels", ()) if categorical else ("features", (dataset.feature_dim,))
-    columns = [getattr(layout, name) for layout in dataset.layouts]
-    fault = next((i for i, column in enumerate(columns)
-                  if column is None or column.shape[1:] != width), len(columns))
-    column = np.concatenate(columns[:fault] or [np.empty((0,) + width)])
-    outside = np.flatnonzero(column >= dataset.num_classes) if categorical else ()
-    if len(outside):
-        fault = np.searchsorted(bounds, outside[0], side="right") - 1
-    if fault < len(columns):
-        need = (f"label ids below {dataset.num_classes}" if categorical
-                else f"features of width {dataset.feature_dim}")
-        raise DataError(f"cannot save layout {dataset.layouts[fault].id!r}: the dataset "
-                        f"needs {need}")
-    return column
+    try:
+        return Dataset(layouts=layouts, canvas=canvas,
+                       label_names=label_names, feature_dim=feature_dim)
+    except DataError as exc:  # a vocabulary entry that is not a string
+        raise DataError(f"{where}: {exc}") from None
 
 
 def dataset_to_dict(dataset: Dataset, meta: Optional[dict] = None, include_clamped=False) -> dict:
     """Dataset as a schema dict with bbox back in canvas units, built in array passes over
-    all of its elements.  A layout that a load would refuse (of more elements than
-    ``DEFAULT_N_MAX``, or that the attribute head cannot hold) is a :class:`DataError`."""
+    all of its elements."""
     doc = {"canvas": {"width": dataset.canvas[0], "height": dataset.canvas[1]}}
     if dataset.mode == "categorical":
         doc["labels"] = list(dataset.label_names)
+        attribute, empty = "label", np.empty(0)
     else:
         doc["feature_dim"] = dataset.feature_dim
+        attribute, empty = "feature", np.empty((0, dataset.feature_dim))
     layouts = dataset.layouts
-    sizes = list(map(len, layouts))
-    fault = next((i for i, size in enumerate(sizes) if size > DEFAULT_N_MAX), None)
-    if fault is not None:
-        raise DataError(f"cannot save layout {layouts[fault].id!r}: it has {sizes[fault]} "
-                        f"elements, limit is {DEFAULT_N_MAX}")
-    bounds = list(accumulate(sizes, initial=0))
-    attributes = _attribute_column(dataset, bounds)
+    bounds = list(accumulate(map(len, layouts), initial=0))
+    attributes = np.concatenate([getattr(layout, attribute + "s") for layout in layouts]
+                                or [empty])
     geometry = np.concatenate([layout.geometry for layout in layouts] or [np.empty((0, 4))])
     ranges = _canvas_ranges(dataset.canvas)
     fields = {"bbox": ((geometry + 1.0) * ranges / 2.0).tolist()}
     if include_clamped:
         fields["bbox_clamped"] = ((np.clip(geometry, -1.0, 1.0) + 1.0) * ranges / 2.0).tolist()
-    fields["label" if dataset.mode == "categorical" else "feature"] = attributes.tolist()
+    fields[attribute] = attributes.tolist()
     elements = [dict(zip(fields, row)) for row in zip(*fields.values())]
     doc["layouts"] = [{"id": layout.id, "elements": elements[start:stop]}
                       for layout, start, stop in zip(layouts, bounds, bounds[1:])]

@@ -25,17 +25,12 @@ def check_dataset(data) -> Dataset:
             raise DataError("dataset is empty")
         return data
     if isinstance(data, Sequence) and data and all(isinstance(l, Layout) for l in data):
-        modes = {l.attribute_mode for l in data}
-        if len(modes) != 1:
-            raise DataError("layouts mix categorical and continuous attributes")
-        if modes.pop() == "categorical":
-            num_classes = int(max(max(l.labels) for l in data)) + 1
-            names = tuple(f"class_{k}" for k in range(num_classes))
-            return Dataset(layouts=tuple(data), label_names=names)
-        dims = {int(l.features.shape[1]) for l in data}
-        if len(dims) != 1:
-            raise DataError("layouts have inconsistent feature dims")
-        return Dataset(layouts=tuple(data), feature_dim=dims.pop())
+        # The head comes from the first layout; the Dataset refuses any layout it cannot hold.
+        if data[0].labels is None:
+            return Dataset(layouts=tuple(data), feature_dim=data[0].features.shape[1])
+        num_classes = max(int(l.labels.max()) for l in data if l.labels is not None) + 1
+        names = tuple(f"class_{k}" for k in range(num_classes))
+        return Dataset(layouts=tuple(data), label_names=names)
     raise DataError("expected a Dataset or a non-empty sequence of Layout objects")
 
 

@@ -342,6 +342,7 @@ MALFORMED = {
     "canvas not an object": (minimal_doc, lambda d: d.update(canvas=5)),
     "canvas width string": (minimal_doc, lambda d: d["canvas"].update(width="wide")),
     "labels not a list": (minimal_doc, lambda d: d.update(labels=3)),
+    "labels not strings": (minimal_doc, lambda d: d.update(labels=[1, None])),
     "feature strings": (continuous_doc, lambda d: element(d).update(feature=["x", "y"])),
     "feature_dim string": (continuous_doc, lambda d: d.update(feature_dim="x")),
     "feature_dim float": (continuous_doc, lambda d: d.update(feature_dim=2.5)),
@@ -674,39 +675,87 @@ def featured(lid, width, n=2):
     return Layout(geometry=np.zeros((n, 4)), features=np.ones((n, width)), id=lid)
 
 
+# Each case builds its dataset inside the test, where the constructor refuses it.
 SAVE_FAULTS = {
     "a label outside the vocabulary": (
-        Dataset(layouts=(labelled("l0", [0, 1]), labelled("l1", [1, 3]),
-                         labelled("l2", [5, 0])), label_names=("a", "b")),
-        "'l1': the dataset needs label ids below 2"),
+        lambda: Dataset(layouts=(labelled("l0", [0, 1]), labelled("l1", [1, 3]),
+                                 labelled("l2", [5, 0])), label_names=("a", "b")),
+        "layout 'l1': the dataset needs label ids below 2"),
     "a continuous layout in a categorical dataset": (
-        Dataset(layouts=(labelled("l0", [0]), featured("l1", 2), labelled("l2", [7])),
-                label_names=("a", "b")),
-        "'l1': the dataset needs label ids below 2"),
+        lambda: Dataset(layouts=(labelled("l0", [0]), featured("l1", 2), labelled("l2", [7])),
+                        label_names=("a", "b")),
+        "layout 'l1': the dataset needs label ids below 2"),
     "a label fault before a mode fault": (
-        Dataset(layouts=(labelled("l0", [0]), labelled("l1", [2]), featured("l2", 2)),
-                label_names=("a", "b")),
-        "'l1': the dataset needs label ids below 2"),
+        lambda: Dataset(layouts=(labelled("l0", [0]), labelled("l1", [2]), featured("l2", 2)),
+                        label_names=("a", "b")),
+        "layout 'l1': the dataset needs label ids below 2"),
     "a categorical layout in a continuous dataset": (
-        Dataset(layouts=(featured("l0", 2), labelled("l1", [0]), featured("l2", 3)),
-                feature_dim=2),
-        "'l1': the dataset needs features of width 2"),
+        lambda: Dataset(layouts=(featured("l0", 2), labelled("l1", [0]), featured("l2", 3)),
+                        feature_dim=2),
+        "layout 'l1': the dataset needs features of width 2"),
     "features of another width": (
-        Dataset(layouts=(featured("l0", 2), featured("l1", 3)), feature_dim=2),
-        "'l1': the dataset needs features of width 2"),
+        lambda: Dataset(layouts=(featured("l0", 2), featured("l1", 3)), feature_dim=2),
+        "layout 'l1': the dataset needs features of width 2"),
     "more elements than a file holds": (
-        Dataset(layouts=(labelled("l0", [0] * 36), labelled("l1", [1] * 37),
-                         labelled("l2", [5] * 40)), label_names=("a", "b")),
-        "'l1': it has 37 elements, limit is 36"),
+        lambda: Dataset(layouts=(labelled("l0", [0] * 36), labelled("l1", [1] * 37),
+                                 labelled("l2", [5] * 40)), label_names=("a", "b")),
+        "layout 'l1': it has 37 elements, limit is 36"),
+    "an item that is not a Layout": (
+        lambda: Dataset(layouts=(labelled("l0", [0]), "x", labelled("l2", [5])),
+                        label_names=("a", "b")),
+        "dataset item 1 is a str, not a Layout"),
+    "a label fault before an item that is not a Layout": (
+        lambda: Dataset(layouts=(labelled("l0", [0]), labelled("l1", [2]), "x"),
+                        label_names=("a", "b")),
+        "layout 'l1': the dataset needs label ids below 2"),
 }
 
 
-@pytest.mark.parametrize("dataset, message", SAVE_FAULTS.values(), ids=SAVE_FAULTS.keys())
-def test_save_refuses_a_layout_that_a_load_would_refuse(tmp_path, dataset, message):
+@pytest.mark.parametrize("make, message", SAVE_FAULTS.values(), ids=SAVE_FAULTS.keys())
+def test_save_refuses_a_layout_that_a_load_would_refuse(tmp_path, make, message):
     with pytest.raises(DataError) as raised:
-        save_dataset(dataset, tmp_path / "ds.json")
-    assert str(raised.value) == f"cannot save layout {message}"
+        save_dataset(make(), tmp_path / "ds.json")
+    assert str(raised.value) == message
     assert list(tmp_path.iterdir()) == []
+
+
+@st.composite
+def valid_datasets(draw):
+    """A dataset of either attribute mode whose layouts the head can hold: 0-4 layouts of
+    1-36 elements, with text or integer ids."""
+    feature_dim = draw(st.one_of(st.none(), st.integers(1, 3)))
+    names = None if feature_dim else draw(st.lists(st.text(max_size=3), min_size=1,
+                                                   max_size=4))
+    layouts = []
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(1, DEFAULT_N_MAX))
+        if feature_dim:
+            values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                   min_size=n * feature_dim, max_size=n * feature_dim))
+            attribute = {"features": np.reshape(values, (n, feature_dim))}
+        else:
+            attribute = {"labels": draw(st.lists(st.integers(0, len(names) - 1),
+                                                 min_size=n, max_size=n))}
+        geometry = draw(st.lists(st.floats(-1, 1), min_size=4 * n, max_size=4 * n))
+        layouts.append(Layout(geometry=np.reshape(geometry, (n, 4)),
+                              id=draw(st.one_of(st.text(max_size=3), st.integers())),
+                              **attribute))
+    return Dataset(layouts=layouts, label_names=names, feature_dim=feature_dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_datasets())
+def test_every_dataset_that_constructs_saves_and_loads_back(tmp_path_factory, dataset):
+    path = tmp_path_factory.mktemp("round") / "ds.json"
+    save_dataset(dataset, path)
+    loaded = load_dataset(path)
+    assert (loaded.label_names, loaded.feature_dim) == (dataset.label_names,
+                                                        dataset.feature_dim)
+    assert [l.id for l in loaded.layouts] == [str(l.id) for l in dataset.layouts]
+    assert list(map(len, loaded.layouts)) == list(map(len, dataset.layouts))
+    name = "labels" if dataset.feature_dim is None else "features"
+    for got, want in zip(loaded.layouts, dataset.layouts):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_a_save_leaves_a_foreign_tmp_file_alone(tmp_path):

@@ -101,8 +101,20 @@ def test_fit_accepts_continuous_layout_sequence():
     model = desk_model(max_steps=1).fit(continuous_layouts([3, 3, 3]))
     assert model.feature_dim_ == 3
     assert model.label_names_ is None
-    with pytest.raises(DataError, match="inconsistent feature dims"):
+    with pytest.raises(DataError, match="layout 'c2': the dataset needs features of width 3"):
         desk_model().fit(continuous_layouts([3, 3, 2]))
+
+
+def test_fit_refuses_a_layout_sequence_that_no_dataset_holds():
+    labelled = Layout(geometry=np.zeros((2, 4)), labels=[0, 1], id="l")
+    featured = continuous_layouts([3])[0]
+    big = Layout(geometry=np.zeros((37, 4)), labels=[0] * 37, id="big")
+    with pytest.raises(DataError, match="layout 'big': it has 37 elements, limit is 36"):
+        desk_model().fit([labelled, big])
+    with pytest.raises(DataError, match="layout 'c0': the dataset needs label ids below 2"):
+        desk_model().fit([labelled, featured])
+    with pytest.raises(DataError, match="layout 'l': the dataset needs features of width 3"):
+        desk_model().fit([featured, labelled])
 
 
 def test_float32_fit_on_continuous_layouts_keeps_float32_parameters():

@@ -15,7 +15,8 @@ splits into forked shards where there are several usable CPUs, step 10's three r
 unevenly), four ``eval`` variants (one of them on
 layouts of up to 36 elements, whose label runs above six take Max IoU's
 Hungarian path), ``render``, the estimator's losses, ``score`` and raw and
-clamped layouts as JSON, and a resume with ``--max-steps`` below the
+clamped layouts as JSON (fitted on a loaded dataset, and on its layouts as a plain
+list, whose head the estimator works out), and a resume with ``--max-steps`` below the
 checkpoint's step (which trains nothing and saves once).
 Each step's exit code, stdout and stderr go into ``<step>.log``.  Every file
 name starts with the number of the step that writes it, so the sorted walk of
@@ -61,14 +62,15 @@ ESTIMATOR = """
 import json
 import layoutdiffusion as ld
 
-def run(path, out, **params):
+def run(path, out, as_list=False, **params):
     data = ld.load_dataset(path)
+    fit_on = list(data.layouts) if as_list else data
     model = ld.LayoutDiffusion(d_model=16, num_layers=2, num_heads=2, ffn_dim=32,
                                timesteps=20, learning_rate=1e-3, batch_size=8, max_steps=10,
-                               init_seed=0, train_seed=1, **params).fit(data)
+                               init_seed=0, train_seed=1, **params).fit(fit_on)
     conditions = [l.labels if l.labels is not None else l.features for l in data.layouts[:6]]
     doc = {"losses": [repr(loss) for loss in model.loss_history_],
-           "score": repr(model.score(data))}
+           "score": repr(model.score(fit_on))}
     for key, raw in (("raw", True), ("clamped", False)):
         layouts = model.sample(conditions, seed=9, return_raw=raw)
         doc[key] = [layout.geometry.tolist() for layout in layouts]
@@ -78,6 +80,8 @@ def run(path, out, **params):
 run("01-grid.json", "19-estimator.json")
 run("01-grid.json", "19-estimator-float32.json", precision="float32")
 run("03-features.json", "19-estimator-continuous.json")
+run("01-grid.json", "19-estimator-layouts.json", as_list=True)
+run("03-features.json", "19-estimator-layouts-continuous.json", as_list=True)
 """
 
 # (step, "cli" or "python", argv or code).  Paths are relative to the run directory.
