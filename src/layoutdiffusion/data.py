@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .exceptions import DataError
-from .rng import RngStream
+from .rng import RngStream, to_integers, to_uniforms
 from .validation import (is_finite_array, is_finite_number, is_integer, is_integer_array,
                          require_int)
 
@@ -106,8 +106,9 @@ class Layout:
 class Dataset:
     """Layouts with their canvas and one attribute head, ``label_names`` or ``feature_dim``.
     Each layout must have the head's mode, label ids below ``len(label_names)`` or features
-    of width ``feature_dim``, and at most ``DEFAULT_N_MAX`` elements, so that every dataset
-    saves and loads back; else a :class:`DataError` names the first layout that does not."""
+    of width ``feature_dim``, at most ``DEFAULT_N_MAX`` elements, and boxes that stay
+    finite in canvas units, so that every dataset saves and loads back; else a
+    :class:`DataError` names the first layout that does not."""
 
     layouts: tuple
     canvas: tuple = (100.0, 100.0)
@@ -141,12 +142,23 @@ class Dataset:
                       if not (isinstance(layout, Layout) and len(layout) <= DEFAULT_N_MAX
                               and getattr(layout, name) is not None
                               and getattr(layout, name).shape[1:] == width)), len(layouts))
-        if categorical and fault:  # an earlier layout may hold a label outside the vocabulary
-            columns = [layout.labels for layout in layouts[:fault]]
-            outside = np.flatnonzero(np.concatenate(columns) >= len(self.label_names))
-            if len(outside):
-                ends = list(accumulate(map(len, columns)))
-                fault = int(np.searchsorted(ends, outside[0], side="right"))
+        # An earlier layout may hold a label outside the vocabulary, or a box that leaves
+        # the float64 range in canvas units, where a save writes it.
+        overflow = None  # the element of such a box
+        if fault:
+            head = layouts[:fault]
+            with np.errstate(over="ignore"):
+                boxes = _denormalized(np.concatenate([layout.geometry for layout in head]),
+                                      _canvas_ranges(self.canvas))
+            bad = ~np.isfinite(boxes).all(axis=1)
+            if categorical:
+                bad |= np.concatenate([layout.labels for layout in head]) >= len(self.label_names)
+            first = np.flatnonzero(bad)
+            if len(first):
+                starts = list(accumulate(map(len, head), initial=0))
+                fault = int(np.searchsorted(starts, first[0], side="right")) - 1
+                if not np.isfinite(boxes[first[0]]).all():
+                    overflow = first[0] - starts[fault]
         if fault < len(layouts):
             layout = layouts[fault]
             if not isinstance(layout, Layout):
@@ -154,6 +166,10 @@ class Dataset:
             if len(layout) > DEFAULT_N_MAX:
                 raise DataError(f"layout {layout.id!r}: it has {len(layout)} elements, limit is "
                                 f"{DEFAULT_N_MAX}")
+            if overflow is not None:
+                raise DataError(f"layout {layout.id!r} element {overflow}: geometry "
+                                f"{layout.geometry[overflow].tolist()} leaves the float64 range "
+                                f"in the units of canvas {self.canvas}")
             need = (f"label ids below {len(self.label_names)}" if categorical
                     else f"features of width {self.feature_dim}")
             raise DataError(f"layout {layout.id!r}: the dataset needs {need}")
@@ -196,6 +212,10 @@ def _normalized(geometry: np.ndarray, ranges: np.ndarray) -> np.ndarray:
     return 2.0 * geometry / ranges - 1.0
 
 
+def _denormalized(geometry: np.ndarray, ranges: np.ndarray) -> np.ndarray:
+    return (geometry + 1.0) * ranges / 2.0
+
+
 def normalize_layout(raw: Layout, canvas) -> Layout:
     """Map canvas-unit geometry affinely onto [-1, 1] per component."""
     return _normalize(raw, canvas, strict=True)
@@ -225,8 +245,7 @@ def _normalize(raw: Layout, canvas, strict: bool) -> Layout:
 
 def denormalize_layout(layout: Layout, canvas) -> Layout:
     """Exact inverse of :func:`normalize_layout`; no clamping, overshoot passes through."""
-    ranges = _canvas_ranges(canvas)
-    return replace(layout, geometry=(layout.geometry + 1.0) * ranges / 2.0)
+    return replace(layout, geometry=_denormalized(layout.geometry, _canvas_ranges(canvas)))
 
 
 def to_corner_form(geometry) -> np.ndarray:
@@ -431,34 +450,6 @@ def load_dataset(path, strict_geometry: bool = True) -> Dataset:
         raise DataError(f"{where}: {exc}") from None
 
 
-def dataset_to_dict(dataset: Dataset, meta: Optional[dict] = None, include_clamped=False) -> dict:
-    """Dataset as a schema dict with bbox back in canvas units, built in array passes over
-    all of its elements."""
-    doc = {"canvas": {"width": dataset.canvas[0], "height": dataset.canvas[1]}}
-    if dataset.mode == "categorical":
-        doc["labels"] = list(dataset.label_names)
-        attribute, empty = "label", np.empty(0)
-    else:
-        doc["feature_dim"] = dataset.feature_dim
-        attribute, empty = "feature", np.empty((0, dataset.feature_dim))
-    layouts = dataset.layouts
-    bounds = list(accumulate(map(len, layouts), initial=0))
-    attributes = np.concatenate([getattr(layout, attribute + "s") for layout in layouts]
-                                or [empty])
-    geometry = np.concatenate([layout.geometry for layout in layouts] or [np.empty((0, 4))])
-    ranges = _canvas_ranges(dataset.canvas)
-    fields = {"bbox": ((geometry + 1.0) * ranges / 2.0).tolist()}
-    if include_clamped:
-        fields["bbox_clamped"] = ((np.clip(geometry, -1.0, 1.0) + 1.0) * ranges / 2.0).tolist()
-    fields[attribute] = attributes.tolist()
-    elements = [dict(zip(fields, row)) for row in zip(*fields.values())]
-    doc["layouts"] = [{"id": layout.id, "elements": elements[start:stop]}
-                      for layout, start, stop in zip(layouts, bounds, bounds[1:])]
-    if meta is not None:
-        doc["meta"] = meta
-    return doc
-
-
 @contextlib.contextmanager
 def atomic_path(path):
     """A new temporary path next to ``path`` to write instead.  When the block ends
@@ -485,11 +476,61 @@ def atomic_path(path):
         os.close(fd)
 
 
+def _number_list(width: int) -> str:
+    """The text that ``json.dump(..., indent=1)`` writes for an element field's list of
+    ``width`` numbers, with a ``%r`` for each number."""
+    return "[\n" + ",\n".join(["      %r"] * width) + "\n     ]"
+
+
 def save_dataset(dataset: Dataset, path, meta: Optional[dict] = None, include_clamped=False):
-    doc = dataset_to_dict(dataset, meta=meta, include_clamped=include_clamped)
+    """Write ``dataset`` as a layout JSON file with bbox back in canvas units: the bytes
+    that ``json.dump(doc, fh, indent=1)`` and a newline write of the schema dict ``doc``.
+
+    Every element is one text template.  A finite float's ``%r`` is the text json
+    writes for it, and the :class:`Dataset` constructor keeps every float written here
+    finite.  The ids, the head and ``meta`` go through ``json.dumps``.  The text is
+    written layout by layout through :func:`atomic_path`.
+    """
+    head = {"canvas": {"width": dataset.canvas[0], "height": dataset.canvas[1]}}
+    if dataset.mode == "categorical":
+        head["labels"] = list(dataset.label_names)
+        attribute, width, value = "label", 1, "%r"
+    else:
+        head["feature_dim"] = dataset.feature_dim
+        attribute, width = "feature", dataset.feature_dim
+        value = _number_list(width)
+    layouts = dataset.layouts
+    geometry = np.concatenate([layout.geometry for layout in layouts] or [np.empty((0, 4))])
+    ranges = _canvas_ranges(dataset.canvas)
+    fields = {"bbox": _denormalized(geometry, ranges)}
+    if include_clamped:
+        fields["bbox_clamped"] = _denormalized(np.clip(geometry, -1.0, 1.0), ranges)
+    # One row of Python numbers per element, in the order of the template's fields.
+    rows = np.empty((len(geometry), 4 * len(fields) + width), dtype=object)
+    for column, boxes in enumerate(fields.values()):
+        rows[:, 4 * column:4 * column + 4] = boxes
+    rows[:, 4 * len(fields):] = np.concatenate(
+        [getattr(layout, attribute + "s") for layout in layouts] or [np.empty(0)]
+    ).reshape(-1, width)
+    numbers = rows.ravel().tolist()
+    element = "".join(["    {\n"] + [f'     "{name}": {_number_list(4)},\n' for name in fields]
+                      + [f'     "{attribute}": {value}\n    }}'])
+    entries = {}  # element count -> template of a layout entry, its id first
+    stops, start = accumulate(len(layout) * rows.shape[1] for layout in layouts), 0
     with atomic_path(path) as tmp_path, open(tmp_path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(head, indent=1)[:-2] + ',\n "layouts": [')  # the head, left open
+        for i, (layout, stop) in enumerate(zip(layouts, stops)):
+            n = len(layout)
+            if n not in entries:
+                entries[n] = ('  {\n   "id": %s,\n   "elements": [\n'
+                              + ",\n".join([element] * n) + "\n   ]\n  }")
+            fh.write((",\n" if i else "\n")
+                     + entries[n] % (json.dumps(layout.id), *numbers[start:stop]))
+            start = stop
+        fh.write(("\n ]" if layouts else "]")
+                 + ("" if meta is None
+                    else ',\n "meta": ' + json.dumps(meta, indent=1).replace("\n", "\n "))
+                 + "\n}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -534,24 +575,45 @@ def grid_rule_box(label, num_classes: int) -> np.ndarray:
 
 
 def make_synthetic_dataset(spec: SynthSpec, seed: int) -> Dataset:
-    """Deterministic synthetic dataset; a pure function of (spec, seed)."""
+    """Deterministic synthetic dataset; a pure function of (spec, seed).
+
+    Layout by layout, the stream draws the element count ``n`` (unless the range holds
+    one count), then ``n`` labels, then for random boxes ``n`` rows of four uniforms.
+    Only the counts depend on earlier draws, so one scan finds them, one ``words`` call
+    draws the rest, and each layout holds read-only slices of one geometry and one label
+    array.
+    """
     stream = RngStream(seed)
     lo, hi = spec.elements_per_layout_range
-    layouts = []
-    for i in range(spec.num_layouts):
-        n = int(stream.integers(lo, hi + 1)[()]) if lo < hi else lo
-        labels = stream.integers(0, spec.num_classes, [n])
-        if spec.rule == "grid_by_label":
-            geometry = grid_rule_box(labels, spec.num_classes)
-        else:
-            # Boxes inside the unit frame: per element draw w, h, then each center's place.
-            draws = stream.uniform([n, 4])
-            wh = 0.05 + 0.45 * draws[:, :2]
-            centers = wh / 2 + (1 - wh) * draws[:, 2:]
-            geometry = np.concatenate([2 * centers - 1, 2 * wh - 1], axis=1)
-        layouts.append(Layout(geometry=geometry, labels=labels, id=f"synth-{i:06d}"))
+    per_element = 5 if spec.rule == "random_boxes" else 1
+    counts, counter = [], 0
+    for _ in range(spec.num_layouts):
+        n = lo
+        if lo < hi:
+            n = int(to_integers(stream.word_at(counter), lo, hi + 1))
+            counter += 1
+        counts.append(n)
+        counter += per_element * n
+    # Each layout's words in turn: its count (role 0), labels (1) and uniforms (2).
+    roles = np.repeat(np.tile(np.arange(3, dtype=np.uint8), spec.num_layouts),
+                      [length for n in counts for length in (lo < hi, n, (per_element - 1) * n)])
+    words = stream.words(counter)
+    labels = to_integers(words[roles == 1], 0, spec.num_classes)
+    if spec.rule == "grid_by_label":
+        geometry = grid_rule_box(labels, spec.num_classes)
+    else:
+        # Boxes inside the unit frame: per element draw w, h, then each center's place.
+        draws = to_uniforms(words[roles == 2]).reshape(-1, 4)
+        wh = 0.05 + 0.45 * draws[:, :2]
+        centers = wh / 2 + (1 - wh) * draws[:, 2:]
+        geometry = np.concatenate([2 * centers - 1, 2 * wh - 1], axis=1)
+    geometry.flags.writeable = labels.flags.writeable = False
+    bounds = list(accumulate(counts, initial=0))
+    layouts = tuple(Layout._checked(geometry[start:stop], f"synth-{i:06d}",
+                                    labels=labels[start:stop])
+                    for i, (start, stop) in enumerate(zip(bounds, bounds[1:])))
     label_names = tuple(f"class_{k}" for k in range(spec.num_classes))
-    return Dataset(layouts=tuple(layouts), canvas=(100.0, 100.0), label_names=label_names)
+    return Dataset(layouts=layouts, canvas=(100.0, 100.0), label_names=label_names)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,21 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
+def _words_at(seed: int, positions) -> np.ndarray:
+    """The raw words at 1-based ``positions`` (uint64) of the stream seeded with ``seed``."""
+    return _mix64(np.uint64(seed) + positions * _GOLDEN)
+
+
+def to_uniforms(words) -> np.ndarray:
+    """Raw words as uniforms on [0, 1) with 53-bit resolution, one word each."""
+    return (words >> np.uint64(11)).astype(np.float64) * _INV_2POW53
+
+
+def to_integers(words, low: int, high: int) -> np.ndarray:
+    """Raw words as integers in [low, high) via modular reduction, one word each."""
+    return (words % np.uint64(high - low)).astype(np.int64) + low
+
+
 class RngStream:
     """Counter-based PRNG: word ``k`` is a pure function of ``(seed, k)``.
 
@@ -64,13 +79,18 @@ class RngStream:
         """Next ``n`` raw 64-bit words; advances the counter by ``n``."""
         counters = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += int(n)
-        return _mix64(np.uint64(self.seed) + counters * _GOLDEN)
+        return _words_at(self.seed, counters)
+
+    def word_at(self, counter: int) -> np.uint64:
+        """The raw word at ``counter``, the one that :meth:`words` draws there; the
+        stream's own counter does not move."""
+        with np.errstate(over="ignore"):  # uint64 scalar arithmetic wraps, as arrays do
+            return _words_at(self.seed, np.uint64(counter + 1))
 
     def uniform(self, shape=()) -> np.ndarray:
         """I.i.d. uniforms on [0, 1) with 53-bit resolution."""
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        u = (self.words(n) >> np.uint64(11)).astype(np.float64) * _INV_2POW53
-        return u.reshape(shape)
+        return to_uniforms(self.words(n)).reshape(shape)
 
     def gaussian(self, shape=()) -> np.ndarray:
         """I.i.d. standard normals; two words per value (cosine branch)."""
@@ -78,7 +98,7 @@ class RngStream:
         w = self.words(2 * n)
         # u1 in (0, 1] keeps the log finite; u2 in [0, 1).
         u1 = ((w[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2POW53
-        u2 = (w[1::2] >> np.uint64(11)).astype(np.float64) * _INV_2POW53
+        u2 = to_uniforms(w[1::2])
         z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
         return z.reshape(shape)
 
@@ -91,6 +111,4 @@ class RngStream:
         if high <= low:
             raise ValueError(f"empty integer range [{low}, {high})")
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        span = np.uint64(high - low)
-        vals = (self.words(n) % span).astype(np.int64) + low
-        return vals.reshape(shape)
+        return to_integers(self.words(n), low, high).reshape(shape)

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import shutil
 
@@ -92,3 +93,22 @@ def test_tree_digest_names_the_bytes_of_src(tmp_path):
     (b / "src" / "pkg" / "mod.py").write_bytes(b"x = 1\n")
     (b / "src" / "pkg" / "mod.py").rename(b / "src" / "pkg" / "moe.py")
     assert bench_pairs.tree_digest(a) != bench_pairs.tree_digest(b)
+
+
+def test_setup_parts_are_read_from_each_result_file_and_summarized_per_side(tmp_path):
+    runs = []
+    for pair in range(4):
+        for side, offset in (("parent", 0.0), ("change", 1.0)):
+            checkout = tmp_path / side
+            result = checkout / ".bench_build" / "perfbench"
+            result.mkdir(parents=True, exist_ok=True)
+            (result / f"result-eval-seed{pair}-trace0.json").write_text(json.dumps(
+                {"import_s": offset + pair, "setup_runs_s": [9.0, offset + 0.1 * pair, -9.0]}))
+            runs.append({"pair": pair, "side": side,
+                         "setup_parts": bench_pairs.setup_parts(str(checkout), "eval", pair)})
+    assert runs[3]["setup_parts"] == {"import_s": 2.0, "setup_run_s": 1.1}
+    parts = bench_pairs.summarize_setup_parts(runs)
+    assert parts["import_s"]["parent"] == {"median": 1.5, "q1": 0.75, "q3": 2.25}
+    assert parts["import_s"]["change"]["median"] == pytest.approx(2.5)
+    assert parts["setup_run_s"]["parent"]["median"] == pytest.approx(0.15)
+    assert parts["setup_run_s"]["change"]["median"] == pytest.approx(1.15)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layoutdiffusion.data import (DEFAULT_N_MAX, Dataset, Layout, SynthSpec, atomic_path,
-                                  batch_to_layouts, dataset_to_dict, denormalize_layout, grid_rule_box,
+                                  batch_to_layouts, denormalize_layout, grid_rule_box,
                                   load_dataset, make_synthetic_dataset,
                                   normalize_layout, pad_batch, pad_conditions,
                                   save_dataset, to_corner_form)
@@ -503,19 +503,24 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_failed_save_leaves_the_previous_dataset(tmp_path, monkeypatch):
-    spec = SynthSpec(num_layouts=6, num_classes=3, rule="random_boxes")
+    spec = SynthSpec(num_layouts=200, num_classes=3, rule="random_boxes")
     path = tmp_path / "ds.json"
     save_dataset(make_synthetic_dataset(spec, 1), path)
     before = path.read_bytes()
+    dumps, written = json.dumps, []
 
-    def failing_dump(doc, fh, **kwargs):
-        fh.write('{"layouts": [')
-        raise OSError("no space left on device")
+    def failing_dumps(obj, **kwargs):  # fails at the id of layout 150, mid-file
+        if obj == "synth-000150":
+            (tmp,) = [p for p in tmp_path.iterdir() if p.name != "ds.json"]
+            written.append(tmp.stat().st_size)
+            raise OSError("no space left on device")
+        return dumps(obj, **kwargs)
 
-    monkeypatch.setattr(json, "dump", failing_dump)
+    monkeypatch.setattr(json, "dumps", failing_dumps)
     with pytest.raises(OSError):
         save_dataset(make_synthetic_dataset(spec, 2), path)
     monkeypatch.undo()
+    assert written[0] > 0
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.json"]
 
@@ -657,9 +662,10 @@ def test_pad_then_strip_round_trips():
             np.testing.assert_array_equal(rebuilt.features, orig.features)
 
 
-def test_dataset_to_dict_includes_meta():
+def test_save_writes_meta(tmp_path):
     ds = make_synthetic_dataset(SynthSpec(num_layouts=2, num_classes=2), 1)
-    doc = dataset_to_dict(ds, meta={"origin": "test"})
+    save_dataset(ds, tmp_path / "ds.json", meta={"origin": "test"})
+    doc = json.loads((tmp_path / "ds.json").read_text())
     assert doc["meta"] == {"origin": "test"}
     assert len(doc["layouts"]) == 2
 
@@ -673,6 +679,13 @@ def labelled(lid, labels):
 
 def featured(lid, width, n=2):
     return Layout(geometry=np.zeros((n, 4)), features=np.ones((n, width)), id=lid)
+
+
+def overflowing(lid, width=None):
+    """A layout whose second box is finite normalized, but not in units of a 100 canvas."""
+    geometry = [[0.0] * 4, [1e308, 0.0, 0.0, 0.0]]
+    attribute = {"labels": [0, 1]} if width is None else {"features": np.ones((2, width))}
+    return Layout(geometry=geometry, id=lid, **attribute)
 
 
 # Each case builds its dataset inside the test, where the constructor refuses it.
@@ -704,6 +717,23 @@ SAVE_FAULTS = {
         lambda: Dataset(layouts=(labelled("l0", [0]), "x", labelled("l2", [5])),
                         label_names=("a", "b")),
         "dataset item 1 is a str, not a Layout"),
+    "a box beyond the float64 range in canvas units": (
+        lambda: Dataset(layouts=(labelled("l0", [0]), overflowing("l1"), labelled("l2", [5])),
+                        label_names=("a", "b")),
+        "layout 'l1' element 1: geometry [1e+308, 0.0, 0.0, 0.0] leaves the float64 range in "
+        "the units of canvas (100.0, 100.0)"),
+    "a box beyond the float64 range in a continuous dataset": (
+        lambda: Dataset(layouts=(featured("l0", 2), overflowing("l1", width=2)), feature_dim=2),
+        "layout 'l1' element 1: geometry [1e+308, 0.0, 0.0, 0.0] leaves the float64 range in "
+        "the units of canvas (100.0, 100.0)"),
+    "a label fault before a box beyond the float64 range": (
+        lambda: Dataset(layouts=(labelled("l0", [0]), labelled("l1", [2]), overflowing("l2")),
+                        label_names=("a", "b")),
+        "layout 'l1': the dataset needs label ids below 2"),
+    "a box beyond the float64 range before a label fault": (
+        lambda: Dataset(layouts=(overflowing("l0"), labelled("l1", [2])), label_names=("a", "b")),
+        "layout 'l0' element 1: geometry [1e+308, 0.0, 0.0, 0.0] leaves the float64 range in "
+        "the units of canvas (100.0, 100.0)"),
     "a label fault before an item that is not a Layout": (
         lambda: Dataset(layouts=(labelled("l0", [0]), labelled("l1", [2]), "x"),
                         label_names=("a", "b")),
@@ -717,6 +747,16 @@ def test_save_refuses_a_layout_that_a_load_would_refuse(tmp_path, make, message)
         save_dataset(make(), tmp_path / "ds.json")
     assert str(raised.value) == message
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_box_beyond_the_float64_range_in_canvas_units_never_reaches_a_file(tmp_path):
+    with pytest.raises(DataError, match="layout 'l0' element 1: geometry"):
+        Dataset(layouts=(overflowing("l0"),), label_names=("a", "b"))
+    # A normalized box far outside the canvas that still fits in canvas units round-trips.
+    edge = Layout(geometry=[[1e306, 0.0, 0.0, 0.0]], labels=[0], id="edge")
+    save_dataset(Dataset(layouts=(edge,), label_names=("a",)), tmp_path / "edge.json")
+    assert load_dataset(tmp_path / "edge.json", strict_geometry=False).layouts[0].geometry[0, 0] \
+        == pytest.approx(1e306)
 
 
 @st.composite
@@ -798,15 +838,7 @@ def assert_same_arrays(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-@settings(max_examples=40, deadline=None)
-@given(rule=st.sampled_from(["grid_by_label", "random_boxes"]),
-       num_classes=st.integers(1, 40), num_layouts=st.integers(1, 5),
-       low=st.integers(1, DEFAULT_N_MAX), spread=st.one_of(st.just(0), st.integers(0, 35)),
-       seed=st.one_of(st.sampled_from([0, 2**63 + 11, 2**64 - 1]), st.integers(0, 2**64 - 1)))
-def test_synthesis_matches_the_per_element_oracle_bit_for_bit(rule, num_classes, num_layouts,
-                                                              low, spread, seed):
-    spec = SynthSpec(num_layouts=num_layouts, num_classes=num_classes, rule=rule,
-                     elements_per_layout_range=(low, min(low + spread, DEFAULT_N_MAX)))
+def assert_same_synthesis(spec, seed):
     got = make_synthetic_dataset(spec, seed)
     want = data_oracle.make_synthetic_dataset(spec, seed)
     assert (got.canvas, got.label_names) == (want.canvas, want.label_names)
@@ -814,6 +846,24 @@ def test_synthesis_matches_the_per_element_oracle_bit_for_bit(rule, num_classes,
     for a, b in zip(got.layouts, want.layouts):
         assert_same_arrays(a.geometry, b.geometry)
         assert_same_arrays(a.labels, b.labels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rule=st.sampled_from(["grid_by_label", "random_boxes"]),
+       num_classes=st.integers(1, 40), num_layouts=st.integers(1, 40),
+       low=st.integers(1, DEFAULT_N_MAX), spread=st.one_of(st.just(0), st.integers(0, 35)),
+       seed=st.one_of(st.sampled_from([0, 2**63 + 11, 2**64 - 1]), st.integers(0, 2**64 - 1)))
+def test_synthesis_matches_the_per_element_oracle_bit_for_bit(rule, num_classes, num_layouts,
+                                                              low, spread, seed):
+    assert_same_synthesis(SynthSpec(num_layouts=num_layouts, num_classes=num_classes, rule=rule,
+                                    elements_per_layout_range=(low, min(low + spread,
+                                                                        DEFAULT_N_MAX))), seed)
+
+
+@pytest.mark.parametrize("rule", ["grid_by_label", "random_boxes"])
+def test_synthesis_of_2048_layouts_matches_the_per_element_oracle_bit_for_bit(rule):
+    assert_same_synthesis(SynthSpec(num_layouts=2048, num_classes=7, rule=rule,
+                                    elements_per_layout_range=(1, DEFAULT_N_MAX)), 2**61 + 5)
 
 
 @pytest.mark.parametrize("num_classes", [1, 4, 7, 40, 10**6 + 3])
@@ -826,10 +876,21 @@ def test_grid_rule_box_of_a_label_array_is_the_scalar_box_of_each(num_classes):
     assert_same_arrays(grid_rule_box(int(labels[-1]), num_classes), boxes[-1])
 
 
+# JSON text that needs escaping: quotes, backslashes, control characters, non-ASCII.
+json_text = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7fé€😀'), st.characters()),
+                    max_size=6)
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.floats(allow_nan=False, allow_infinity=False), json_text),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(json_text, inner, max_size=3)),
+    max_leaves=12)
+
+
 @st.composite
 def saved_datasets(draw):
     """A dataset to save, categorical or continuous, whose boxes may overshoot the canvas;
-    with or without ``meta`` and the clamped boxes."""
+    with or without nested ``meta`` and the clamped boxes, and with ids that need escaping."""
     feature_dim = draw(st.one_of(st.none(), st.integers(1, 3)))
     canvas = (draw(st.floats(0.5, 1000)), draw(st.floats(0.5, 1000)))
     values = st.one_of(st.floats(-3, 3), st.sampled_from([-1.0, 1.0, -0.0, 5e-324]))
@@ -843,10 +904,11 @@ def saved_datasets(draw):
             width = n * feature_dim
             attributes = {"features": np.reshape(draw(st.lists(
                 st.floats(-1e6, 1e6), min_size=width, max_size=width)), (n, feature_dim))}
-        layouts.append(Layout(geometry=geometry, id=draw(st.text(max_size=3)), **attributes))
+        layouts.append(Layout(geometry=geometry, id=draw(json_text), **attributes))
     dataset = Dataset(layouts=layouts, canvas=canvas, feature_dim=feature_dim,
                       label_names=None if feature_dim else ("text", "image", "button"))
-    meta = draw(st.one_of(st.none(), st.fixed_dictionaries({"seed": st.integers()})))
+    meta = draw(st.one_of(st.none(), st.dictionaries(json_text, json_values, max_size=4),
+                          json_values))
     return dataset, meta, draw(st.booleans())
 
 

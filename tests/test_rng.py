@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from layoutdiffusion.rng import ALGORITHM, RngStream
+from layoutdiffusion.rng import ALGORITHM, RngStream, to_integers, to_uniforms
 
 
 def test_same_seed_counter_reproduces():
@@ -121,3 +121,20 @@ def test_seed_and_counter_range_ends_are_accepted():
 
 def test_algorithm_tag():
     assert RngStream(0).state()["algorithm"] == ALGORITHM
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_word_at_is_the_word_that_words_draws_there_and_moves_no_counter(seed):
+    stream = RngStream(seed, counter=3)
+    want = RngStream(seed).words(40)
+    with np.errstate(over="raise"):  # a scalar word wraps without a warning
+        got = [stream.word_at(counter) for counter in range(40)]
+    assert np.array_equal(np.array(got, dtype=np.uint64), want)
+    assert stream.counter == 3
+
+
+def test_word_maps_are_the_ones_the_draws_use():
+    words = RngStream(5).words(12)
+    assert np.array_equal(to_uniforms(words), RngStream(5).uniform([12]))
+    assert np.array_equal(to_integers(words, 3, 10), RngStream(5).integers(3, 10, [12]))
+    assert to_integers(words[4], 3, 10) == RngStream(5, counter=4).integers(3, 10)

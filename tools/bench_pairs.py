@@ -11,7 +11,12 @@ each checkout, the parent first in even pairs and the change first in odd
 ones, so that a drift of the host's speed does not favour one side.  Each
 run's end-to-end metrics and checks go into ``--out`` with, per metric, each
 side's median and quartiles and the change's win count, and each checkout's
-``src/`` digest (``parent_tree``, ``change_tree``).  An existing
+``src/`` digest (``parent_tree``, ``change_tree``).  The two parts of each
+run's ``setup_s`` go in too, as ungated facts: ``import_s``, one sample per
+process, and ``setup_run_s``, the median of the run's timed setups, both
+read from the run's result file under ``.bench_build/perfbench``; each
+side's quartiles of them go under ``setup_parts``, so that a ``setup_s``
+claim shows which part moved.  An existing
 ``--out`` keeps its other workloads, so one file can hold every workload of
 a change.
 
@@ -65,6 +70,16 @@ def tree_digest(checkout) -> str:
     return digest.hexdigest()
 
 
+def setup_parts(checkout, workload, seed) -> dict:
+    """The two parts of ``setup_s`` in the result file of an untraced run."""
+    path = os.path.join(checkout, ".bench_build", "perfbench",
+                        f"result-{workload}-seed{seed}-trace0.json")
+    with open(path) as fh:
+        detail = json.load(fh)
+    return {"import_s": detail["import_s"],
+            "setup_run_s": float(np.median(detail["setup_runs_s"]))}
+
+
 def run_once(checkout, workload, seed, seconds) -> dict:
     """One untraced perfbench run; its result line, plus the machine facts."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -80,7 +95,7 @@ def run_once(checkout, workload, seed, seconds) -> dict:
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": {name: entry["value"] for name, entry in result["metrics"].items()},
-            "machine": machine}
+            "setup_parts": setup_parts(checkout, workload, seed), "machine": machine}
 
 
 def quartiles(values) -> dict:
@@ -118,6 +133,14 @@ def summarize(runs, declared) -> dict:
                                and min(sign * c for c in change) <= max(sign * p for p in parent)),
         }
     return out
+
+
+def summarize_setup_parts(runs) -> dict:
+    """Per part of ``setup_s``: each side's quartiles over its runs; no rule applies."""
+    return {part: {side: quartiles([run["setup_parts"][part] for run in runs
+                                    if run["side"] == side])
+                   for side in ("parent", "change")}
+            for part in ("import_s", "setup_run_s")}
 
 
 def main(argv=None) -> int:
@@ -162,7 +185,7 @@ def main(argv=None) -> int:
         "change_tree": tree_digest(checkouts["change"]),
         "machine": machine,
         "all_correct": all(run["correct"] and run["failed"] == 0 for run in runs),
-        "summary": summary, "runs": runs,
+        "summary": summary, "setup_parts": summarize_setup_parts(runs), "runs": runs,
     }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
@@ -176,6 +199,10 @@ def main(argv=None) -> int:
               f"change {b['median']:.6g} [{b['q1']:.6g}-{b['q3']:.6g}]  "
               f"wins {s['wins']}/{s['pairs']}  gain holds: {s['gain_holds']}  "
               f"within bound: {s['within_bound']}  unresolved: {s['unresolved']}")
+    for part, sides in doc["workloads"][args.workload]["setup_parts"].items():
+        a, b = sides["parent"], sides["change"]
+        print(f"  {part:18s} parent {a['median']:.6g} [{a['q1']:.6g}-{a['q3']:.6g}]  "
+              f"change {b['median']:.6g} [{b['q1']:.6g}-{b['q3']:.6g}]  (ungated)")
     return 0
 
 

@@ -7,7 +7,8 @@ Usage, from the root of a checkout:
 
 Each checkout runs one fixed matrix of commands (``MATRIX``) in a fresh empty
 directory, in one subprocess with ``PYTHONPATH=<checkout>/src``: seeded
-``synth`` of both rules, float64 categorical and continuous ``train`` with
+``synth`` of both rules (one of them with a fixed element count, which draws no
+count), float64 categorical and continuous ``train`` with
 ``--checkpoint-every`` and a resumed run next to a straight one, a float32 run,
 ``sample --labels`` and ``--conditions``, with one batch of a single row (which
 samples in one process) next to batches of three rows and more (which the sampler
@@ -138,6 +139,9 @@ MATRIX = [
                               "02-boxes.json", "-o", "21-eval-boxes.json"]),
     ("22-sample-one", "cli", ["sample", "--checkpoint", "06-resumed.ckpt", "--labels", "3,1",
                               "--num-samples", "1", "--seed", "4", "-o", "22-one.json"]),
+    ("23-synth-fixed", "cli", ["synth", "--rule", "random_boxes", "--layouts", "40",
+                               "--classes", "3", "--min-elements", "4", "--max-elements", "4",
+                               "--seed", "9", "-o", "23-fixed.json"]),
 ]
 
 # Runs in the checkout's interpreter: the steps in order up to the first that fails, each
