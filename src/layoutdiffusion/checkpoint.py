@@ -46,13 +46,6 @@ def _sha256(blobs) -> str:
     return digest.hexdigest()
 
 
-def _object_text(fields: dict) -> bytes:
-    """``json.dumps(header, sort_keys=True)``, encoded, for the header whose values
-    ``fields`` holds as JSON text."""
-    items = (f"{json.dumps(key)}: {fields[key]}" for key in sorted(fields))
-    return ("{" + ", ".join(items) + "}").encode("utf-8")
-
-
 def _manifest_entry(entry, path) -> tuple:
     """``(name, shape, offset)`` of one manifest entry, with their types checked."""
     if not isinstance(entry, dict):
@@ -104,13 +97,11 @@ def save_checkpoint(path, params: dict, adam_state: AdamState,
         "train_step": step,
     }
     # Sign the header as a load reads it back: integer keys become strings.  The losses,
-    # a list of numbers, read back as they are written, so they are serialized once.
-    fields = {key: json.dumps(value, sort_keys=True)
-              for key, value in json.loads(json.dumps(header)).items()}
-    fields["losses"] = json.dumps(list(losses))
-    fields["sha256"] = json.dumps(_sha256([_object_text(fields), *blobs]))
+    # a list of numbers, read back as they are written.
+    header = {**json.loads(json.dumps(header)), "losses": list(losses)}
+    header["sha256"] = _sha256([json.dumps(header, sort_keys=True).encode("utf-8"), *blobs])
     with atomic_path(path) as tmp_path, open(tmp_path, "wb") as fh:
-        fh.write(_object_text(fields))
+        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         for blob in blobs:
             fh.write(blob)
@@ -168,9 +159,9 @@ def load_checkpoint(path):
     if offset != len(blob):
         raise DataError(f"checkpoint {path}: {len(blob) - offset} bytes after the last array")
     digest = header.get("sha256")
-    fields = {key: json.dumps(value, sort_keys=True)
-              for key, value in header.items() if key != "sha256"}
-    signed = [blob] if version == 1 else [_object_text(fields), blob]
+    unsigned = json.dumps({key: value for key, value in header.items() if key != "sha256"},
+                          sort_keys=True)
+    signed = [blob] if version == 1 else [unsigned.encode("utf-8"), blob]
     if (digest is not None or version != 1) and _sha256(signed) != digest:
         raise DataError(f"checkpoint {path}: SHA-256 missing, or header or binary section "
                         f"does not match it")

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
-from .data import (DEFAULT_N_MAX, Dataset, atomic_path, load_dataset, make_synthetic_dataset,
-                   save_dataset, SynthSpec)
+from .data import (Dataset, atomic_path, load_dataset, make_synthetic_dataset, save_dataset,
+                   SynthSpec)
 from .denoiser import DenoiserConfig, param_shapes
 from .diffusion import (DiffusionConfig, TrainConfig, TrainResult, read_loss_log,
                         sample_layouts, train, write_loss_log)
@@ -274,13 +274,15 @@ def cmd_sample(args) -> int:
             labels = [int(tok) for tok in args.labels.split(",") if tok != ""]
         except ValueError as exc:
             raise DataError(f"bad --labels value {args.labels!r}") from exc
-        if len(labels) > DEFAULT_N_MAX:
-            raise DataError(f"--labels has {len(labels)} labels, limit is {DEFAULT_N_MAX}")
         conditions = [labels] * (args.num_samples or 1)
     else:
         cond_dataset = load_dataset(args.conditions, strict_geometry=False)
         if cond_dataset.mode != trained.mode:
             raise DataError("condition file attribute mode does not match checkpoint")
+        if cond_dataset.label_names != trained.label_names:
+            raise DataError(f"condition file {args.conditions} does not match "
+                            f"{args.checkpoint}: labels {cond_dataset.label_names!r} != "
+                            f"{trained.label_names!r}")
         conditions = [l.labels if l.labels is not None else l.features
                       for l in cond_dataset.layouts]
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
@@ -216,38 +216,6 @@ def _denormalized(geometry: np.ndarray, ranges: np.ndarray) -> np.ndarray:
     return (geometry + 1.0) * ranges / 2.0
 
 
-def normalize_layout(raw: Layout, canvas) -> Layout:
-    """Map canvas-unit geometry affinely onto [-1, 1] per component."""
-    return _normalize(raw, canvas, strict=True)
-
-
-def _normalize(raw: Layout, canvas, strict: bool) -> Layout:
-    """:func:`normalize_layout`, whose canvas check only a ``strict`` call makes.  A box
-    outside the canvas, or one that the map takes beyond the float64 range, raises a
-    :class:`DataError` naming the layout and the element."""
-    ranges = _canvas_ranges(canvas)
-    outside = np.flatnonzero(np.any((raw.geometry < 0) | (raw.geometry > ranges), axis=1))
-    if strict and len(outside):
-        idx = outside[0]
-        raise DataError(
-            f"layout {raw.id!r} element {idx}: geometry {raw.geometry[idx].tolist()} "
-            f"outside canvas {canvas}"
-        )
-    with np.errstate(over="ignore"):
-        geometry = _normalized(raw.geometry, ranges)
-    overflow = np.flatnonzero(~np.isfinite(geometry).all(axis=1))
-    if len(overflow):
-        idx = overflow[0]
-        raise DataError(f"layout {raw.id!r} element {idx}: bbox {raw.geometry[idx].tolist()} "
-                        f"leaves the float64 range once normalized")
-    return replace(raw, geometry=geometry)
-
-
-def denormalize_layout(layout: Layout, canvas) -> Layout:
-    """Exact inverse of :func:`normalize_layout`; no clamping, overshoot passes through."""
-    return replace(layout, geometry=_denormalized(layout.geometry, _canvas_ranges(canvas)))
-
-
 def to_corner_form(geometry) -> np.ndarray:
     """Center-format boxes to (x_left, y_top, x_center, y_center, x_right, y_bottom).
 
@@ -369,7 +337,7 @@ def _raise_first_fault(entries: list, where: str, attribute: str, size: int, can
     and after normalization.  This is the one source of the messages of layout
     faults; it runs only after a check in :func:`_checked_layouts` has failed.
     """
-    required = {"bbox", attribute}
+    required, ranges = {"bbox", attribute}, _canvas_ranges(canvas)
     for entry in entries:
         _require_keys(entry, _LAYOUT_KEYS, _LAYOUT_KEYS, f"{where} layout entry")
         lid = str(entry["id"])
@@ -387,12 +355,16 @@ def _raise_first_fault(entries: list, where: str, attribute: str, size: int, can
             elif not 0 <= require_int(element["label"], f"{at} label") < size:
                 raise DataError(f"{at}: label {element['label']} outside vocabulary of "
                                 f"{size} names")
-        raw = Layout(geometry=[element["bbox"] for element in elements], id=lid,
-                     **{attribute + "s": [element[attribute] for element in elements]})
-        try:
-            _normalize(raw, canvas, strict)
-        except DataError as exc:
-            raise DataError(f"{where} {exc}") from None
+        geometry = np.array([element["bbox"] for element in elements], dtype=np.float64)
+        outside = np.flatnonzero(np.any((geometry < 0) | (geometry > ranges), axis=1))
+        if strict and len(outside):
+            raise DataError(f"{at} element {outside[0]}: geometry "
+                            f"{geometry[outside[0]].tolist()} outside canvas {canvas}")
+        with np.errstate(over="ignore"):
+            overflow = np.flatnonzero(~np.isfinite(_normalized(geometry, ranges)).all(axis=1))
+        if len(overflow):
+            raise DataError(f"{at} element {overflow[0]}: bbox {geometry[overflow[0]].tolist()} "
+                            f"leaves the float64 range once normalized")
     raise AssertionError(f"{where}: a whole-file check failed on layouts that pass "
                          "every per-layout check")
 
@@ -613,7 +585,7 @@ def make_synthetic_dataset(spec: SynthSpec, seed: int) -> Dataset:
                                     labels=labels[start:stop])
                     for i, (start, stop) in enumerate(zip(bounds, bounds[1:])))
     label_names = tuple(f"class_{k}" for k in range(spec.num_classes))
-    return Dataset(layouts=layouts, canvas=(100.0, 100.0), label_names=label_names)
+    return Dataset(layouts=layouts, label_names=label_names)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .data import Batch, Dataset, atomic_path, batch_to_layouts, pad_batch, pad_conditions
+from .data import (DEFAULT_N_MAX, Batch, Dataset, atomic_path, batch_to_layouts, pad_batch,
+                   pad_conditions)
 from .denoiser import DenoiserConfig, denoise, embed_attributes, init_denoiser_params
 from .exceptions import DataError, LayoutDiffusionError, NumericError
 from .optim import BETA1, BETA2, EPS, AdamState, adam_step
@@ -333,13 +334,19 @@ def sample_layouts(conditions, params: dict, config: TrainConfig, seed,
                    clamped: bool = False) -> list:
     """One layout per condition (label ids, or ``[n, attr_dim]`` features, as the denoiser
     takes them), drawn by :func:`sample` under ids ``sample-000000, ...``.  ``clamped``
-    picks the clamped geometry when the config makes it, rather than the raw."""
+    picks the clamped geometry when the config makes it, rather than the raw.  A condition
+    of more than ``DEFAULT_N_MAX`` elements, which no :class:`Dataset` holds, is refused
+    before any draw."""
     stream = RngStream(check_seed(seed))
     denoiser = config.denoiser
     if denoiser.num_classes is not None:
         conditions = check_label_conditions(conditions, denoiser.num_classes)
     else:
         conditions = check_feature_conditions(conditions, denoiser.attr_dim)
+    for i, condition in enumerate(conditions):
+        if len(condition) > DEFAULT_N_MAX:
+            raise DataError(f"condition {i} has {len(condition)} elements, limit is "
+                            f"{DEFAULT_N_MAX}")
     attributes, mask = pad_conditions(conditions)
     result = sample(attributes, mask, params, denoiser, config.diffusion.schedule(), stream,
                     config.diffusion)

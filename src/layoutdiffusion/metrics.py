@@ -54,11 +54,6 @@ class MetricFrame:
     bottom = property(lambda self: self.values[7])
 
     @classmethod
-    def from_layouts(cls, layouts: Sequence[Layout]) -> "MetricFrame":
-        """The frame of layouts that all have the same element count n."""
-        return cls.from_geometry(np.stack([layout.geometry for layout in layouts]))
-
-    @classmethod
     def from_geometry(cls, geometry: np.ndarray) -> "MetricFrame":
         """The frame of normalized geometry ``[..., 4]``."""
         values = np.empty((8, *geometry.shape[:-1]))

@@ -6,7 +6,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import Layout, to_corner_form
+from .data import Dataset, Layout, to_corner_form
 
 DEFAULT_PALETTE = (
     "#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f", "#edc948",
@@ -18,7 +18,7 @@ def label_color(label: int, palette: Sequence[str] = DEFAULT_PALETTE) -> str:
     return palette[label % len(palette)]
 
 
-def render_svg(layout: Layout, canvas=(100.0, 100.0),
+def render_svg(layout: Layout, canvas=Dataset.canvas,
                label_names: Optional[Sequence[str]] = None,
                palette: Sequence[str] = DEFAULT_PALETTE) -> str:
     """One semi-transparent rectangle per element, clamped to the canvas.

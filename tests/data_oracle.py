@@ -2,7 +2,7 @@
 references that the whole-collection array passes are checked against, bit for bit."""
 import numpy as np
 
-from layoutdiffusion.data import Dataset, Layout, denormalize_layout
+from layoutdiffusion.data import Dataset, Layout
 from layoutdiffusion.exceptions import DataError
 from layoutdiffusion.rng import RngStream
 
@@ -43,8 +43,8 @@ def make_synthetic_dataset(spec, seed: int) -> Dataset:
 
 
 def dataset_to_dict(dataset: Dataset, meta=None, include_clamped=False) -> dict:
-    """The schema dict built one layout at a time, each denormalized through a rebuilt
-    :class:`Layout`; it checks nothing against the dataset's head."""
+    """The schema dict built one layout at a time, each denormalized by its own
+    arithmetic; it checks nothing against the dataset's head."""
     doc = {"canvas": {"width": dataset.canvas[0], "height": dataset.canvas[1]}}
     if dataset.mode == "categorical":
         doc["labels"] = list(dataset.label_names)
@@ -53,7 +53,7 @@ def dataset_to_dict(dataset: Dataset, meta=None, include_clamped=False) -> dict:
     ranges = np.array([dataset.canvas[0], dataset.canvas[1]] * 2)
     entries = []
     for layout in dataset.layouts:
-        bboxes = denormalize_layout(layout, dataset.canvas).geometry.tolist()
+        bboxes = ((layout.geometry + 1.0) * ranges / 2.0).tolist()
         if include_clamped:
             clamped = ((np.clip(layout.geometry, -1.0, 1.0) + 1.0) * ranges / 2.0).tolist()
         attribute_key, attributes = (("label", layout.labels) if layout.labels is not None

@@ -851,7 +851,7 @@ def test_sample_refuses_more_labels_than_a_layout_holds(tmp_path, capsys):
     before = sorted(tmp_path.iterdir())
     too_many = ",".join(["1"] * 37)
     assert run(sample_args(ckpt, tmp_path / "s.json", labels=too_many)) == 3
-    assert "--labels has 37 labels, limit is 36" in capsys.readouterr().err
+    assert "condition 0 has 37 elements, limit is 36" in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == before
     # 36 labels make a file that the other commands read back.
     out = tmp_path / "s36.json"
@@ -859,6 +859,23 @@ def test_sample_refuses_more_labels_than_a_layout_holds(tmp_path, capsys):
     assert run(["render", "--input", str(out), "--index", "1", "-o",
                 str(tmp_path / "one.svg")]) == 0
     assert run(["eval", "--generated", str(out), "--reference", str(out)]) == 0
+
+
+@pytest.mark.parametrize("names", [["x", "y", "z"], ["class_0", "class_1", "class_2", "w"]],
+                         ids=["renamed", "longer"])
+def test_sample_refuses_conditions_labelled_by_another_vocabulary(tmp_path, capsys, names):
+    data = synth(tmp_path)
+    ckpt = train(tmp_path, data, steps=1)
+    doc = json.loads(data.read_text())
+    doc["labels"] = names  # the same label ids, read against other names
+    conditions = tmp_path / "conditions.json"
+    conditions.write_text(json.dumps(doc))
+    before = sorted(tmp_path.iterdir())
+    assert run(["sample", "--checkpoint", str(ckpt), "--conditions", str(conditions),
+                "--seed", "1", "-o", str(tmp_path / "s.json")]) == 3
+    err = capsys.readouterr().err
+    assert f"labels {tuple(names)!r} != ('class_0', 'class_1', 'class_2')" in err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_sample_labels_draws_one_layout_without_num_samples(tmp_path):

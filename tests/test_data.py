@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layoutdiffusion.data import (DEFAULT_N_MAX, Dataset, Layout, SynthSpec, atomic_path,
-                                  batch_to_layouts, denormalize_layout, grid_rule_box,
-                                  load_dataset, make_synthetic_dataset,
-                                  normalize_layout, pad_batch, pad_conditions,
+                                  batch_to_layouts, grid_rule_box, load_dataset,
+                                  make_synthetic_dataset, pad_batch, pad_conditions,
                                   save_dataset, to_corner_form)
 from layoutdiffusion.exceptions import DataError
 
@@ -21,58 +20,83 @@ def layout_of(*geoms, label=0, id="l0"):
 
 
 # -- normalization ----------------------------------------------------------
+# A load maps canvas-unit boxes affinely onto [-1, 1] per component, and a save maps
+# them back.
 
 
-def test_normalize_full_canvas_box():
-    raw = layout_of((50, 100, 100, 200))
-    normed = normalize_layout(raw, (100, 200))
-    np.testing.assert_allclose(normed.elements[0].geometry, [0, 0, 1, 1])
+def one_layout_doc(*boxes, canvas=(100, 200), id="l0"):
+    return {"canvas": {"width": canvas[0], "height": canvas[1]}, "labels": ["a"],
+            "layouts": [{"id": id, "elements": [{"bbox": list(box), "label": 0}
+                                                for box in boxes]}]}
 
 
-def test_normalize_zero_box_at_origin():
-    normed = normalize_layout(layout_of((0, 0, 0, 0)), (100, 200))
-    np.testing.assert_allclose(normed.elements[0].geometry, [-1, -1, -1, -1])
+def loaded_geometry(directory, *boxes, canvas=(100, 200), strict=True):
+    """The normalized geometry that a load reads of a file holding the canvas-unit
+    ``boxes``."""
+    path = write_dataset_file(directory, one_layout_doc(*boxes, canvas=canvas), "raw.json")
+    return load_dataset(path, strict_geometry=strict).layouts[0].geometry
 
 
-def test_normalize_hand_case():
+def saved_boxes(directory, *boxes, canvas=(100, 200)):
+    """The canvas-unit boxes that a save writes of a layout of the normalized ``boxes``,
+    and the file's path."""
+    path = directory / "saved.json"
+    save_dataset(Dataset(layouts=(layout_of(*boxes),), canvas=canvas, label_names=("a",)),
+                 path)
+    elements = json.loads(path.read_text())["layouts"][0]["elements"]
+    return [element["bbox"] for element in elements], path
+
+
+def test_normalize_full_canvas_box(tmp_path):
+    geometry = loaded_geometry(tmp_path, (50, 100, 100, 200))
+    np.testing.assert_allclose(geometry[0], [0, 0, 1, 1])
+
+
+def test_normalize_zero_box_at_origin(tmp_path):
+    geometry = loaded_geometry(tmp_path, (0, 0, 0, 0))
+    np.testing.assert_allclose(geometry[0], [-1, -1, -1, -1])
+
+
+def test_normalize_hand_case(tmp_path):
     w_canvas, h_canvas = 80.0, 40.0
-    raw = layout_of((w_canvas / 4, 3 * h_canvas / 4, w_canvas / 2, h_canvas / 2))
-    normed = normalize_layout(raw, (w_canvas, h_canvas))
-    np.testing.assert_allclose(normed.elements[0].geometry, [-0.5, 0.5, 0.0, 0.0])
+    geometry = loaded_geometry(tmp_path, (w_canvas / 4, 3 * h_canvas / 4, w_canvas / 2,
+                                          h_canvas / 2), canvas=(w_canvas, h_canvas))
+    np.testing.assert_allclose(geometry[0], [-0.5, 0.5, 0.0, 0.0])
 
 
-def test_normalize_rejects_out_of_range_naming_element():
-    raw = layout_of((10, 10, 5, 5), (150, 10, 5, 5), id="bad")
+def test_normalize_rejects_out_of_range_naming_element(tmp_path):
+    doc = one_layout_doc((10, 10, 5, 5), (150, 10, 5, 5), canvas=(100, 100), id="bad")
     with pytest.raises(DataError, match="element 1"):
-        normalize_layout(raw, (100, 100))
+        load_dataset(write_dataset_file(tmp_path, doc))
 
 
-def test_denormalize_endpoint_case():
-    normed = layout_of((0, 0, 1, 1))
-    raw = denormalize_layout(normed, (100, 200))
-    np.testing.assert_allclose(raw.elements[0].geometry, [50, 100, 100, 200])
+def test_denormalize_endpoint_case(tmp_path):
+    boxes, _ = saved_boxes(tmp_path, (0, 0, 1, 1))
+    np.testing.assert_allclose(boxes[0], [50, 100, 100, 200])
 
 
-def test_denormalize_allows_overshoot():
-    overshoot = layout_of((1.2, 0, 1, 1))
-    raw = denormalize_layout(overshoot, (100, 200))
-    assert raw.elements[0].geometry[0] == pytest.approx(110.0)
+def test_denormalize_allows_overshoot(tmp_path):
+    boxes, path = saved_boxes(tmp_path, (1.2, 0, 1, 1))
+    assert boxes[0][0] == pytest.approx(110.0)
+    # A lenient load reads the overshoot back.
+    geometry = load_dataset(path, strict_geometry=False).layouts[0].geometry
+    assert geometry[0, 0] == pytest.approx(1.2)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(st.floats(0, 100), st.floats(0, 50),
                           st.floats(0, 100), st.floats(0, 50)),
                 min_size=1, max_size=6))
-def test_round_trip_identity(geoms):
-    raw = layout_of(*geoms)
+def test_round_trip_identity(tmp_path_factory, geoms):
+    directory = tmp_path_factory.mktemp("round-trip")
     canvas = (100.0, 50.0)
-    there = normalize_layout(raw, canvas)
-    back = denormalize_layout(there, canvas)
-    for a, b in zip(raw.elements, back.elements):
-        np.testing.assert_allclose(a.geometry, b.geometry, atol=1e-12)
-    again = normalize_layout(back, canvas)
-    for a, b in zip(there.elements, again.elements):
-        np.testing.assert_allclose(a.geometry, b.geometry, atol=1e-12)
+    there = loaded_geometry(directory, *geoms, canvas=canvas)
+    back, path = saved_boxes(directory, *there, canvas=canvas)
+    for a, b in zip(geoms, back):
+        np.testing.assert_allclose(a, b, atol=1e-12)
+    again = load_dataset(path).layouts[0].geometry
+    for a, b in zip(there, again):
+        np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 # -- corner form --------------------------------------------------------------
@@ -449,10 +473,10 @@ def dataset_files(draw):
     return doc, strict
 
 
-def oracle_layouts(doc, strict):
-    """The layouts of ``doc`` built one at a time through the public ``Layout`` and
-    ``normalize_layout``; a lenient load applies the same affine map without the
-    canvas check."""
+def oracle_layouts(doc):
+    """The layouts of ``doc`` built one at a time through the public ``Layout``, each
+    normalized by its own arithmetic; a strict and a lenient load apply the same affine
+    map."""
     canvas = (float(doc["canvas"]["width"]), float(doc["canvas"]["height"]))
     key = "label" if "labels" in doc else "feature"
     out = []
@@ -460,11 +484,8 @@ def oracle_layouts(doc, strict):
         attributes = {key + "s": [el[key] for el in entry["elements"]]}
         raw = Layout(geometry=[el["bbox"] for el in entry["elements"]], id=str(entry["id"]),
                      **attributes)
-        if strict:
-            out.append(normalize_layout(raw, canvas))
-        else:
-            out.append(Layout(geometry=2.0 * raw.geometry / np.array(canvas * 2) - 1.0,
-                              id=raw.id, **attributes))
+        out.append(Layout(geometry=2.0 * raw.geometry / np.array(canvas * 2) - 1.0,
+                          id=raw.id, **attributes))
     return out
 
 
@@ -474,7 +495,7 @@ def test_load_matches_a_layout_by_layout_oracle_bit_for_bit(tmp_path_factory, ca
     doc, strict = case
     path = write_dataset_file(tmp_path_factory.mktemp("load"), doc)
     loaded = load_dataset(path, strict_geometry=strict)
-    expected = oracle_layouts(doc, strict)
+    expected = oracle_layouts(doc)
     assert len(loaded) == len(expected)
     for got, want in zip(loaded.layouts, expected):
         assert got.id == want.id

@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from layoutdiffusion.data import Layout, SynthSpec, make_synthetic_dataset
+from layoutdiffusion import diffusion
+from layoutdiffusion.data import (DEFAULT_N_MAX, Dataset, Layout, SynthSpec,
+                                  make_synthetic_dataset)
 from layoutdiffusion.denoiser import DenoiserConfig
 from layoutdiffusion.diffusion import DiffusionConfig, TrainConfig
 from layoutdiffusion.exceptions import DataError, NotFittedError
@@ -198,6 +200,17 @@ def test_sample_rejects_bad_labels(fitted):
         model.sample([[0, 99]], seed=0)
     with pytest.raises(DataError):
         model.sample([[]], seed=0)
+
+
+def test_sample_refuses_a_condition_that_no_dataset_holds(fitted, monkeypatch):
+    model, dataset = fitted
+    longest = model.sample([[0] * DEFAULT_N_MAX], seed=0)
+    Dataset(layouts=tuple(longest), label_names=dataset.label_names)
+    # One element more is refused before any draw.
+    monkeypatch.setattr(diffusion, "sample", None)
+    with pytest.raises(DataError, match=f"condition 1 has {DEFAULT_N_MAX + 1} elements, "
+                                        f"limit is {DEFAULT_N_MAX}"):
+        model.sample([[0], [0] * (DEFAULT_N_MAX + 1)], seed=0)
 
 
 def test_score_returns_negative_objective(fitted):

@@ -171,7 +171,7 @@ def test_metric_frames_compare_and_hash_by_identity():
 
 def rasterized_iou(layout, resolution=2048):
     """Point-sampled rasterization: a pixel counts if its center is inside."""
-    frame = MetricFrame.from_layouts([layout])[0]
+    frame = MetricFrame.from_geometry(np.stack([layout.geometry]))[0]
     counts = np.zeros((resolution, resolution), dtype=np.int16)
     for i in range(len(layout)):
         x0 = int(np.ceil(frame.left[i] * resolution - 0.5))
@@ -412,7 +412,7 @@ def test_pair_max_iou_matches_permutation_brute_force():
             return unit_layout(*boxes)
 
         a, b = random_layout(labels_a), random_layout(labels_b)
-        frame = MetricFrame.from_layouts([a, b])
+        frame = MetricFrame.from_geometry(np.stack([a.geometry, b.geometry]))
         ious = box_iou_matrix(frame[0], frame[1])
         n = len(labels_a)
 
@@ -441,7 +441,7 @@ def test_pair_max_iou_rejects_mismatched_multisets():
 
 def reference_pair_max_iou(layout_a, layout_b):
     """One pair's Max IoU as one label-masked ``[n, n]`` assignment."""
-    frame = MetricFrame.from_layouts([layout_a, layout_b])
+    frame = MetricFrame.from_geometry(np.stack([layout_a.geometry, layout_b.geometry]))
     weights = box_iou_matrix(frame[0], frame[1])
     weights[layout_a.labels[:, None] != layout_b.labels[None, :]] = 0.0
     _, value = max_weight_assignment(weights)

@@ -13,12 +13,12 @@ count), float64 categorical and continuous ``train`` with
 ``sample --labels`` and ``--conditions``, with one batch of a single row (which
 samples in one process) next to batches of three rows and more (which the sampler
 splits into forked shards where there are several usable CPUs, step 10's three rows
-unevenly), four ``eval`` variants (one of them on
-layouts of up to 36 elements, whose label runs above six take Max IoU's
-Hungarian path), ``render``, the estimator's losses, ``score`` and raw and
-clamped layouts as JSON (fitted on a loaded dataset, and on its layouts as a plain
-list, whose head the estimator works out), and a resume with ``--max-steps`` below the
-checkpoint's step (which trains nothing and saves once).
+unevenly) and a batch of two rows of 36 labels, the most that a layout holds, four
+``eval`` variants (one of them on layouts of up to 36 elements, whose label runs
+above six take Max IoU's Hungarian path), ``render``, the estimator's losses,
+``score`` and raw and clamped layouts as JSON (fitted on a loaded dataset, and on its
+layouts as a plain list, whose head the estimator works out), and a resume with
+``--max-steps`` below the checkpoint's step (which trains nothing and saves once).
 Each step's exit code, stdout and stderr go into ``<step>.log``.  Every file
 name starts with the number of the step that writes it, so the sorted walk of
 the two directories follows the matrix.
@@ -142,6 +142,9 @@ MATRIX = [
     ("23-synth-fixed", "cli", ["synth", "--rule", "random_boxes", "--layouts", "40",
                                "--classes", "3", "--min-elements", "4", "--max-elements", "4",
                                "--seed", "9", "-o", "23-fixed.json"]),
+    ("24-sample-limit", "cli", ["sample", "--checkpoint", "06-resumed.ckpt", "--labels",
+                                ",".join(str(k % 5) for k in range(36)), "--num-samples", "2",
+                                "--seed", "10", "-o", "24-limit.json"]),
 ]
 
 # Runs in the checkout's interpreter: the steps in order up to the first that fails, each
