@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import os
 import pickle
+import platform
 import signal
 import threading
 import warnings
@@ -144,6 +145,34 @@ def p_sample_step(g_t, t: int, attributes, mask, params: dict,
     return np.where(mask3, new, g_t)
 
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+_heap_policy = None  # once tried: whether glibc took both thresholds
+
+
+def _keep_freed_pages() -> bool:
+    """Keep freed memory in this process's heap for the next allocation; once per
+    process, and only under glibc.  Returns whether glibc took both thresholds.
+
+    A training step frees its tape as backward runs, and a reverse step frees its
+    temporaries, so each step would hand pages of up to a few MB back to the kernel and
+    fault them in again.  glibc serves a block above ``M_MMAP_THRESHOLD`` from a fresh
+    mapping, and returns the heap's free top above ``M_TRIM_THRESHOLD``; setting the
+    first to 32 MiB (glibc's own dynamic maximum) and the second to 1 GiB keeps those
+    pages mapped, so the heap stays at the step's peak and no step faults its pages back.
+    """
+    global _heap_policy
+    if _heap_policy is None:
+        _heap_policy = False
+        if platform.libc_ver()[0] == "glibc":
+            import ctypes  # numpy has already imported it
+
+            mallopt = ctypes.CDLL(None).mallopt
+            mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+            _heap_policy = (mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1
+                            and mallopt(_M_TRIM_THRESHOLD, 1 << 30) == 1)
+    return _heap_policy
+
+
 @dataclass(frozen=True)
 class SampleResult:
     geometry_raw: np.ndarray
@@ -168,6 +197,7 @@ def sample(attributes, mask, params: dict, denoiser_config: DenoiserConfig,
     A child that dies raises :class:`LayoutDiffusionError`; every child is reaped
     before this returns or raises.
     """
+    _keep_freed_pages()
     params = {name: Tensor(arr) for name, arr in params.items()}
     attributes, mask = np.asarray(attributes), np.asarray(mask, dtype=bool)
     b, n = mask.shape
@@ -499,6 +529,7 @@ def train(dataset: Dataset, config: TrainConfig, start: Optional[TrainResult] = 
     unchanged); ``on_step(step, loss, params, adam_state, stream)`` follows each step."""
     if len(dataset) == 0:
         raise DataError("cannot train on an empty dataset")
+    _keep_freed_pages()
     schedule = config.diffusion.schedule()
     if start is None:
         params = init_denoiser_params(config.denoiser, RngStream(config.init_seed),

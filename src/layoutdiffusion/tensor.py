@@ -17,6 +17,13 @@ gradients back as arrays.  Gradients accumulate on leaves after calling
 :func:`backward` on a scalar.
 Gradients, like data, are never mutated in place either, so a gradient may
 share memory with another tensor's gradient and is stored without a copy.
+
+A graph is differentiated once.  :func:`backward` releases each interior node
+as soon as it has passed its gradient on: its backward closure, its gradient
+and its links to its parents go, so the arrays that only the backward pass
+needed are freed while the pass runs rather than when the step returns.
+Leaves keep their gradients, and interior nodes keep their data.  A second
+:func:`backward` through a released node raises :class:`NumericError`.
 """
 from __future__ import annotations
 
@@ -90,8 +97,14 @@ def _accumulate(t: Tensor, g: np.ndarray):
         t.grad = t.grad + g
 
 
+def _released(g):
+    raise NumericError("this graph was already differentiated: its interior nodes are "
+                       "released, so build the loss again")
+
+
 def backward(loss: Tensor):
-    """Reverse-mode sweep from a scalar loss; fills ``.grad`` on leaves.
+    """Reverse-mode sweep from a scalar loss; fills ``.grad`` on leaves and releases
+    every interior node it passes (see the module docstring).
 
     A loss that does not depend on any gradient-tracked tensor is legal
     (gradients are simply zero everywhere); a non-scalar loss is not.
@@ -120,9 +133,13 @@ def backward(loss: Tensor):
                 stack.append((p, False))
 
     loss.grad = np.ones((), dtype=loss.data.dtype)
-    for node in reversed(order):
+    # Popped in reverse topological order, a node has every consumer's gradient; once it
+    # has passed its own on, nothing here holds it or what its closure kept alive.
+    while order:
+        node = order.pop()
         if node._backward is not None:
             node._backward(node.grad)
+            node._backward, node.grad, node._parents = _released, None, ()
 
 
 # ---------------------------------------------------------------------------

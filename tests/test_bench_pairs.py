@@ -112,3 +112,24 @@ def test_setup_parts_are_read_from_each_result_file_and_summarized_per_side(tmp_
     assert parts["import_s"]["change"]["median"] == pytest.approx(2.5)
     assert parts["setup_run_s"]["parent"]["median"] == pytest.approx(0.15)
     assert parts["setup_run_s"]["change"]["median"] == pytest.approx(1.15)
+
+
+def test_main_adds_its_workload_to_an_out_file_that_holds_other_blocks(tmp_path, monkeypatch):
+    def run_once(checkout, workload, seed, seconds):
+        value = 2.0 if checkout.endswith("change") else 1.0
+        return {"correct": True, "attempted": 10, "failed": 0, "machine": {"cpus": 2},
+                "metrics": {"setup_s": value, "layouts_per_s_p10": value, "peak_rss_mb": value},
+                "setup_parts": {"import_s": value, "setup_run_s": value}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        (checkout / "src").mkdir(parents=True)
+    shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), change / "BENCHMARK.json")
+    out = tmp_path / "BENCH.json"
+    out.write_text(json.dumps({"desk": {"runs": []}}))
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--workload",
+                             "eval", "--pairs", "2", "--seed", "1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["desk"] == {"runs": []}
+    assert doc["workloads"]["eval"]["summary"]["peak_rss_mb"]["change"]["median"] == 2.0

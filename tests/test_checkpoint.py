@@ -1,9 +1,16 @@
 import hashlib
 import json
+import os
+import tempfile
+import tracemalloc
 
+import checkpoint_oracle
 import numpy as np
 import pytest
 from checkpoint_signing import resign
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from layoutdiffusion import checkpoint
 from layoutdiffusion.checkpoint import load_checkpoint, save_checkpoint
@@ -362,3 +369,99 @@ def test_header_that_is_not_an_object_is_a_data_error(saved):
     path.write_bytes(b"[1, 2]\n" + blob)
     with pytest.raises(DataError, match="not a JSON object"):
         load_checkpoint(path)
+
+
+# -- the streamed writer and reader ---------------------------------------------------------
+
+
+def test_loaded_arrays_own_writable_aligned_memory(saved):
+    """So a caller that drops Adam's moments frees them, and nothing pins a whole file."""
+    path, _ = saved
+    params, adam, _ = load_checkpoint(path)
+    for arr in [*params.values(), *adam.m.values(), *adam.v.values()]:
+        assert arr.base is None and arr.flags.owndata
+        assert arr.flags.writeable and arr.flags.aligned and arr.flags.c_contiguous
+
+
+def test_a_short_read_is_a_data_error(saved, monkeypatch):
+    """The file loses its last bytes after a load has taken its size."""
+    path, _ = saved
+    path.write_bytes(path.read_bytes()[:-8])
+    real_fstat = os.fstat
+
+    def stale_fstat(fd):
+        st = real_fstat(fd)
+        return os.stat_result((*st[:6], st.st_size + 8, *st[7:10]))
+
+    monkeypatch.setattr(checkpoint.os, "fstat", stale_fstat)
+    with pytest.raises(DataError, match=r"truncated at params\."):
+        load_checkpoint(path)
+
+
+def test_a_manifest_claiming_more_than_the_file_holds_raises_before_allocating(saved):
+    path, _ = saved
+    rewrite(path, set_entry(("manifest", -1, "shape"), [64, 1024, 1024]))  # 512 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match=r"truncated at params\."):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@st.composite
+def run_states(draw):
+    """Arguments of ``save_checkpoint``: the first parameter fixes the precision; every
+    other array may have the other precision or big-endian bytes, and any array may be
+    zero-size, 0-d, Fortran-ordered or a strided view."""
+    precision = draw(st.sampled_from(["float64", "float32"]))
+
+    def array(dtype):
+        dtype = np.dtype(dtype)
+        shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+        # float32 values, so that a cast to either precision stays exact
+        arr = draw(hnp.arrays(dtype, shape, elements=st.floats(width=32)))
+        layout = draw(st.sampled_from(["C", "F", "strided"]))
+        if layout == "F":
+            arr = np.asfortranarray(arr)
+        elif layout == "strided" and arr.ndim:
+            arr = np.repeat(arr, 2, axis=0)[::2]
+        return arr
+
+    def any_array():
+        dtype = np.dtype(draw(st.sampled_from(["float64", "float32"])))
+        arr = array(dtype)
+        return arr.astype(dtype.newbyteorder(">")) if draw(st.booleans()) else arr
+
+    names = draw(st.lists(st.sampled_from(["a", "b.w", "c"]), min_size=1, max_size=3,
+                          unique=True))
+    params = {name: array(precision) if i == 0 else any_array()
+              for i, name in enumerate(names)}
+    adam = AdamState(lr=draw(st.floats(1e-8, 1.0)), step=draw(st.integers(0, 2**40)),
+                     m={name: any_array() for name in names},
+                     v={name: any_array() for name in names})
+    echo = {"note": draw(st.text(max_size=4)), 7: [draw(st.integers())]}
+    losses = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4))
+    return params, adam, echo, {"train": RngStream(1).state()}, draw(
+        st.integers(0, 2**63 - 1)), losses
+
+
+@settings(max_examples=60, deadline=None)
+@given(state=run_states())
+def test_save_writes_the_bytes_of_the_tobytes_writer(state):
+    params, adam, echo, rng_states, step, losses = state
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, oracle = os.path.join(tmp, "ours.ckpt"), os.path.join(tmp, "oracle.ckpt")
+        save_checkpoint(ours, params, adam, echo, rng_states, step, losses=losses)
+        checkpoint_oracle.save_checkpoint(oracle, params, adam, echo, rng_states, step,
+                                          losses=losses)
+        with open(ours, "rb") as a, open(oracle, "rb") as b:
+            assert a.read() == b.read()
+        loaded, loaded_adam, _ = load_checkpoint(ours)
+    wire = checkpoint_oracle.WIRE[str(next(iter(params.values())).dtype)]
+    for name in params:
+        for saved, back in ((params[name], loaded[name]), (adam.m[name], loaded_adam.m[name]),
+                            (adam.v[name], loaded_adam.v[name])):
+            assert back.tobytes() == np.ascontiguousarray(saved, dtype=wire).tobytes()

@@ -1,4 +1,9 @@
+import ctypes
 import json
+import os
+import platform
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -540,3 +545,87 @@ def test_failed_loss_log_rewrite_leaves_the_previous_log(tmp_path, monkeypatch):
     assert path.read_bytes() == before
     assert diffusion.read_loss_log(path) == [(1, 0.5), (2, 0.25), (3, 0.125)]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.loss.csv"]
+
+
+# -- the heap policy that train and sample set once per process ---------------------------
+
+
+class FakeLibc:
+    """Records ``mallopt`` calls and answers each with the next of ``returns``."""
+
+    def __init__(self, returns):
+        self.returns, self.calls, self.opened = list(returns), [], 0
+
+        def mallopt(param, value):  # a function, so that it takes argtypes and restype
+            self.calls.append((param, value))
+            return self.returns.pop(0)
+        self.mallopt = mallopt
+
+    def open(self, name):
+        assert name is None
+        self.opened += 1
+        return self
+
+
+@pytest.fixture
+def fresh_policy(monkeypatch):
+    """A process in which no call has set the heap policy yet, with a fake glibc."""
+    def with_libc(returns, libc=("glibc", "2.36")):
+        fake = FakeLibc(returns)
+        monkeypatch.setattr(diffusion, "_heap_policy", None)
+        monkeypatch.setattr(ctypes, "CDLL", fake.open)
+        monkeypatch.setattr(platform, "libc_ver", lambda: libc)
+        return fake
+    return with_libc
+
+
+def test_heap_policy_sets_both_glibc_thresholds_once_per_process(fresh_policy):
+    libc = fresh_policy([1, 1])
+    assert diffusion._keep_freed_pages() is True
+    assert libc.calls == [(-3, 32 << 20), (-1, 1 << 30)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+    assert diffusion._keep_freed_pages() is True
+    assert libc.opened == 1 and len(libc.calls) == 2
+
+
+@pytest.mark.parametrize("returns", [[0], [-1], [1, 0]])
+def test_heap_policy_counts_a_mallopt_return_other_than_1_as_not_applied(fresh_policy,
+                                                                         returns):
+    libc = fresh_policy(returns)
+    assert diffusion._keep_freed_pages() is False
+    assert diffusion._keep_freed_pages() is False
+    assert libc.opened == 1 and len(libc.calls) == len(returns)
+
+
+def test_heap_policy_leaves_a_libc_other_than_glibc_alone(fresh_policy):
+    libc = fresh_policy([], libc=("", ""))
+    assert diffusion._keep_freed_pages() is False
+    assert diffusion._keep_freed_pages() is False
+    assert libc.opened == 0 and libc.calls == []
+
+
+@pytest.mark.parametrize("call", [
+    "diffusion.train(make_synthetic_dataset(SynthSpec(num_layouts=4, num_classes=3), 0), "
+    "TrainConfig(denoiser=config, batch_size=2, max_steps=1, "
+    "diffusion=DiffusionConfig(timesteps=4)))",
+    "diffusion.sample(np.array([[0, 1]]), np.ones((1, 2), bool), "
+    "init_denoiser_params(config, RngStream(5)), config, build_schedule(4), RngStream(1))",
+])
+def test_the_first_train_or_sample_call_sets_the_heap_policy(call):
+    code = f"""
+import numpy as np
+from layoutdiffusion import diffusion
+from layoutdiffusion.data import SynthSpec, make_synthetic_dataset
+from layoutdiffusion.denoiser import DenoiserConfig, init_denoiser_params
+from layoutdiffusion.diffusion import DiffusionConfig, TrainConfig, build_schedule
+from layoutdiffusion.rng import RngStream
+config = DenoiserConfig(d_model=8, num_layers=1, num_heads=2, ffn_dim=16, num_classes=3)
+print(diffusion._heap_policy)
+{call}
+print(diffusion._heap_policy)
+"""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(diffusion.__file__))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    glibc = platform.libc_ver()[0] == "glibc"
+    assert proc.stdout.split() == ["None", str(glibc)]

@@ -1,6 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
+from layoutdiffusion import tensor as tensor_module
 from layoutdiffusion.exceptions import NumericError
 from layoutdiffusion.tensor import (Tensor, attention, backward,
                                     collect_grads, concat, embedding, gelu, layer_norm,
@@ -263,3 +266,84 @@ def test_grad_accumulates_over_reuse():
     loss = tsum(mul(p, 3.0) + mul(p, p))
     backward(loss)
     np.testing.assert_allclose(p.grad, [3.0 + 4.0])
+
+
+# -- a graph is differentiated once, and backward releases it as it goes ----------------
+
+
+def test_a_second_backward_on_the_same_loss_raises():
+    p = Tensor(np.array([2.0]), requires_grad=True)
+    loss = tsum(mul(p, 3.0))
+    backward(loss)
+    np.testing.assert_array_equal(p.grad, [3.0])
+    with pytest.raises(NumericError, match="already differentiated"):
+        backward(loss)
+    np.testing.assert_array_equal(p.grad, [3.0])
+
+
+def test_a_graph_built_through_a_released_tensor_raises():
+    p = Tensor(np.array([2.0]), requires_grad=True)
+    y = mul(p, 3.0)
+    backward(tsum(y))
+    with pytest.raises(NumericError, match="already differentiated"):
+        backward(tsum(mul(y, 2.0)))
+    np.testing.assert_array_equal(y.data, [6.0])  # released nodes keep their data
+
+
+def test_collect_grads_over_the_same_leaves_works_on_each_fresh_graph():
+    leaves = {"p": Tensor(np.array([2.0, -1.0]), requires_grad=True)}
+    for k in (3.0, 5.0, 3.0):
+        grads = collect_grads(tsum(mul(leaves["p"], k)), leaves)
+        np.testing.assert_array_equal(grads["p"], [k, k])
+
+
+def graph_nodes(loss):
+    """Every tracked tensor reachable from ``loss`` through parent links."""
+    seen, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(p for p in node._parents if p.requires_grad)
+    return list(seen.values())
+
+
+def test_collect_grads_releases_every_interior_node_and_keeps_leaf_gradients():
+    x = RNG.normal(size=(6, 4))
+    leaves = {"w": Tensor(RNG.normal(size=(4, 4)), requires_grad=True),
+              "b": Tensor(RNG.normal(size=4), requires_grad=True),
+              "s": Tensor(np.ones(4), requires_grad=True)}
+    h = gelu(matmul(x, leaves["w"], leaves["b"]))
+    loss = tsum(mul(layer_norm(h + h, leaves["s"], leaves["b"]), 0.5))
+    interior = [node for node in graph_nodes(loss) if node._backward is not None]
+    assert len(interior) >= 5
+    grads = collect_grads(loss, leaves)
+
+    assert graph_nodes(loss) == [loss]  # a walk from the loss finds nothing behind it
+    for node in interior:
+        assert node._backward is tensor_module._released
+        assert node.grad is None and node._parents == ()
+    for name, leaf in leaves.items():
+        assert leaf.grad is grads[name] and leaf._backward is None
+
+
+def test_backward_frees_each_node_once_it_has_passed_its_gradient_on():
+    """When the node nearest the leaf runs its backward, the arrays of the nodes between
+    it and the loss are already gone."""
+    p = Tensor(RNG.normal(size=(8, 8)), requires_grad=True)
+    alive_when_probed = []
+    probed = {}
+
+    def probe(g):
+        alive_when_probed.extend(ref() is not None for ref in probed["refs"])
+        tensor_module._accumulate(p, g)
+
+    first = tensor_module._result(p.data + 0.0, (p,), probe)
+    second = gelu(first)
+    third = gelu(second)
+    probed["refs"] = [weakref.ref(second.data), weakref.ref(third.data)]
+    loss = tsum(third)
+    del second, third
+    backward(loss)
+    assert alive_when_probed == [False, False]
+    assert p.grad.shape == (8, 8)

@@ -172,11 +172,11 @@ def main(argv=None) -> int:
                   f"failed {run['failed']}/{run['attempted']}  {metrics}", flush=True)
 
     summary = summarize(runs, declared)
-    doc = {"workloads": {}}
+    doc = {}
     if os.path.exists(args.out):
         with open(args.out) as fh:
             doc = json.load(fh)
-    doc["workloads"][args.workload] = {
+    doc.setdefault("workloads", {})[args.workload] = {
         "command": f"perfbench/run.py --workload {args.workload} --seconds {args.seconds:g}"
                    f" --trace 0, seeds {args.seed}-{args.seed + args.pairs - 1}",
         "parent_commit": git_commit(checkouts["parent"]),
