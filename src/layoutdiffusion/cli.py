@@ -219,8 +219,6 @@ def _legacy_history(path, header) -> list:
 
 
 def cmd_train(args) -> int:
-    if not os.path.exists(args.dataset):
-        raise DataError(f"dataset not found: {args.dataset}")
     dataset = load_dataset(args.dataset)
     dataset_echo = _dataset_echo(dataset, args.dataset)
     loss_log = args.loss_log or args.checkpoint + ".loss.csv"

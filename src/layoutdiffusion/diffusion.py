@@ -26,8 +26,7 @@ from .exceptions import DataError, LayoutDiffusionError, NumericError
 from .optim import BETA1, BETA2, EPS, AdamState, adam_step
 from .rng import RngStream
 from .tensor import Tensor, as_tensor, collect_grads, mul, sub, tsum
-from .validation import (SEED_END, check_feature_conditions, check_field_types,
-                         check_label_conditions, check_seed)
+from .validation import SEED_END, check_field_types, check_seed, is_finite_array, require_int
 
 
 @dataclass(frozen=True)
@@ -360,26 +359,47 @@ def _shard_outcome(data: bytes, status: int, lo: int, hi: int) -> tuple:
     return outcome
 
 
+def _checked_conditions(conditions, denoiser: DenoiserConfig) -> list:
+    """``conditions`` as int64 label-id or float64 feature arrays.  The first faulty one,
+    in order, or an empty request, raises a :class:`DataError` that names it."""
+    out = []
+    for i, condition in enumerate(conditions):
+        if denoiser.num_classes is not None:
+            labels = [require_int(label, f"condition {i} label") for label in condition]
+            for label in labels:
+                if not 0 <= label < denoiser.num_classes:
+                    raise DataError(f"condition {i}: label {label} outside vocabulary "
+                                    f"of {denoiser.num_classes}")
+            condition = np.array(labels, dtype=np.int64)
+        else:
+            condition = np.asarray(condition)
+            if condition.ndim != 2 or condition.shape[1] != denoiser.attr_dim:
+                raise DataError(f"condition {i}: expected [n, {denoiser.attr_dim}] features")
+            if not is_finite_array(condition):
+                raise DataError(f"condition {i}: features must be finite numbers")
+            condition = np.asarray(condition, dtype=np.float64)
+        if not len(condition):
+            raise DataError(f"condition {i} has no elements")
+        if len(condition) > DEFAULT_N_MAX:  # no Dataset holds a longer layout
+            raise DataError(f"condition {i} has {len(condition)} elements, limit is "
+                            f"{DEFAULT_N_MAX}")
+        out.append(condition)
+    if not out:
+        raise DataError("no sampling conditions given")
+    return out
+
+
 def sample_layouts(conditions, params: dict, config: TrainConfig, seed,
                    clamped: bool = False) -> list:
     """One layout per condition (label ids, or ``[n, attr_dim]`` features, as the denoiser
     takes them), drawn by :func:`sample` under ids ``sample-000000, ...``.  ``clamped``
-    picks the clamped geometry when the config makes it, rather than the raw.  A condition
-    of more than ``DEFAULT_N_MAX`` elements, which no :class:`Dataset` holds, is refused
-    before any draw."""
+    picks the clamped geometry when the config makes it, rather than the raw.  The seed and
+    then each condition, for either head, are checked before any draw."""
     stream = RngStream(check_seed(seed))
-    denoiser = config.denoiser
-    if denoiser.num_classes is not None:
-        conditions = check_label_conditions(conditions, denoiser.num_classes)
-    else:
-        conditions = check_feature_conditions(conditions, denoiser.attr_dim)
-    for i, condition in enumerate(conditions):
-        if len(condition) > DEFAULT_N_MAX:
-            raise DataError(f"condition {i} has {len(condition)} elements, limit is "
-                            f"{DEFAULT_N_MAX}")
+    conditions = _checked_conditions(conditions, config.denoiser)
     attributes, mask = pad_conditions(conditions)
-    result = sample(attributes, mask, params, denoiser, config.diffusion.schedule(), stream,
-                    config.diffusion)
+    result = sample(attributes, mask, params, config.denoiser, config.diffusion.schedule(),
+                    stream, config.diffusion)
     geometry = result.geometry_raw
     if clamped and result.geometry_clamped is not None:
         geometry = result.geometry_clamped

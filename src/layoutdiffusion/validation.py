@@ -1,6 +1,6 @@
 """What counts as an integer or a finite number from outside the package, as a value and as
-an array, and the checks of configs, seeds and sampling conditions built on it.  Each
-caller passes its own range and raises its own errors."""
+an array, and the checks of configs and seeds built on it.  Each caller passes its own
+range and raises its own errors."""
 from __future__ import annotations
 
 import math
@@ -86,34 +86,3 @@ def check_seed(value, name: str = "seed") -> int:
     if not 0 <= seed < SEED_END:
         raise DataError(f"{name} {seed} is not in [0, 2**64)")
     return seed
-
-
-def check_label_conditions(conditions, num_classes: int) -> list:
-    """Validate a list of label-id lists used as sampling conditions."""
-    out = []
-    for i, labels in enumerate(conditions):
-        labels = [require_int(label, f"condition {i} label") for label in labels]
-        if not labels:
-            raise DataError(f"condition {i} has no elements")
-        for label in labels:
-            if not 0 <= label < num_classes:
-                raise DataError(f"condition {i}: label {label} outside vocabulary "
-                                f"of {num_classes}")
-        out.append(labels)
-    if not out:
-        raise DataError("no sampling conditions given")
-    return out
-
-
-def check_feature_conditions(conditions, feature_dim: int) -> list:
-    """Validate a list of [n, feature_dim] arrays of finite numbers used as sampling
-    conditions; returns them as float64 arrays."""
-    out = [np.asarray(c) for c in conditions]
-    for i, feats in enumerate(out):
-        if feats.ndim != 2 or feats.shape[1] != feature_dim:
-            raise DataError(f"condition {i}: expected [n, {feature_dim}] features")
-        if feats.shape[0] == 0:
-            raise DataError(f"condition {i} has no elements")
-        if not is_finite_array(feats):
-            raise DataError(f"condition {i}: features must be finite numbers")
-    return [np.asarray(feats, dtype=np.float64) for feats in out]

@@ -16,7 +16,7 @@ from layoutdiffusion.denoiser import DenoiserConfig, denoise, init_denoiser_para
 from layoutdiffusion.diffusion import (DiffusionConfig, TrainConfig, build_schedule,
                                        p_sample_step, posterior_mean, q_sample,
                                        sample, train, training_step)
-from layoutdiffusion.exceptions import NumericError
+from layoutdiffusion.exceptions import DataError, NumericError
 from layoutdiffusion.optim import BETA1, BETA2, EPS, AdamState, adam_step
 from layoutdiffusion.rng import RngStream
 from layoutdiffusion.tensor import Tensor
@@ -352,6 +352,40 @@ def test_sample_stops_at_the_first_non_finite_step(monkeypatch):
         sample(np.array([[0, 1, 1]]), np.array([[True, True, False]]), params, config, sched,
                RngStream(42))
     assert steps == [20]
+
+
+def head_refusals(name, head, valid, bad, bad_message, boolean, boolean_message):
+    """The six malformed requests that the head ``name`` refuses, with their exact
+    messages; ``valid(n)`` is a good condition of ``n`` elements."""
+    limit = "condition 0 has 37 elements, limit is 36"
+    cases = {"empty request": ([], "no sampling conditions given"),
+             "empty condition": ([valid(0)], "condition 0 has no elements"),
+             "37 elements": ([valid(37)], limit),
+             "bad value": ([valid(1), bad], f"condition 1{bad_message}"),
+             "bool": ([boolean], f"condition 0{boolean_message}"),
+             "37 elements, then a bad value": ([valid(37), bad], limit)}
+    return [pytest.param(head, conditions, message, id=f"{name}-{case}")
+            for case, (conditions, message) in cases.items()]
+
+
+@pytest.mark.parametrize("head, conditions, message", [
+    *head_refusals("categorical", {"num_classes": 3}, lambda n: [2] * n, [0, 3],
+                   ": label 3 outside vocabulary of 3", [True],
+                   " label: expected an integer, got True"),
+    *head_refusals("continuous", {"attr_dim": 2}, lambda n: np.full((n, 2), 0.5),
+                   [[0.5, np.nan]], ": features must be finite numbers",
+                   np.ones((1, 2), dtype=bool), ": features must be finite numbers")])
+def test_both_heads_refuse_a_bad_request_alike_before_any_draw(monkeypatch, head, conditions,
+                                                               message):
+    def no_draw(*args):
+        raise AssertionError("sample was called")
+
+    monkeypatch.setattr(diffusion, "sample", no_draw)
+    config = TrainConfig(denoiser=DenoiserConfig(d_model=8, num_layers=1, num_heads=2,
+                                                 **head))
+    with pytest.raises(DataError) as refused:
+        diffusion.sample_layouts(conditions, {}, config, seed=0)
+    assert str(refused.value) == message
 
 
 # -- training step ----------------------------------------------------------------

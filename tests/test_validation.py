@@ -12,11 +12,11 @@ from checkpoint_signing import resign
 from layoutdiffusion.checkpoint import load_checkpoint, save_checkpoint
 from layoutdiffusion.data import Dataset, SynthSpec, load_dataset, save_dataset
 from layoutdiffusion.denoiser import DenoiserConfig, init_denoiser_params
-from layoutdiffusion.diffusion import TrainConfig, build_schedule
+from layoutdiffusion.diffusion import TrainConfig, _checked_conditions, build_schedule
 from layoutdiffusion.exceptions import DataError
 from layoutdiffusion.optim import AdamState
 from layoutdiffusion.rng import RngStream
-from layoutdiffusion.validation import check_label_conditions, check_seed
+from layoutdiffusion.validation import check_seed
 
 INPUTS = {"True": True, "1.0": 1.0, "'3'": "3", "np.int64(3)": np.int64(3), "-1": -1,
           "2**63": 2**63, "2**64": 2**64}
@@ -147,8 +147,9 @@ ENTRIES = {
     **{f"DenoiserConfig {name}": config_size(denoiser_config, name, 1,
                                              f"{name}|sizes must be >= 1")
        for name in ("num_layers", "num_heads", "ffn_dim", "num_classes", "attr_dim")},
-    "check_label_conditions": Entry(lambda v, tmp: check_label_conditions([[v]], 4), 0, 4,
-                                    DataError, DataError, "condition 0"),
+    "_checked_conditions labels": Entry(
+        lambda v, tmp: _checked_conditions([[v]], DenoiserConfig(num_classes=4)), 0, 4,
+        DataError, DataError, "condition 0"),
     "SynthSpec num_layouts": Entry(lambda v, tmp: synth_spec("num_layouts", v), 1,
                                    float("inf"), DataError, DataError, "num_layouts"),
     "SynthSpec num_classes": Entry(lambda v, tmp: synth_spec("num_classes", v), 1,

@@ -17,8 +17,10 @@ unevenly) and a batch of two rows of 36 labels, the most that a layout holds, fo
 ``eval`` variants (one of them on layouts of up to 36 elements, whose label runs
 above six take Max IoU's Hungarian path), ``render``, the estimator's losses,
 ``score`` and raw and clamped layouts as JSON (fitted on a loaded dataset, and on its
-layouts as a plain list, whose head the estimator works out), and a resume with
-``--max-steps`` below the checkpoint's step (which trains nothing and saves once).
+layouts as a plain list, whose head the estimator works out), a resume with
+``--max-steps`` below the checkpoint's step (which trains nothing and saves once),
+``eval --frechet files`` on two feature files that a Python step writes, with its report
+on stdout (no ``-o``), and ``render`` of a continuous layout.
 Each step's exit code, stdout and stderr go into ``<step>.log``.  Every file
 name starts with the number of the step that writes it, so the sorted walk of
 the two directories follows the matrix.
@@ -85,6 +87,15 @@ run("01-grid.json", "19-estimator-layouts.json", as_list=True)
 run("03-features.json", "19-estimator-layouts-continuous.json", as_list=True)
 """
 
+# Two feature matrices for ``eval --frechet files``, of more rows than columns.
+FEATURE_FILES = """
+import json
+for name, shift in (("generated", 0.0), ("reference", 0.5)):
+    rows = [[i % 5 / 4 + shift, i * 3 % 4 / 3, i * i % 3 / 2] for i in range(8)]
+    with open(f"25-{name}-features.json", "w") as fh:
+        json.dump({"features": rows, "provenance": name}, fh)
+"""
+
 # (step, "cli" or "python", argv or code).  Paths are relative to the run directory.
 MATRIX = [
     ("01-synth-grid", "cli", ["synth", "--rule", "grid_by_label", "--layouts", "64",
@@ -145,38 +156,50 @@ MATRIX = [
     ("24-sample-limit", "cli", ["sample", "--checkpoint", "06-resumed.ckpt", "--labels",
                                 ",".join(str(k % 5) for k in range(36)), "--num-samples", "2",
                                 "--seed", "10", "-o", "24-limit.json"]),
+    ("25-feature-files", "python", FEATURE_FILES),
+    ("26-eval-files-stdout", "cli", ["eval", "--generated", "11-conditions.json", "--reference",
+                                     "01-grid.json", "--frechet", "files",
+                                     "--features-generated", "25-generated-features.json",
+                                     "--features-reference", "25-reference-features.json"]),
+    ("27-render-continuous", "cli", ["render", "--input", "03-features.json", "--index", "2",
+                                     "-o", "27-features.svg"]),
 ]
 
-# Runs in the checkout's interpreter: the steps in order up to the first that fails, each
-# one's log written next to its outputs, and one "<step> <exit code>" line per step on stdout.
-DRIVER = """
+# Runs in the checkout's interpreter.  ``run_steps`` runs the steps in order up to the first
+# that fails, each one's log written next to its outputs, and prints one "<step> <exit code>"
+# line per step on stdout.  It imports the package when it is called, so that a tracer set
+# before the call (tools/lines_reached.py) sees the import too.
+STEPS = """
 import contextlib, io, json, sys
-from layoutdiffusion.cli import main
 
-for step, kind, payload in json.load(sys.stdin):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(payload) if kind == "cli" else exec(payload, {}) or 0
-        except SystemExit as exc:
-            code = exc.code
-    with open(step + ".log", "w") as fh:
-        fh.write(f"exit {code}\\n--- stdout\\n{out.getvalue()}--- stderr\\n{err.getvalue()}")
-    print(step, code)
-    if code != 0:
-        break
+def run_steps(matrix):
+    from layoutdiffusion.cli import main
+    for step, kind, payload in matrix:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(payload) if kind == "cli" else exec(payload, {}) or 0
+            except SystemExit as exc:
+                code = exc.code
+        with open(step + ".log", "w") as fh:
+            fh.write(f"exit {code}\\n--- stdout\\n{out.getvalue()}--- stderr\\n{err.getvalue()}")
+        print(step, code)
+        if code != 0:
+            return
 """
+DRIVER = STEPS + "run_steps(json.load(sys.stdin))\n"
 
 
 class MatrixError(Exception):
     """A step of the matrix failed, so the comparison would check nothing."""
 
 
-def run_matrix(checkout, workdir):
-    """Run ``MATRIX`` with ``checkout``'s package in the empty directory ``workdir``."""
+def run_matrix(checkout, workdir, matrix=MATRIX, driver=DRIVER, argv=()):
+    """Run ``matrix`` with ``checkout``'s package in the empty directory ``workdir``: the
+    code ``driver`` reads it as JSON on stdin and takes ``argv`` as its arguments."""
     env = {**os.environ, "PYTHONPATH": os.path.join(os.path.abspath(checkout), "src")}
-    proc = subprocess.run([sys.executable, "-c", DRIVER], input=json.dumps(MATRIX), cwd=workdir,
-                          env=env, capture_output=True, text=True, timeout=600)
+    proc = subprocess.run([sys.executable, "-c", driver, *argv], input=json.dumps(matrix),
+                          cwd=workdir, env=env, capture_output=True, text=True, timeout=600)
     if proc.returncode != 0:
         raise MatrixError(f"the matrix stopped in {checkout}:\n{proc.stderr[-2000:]}")
     step, code = proc.stdout.splitlines()[-1].split()
