@@ -29,7 +29,7 @@ import os
 
 import numpy as np
 
-from .data import atomic_path
+from .data import atomic_write
 from .exceptions import DataError
 from .optim import AdamState
 from .validation import is_finite_number, is_integer
@@ -184,7 +184,7 @@ def save_checkpoint(path, params: dict, adam_state: AdamState,
     for buffer in buffers:
         digest.update(buffer)
     line = f'{head}, "sha256": "{digest.hexdigest()}"{tail}\n'
-    with atomic_path(path) as tmp_path, open(tmp_path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(line.encode("utf-8"))
         for buffer in buffers:
             fh.write(buffer)

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
-from .data import (Dataset, atomic_path, load_dataset, make_synthetic_dataset, save_dataset,
-                   SynthSpec)
+from .data import (Dataset, atomic_write, load_dataset, make_synthetic_dataset, output_directory,
+                   read_json_object, save_dataset, SynthSpec)
 from .denoiser import DenoiserConfig, param_shapes
 from .diffusion import (DiffusionConfig, TrainConfig, TrainResult, read_loss_log,
                         sample_layouts, train, write_loss_log)
@@ -138,15 +138,7 @@ def cmd_synth(args) -> int:
 
 
 def _merged_train_config(args, dataset: Dataset) -> TrainConfig:
-    file_cfg = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(file_cfg, dict):
-            raise DataError(f"config {args.config}: top level must be an object")
+    file_cfg = read_json_object(args.config, "config") if args.config else {}
     fields = {f.name for cls in (DenoiserConfig, DiffusionConfig, TrainConfig)
               for f in dataclasses.fields(cls)}
     flags = {name: value for name, value in vars(args).items()
@@ -240,10 +232,8 @@ def cmd_train(args) -> int:
         run = None
 
     config_echo = {"train": config.to_dict(), "dataset": dataset_echo, "version": __version__}
-    for out_path in (args.checkpoint, loss_log):
-        parent = os.path.dirname(os.path.abspath(out_path))
-        if not os.path.isdir(parent):
-            raise DataError(f"output directory does not exist: {parent}")
+    for out_path in (args.checkpoint, loss_log):  # before training, not at the first save
+        output_directory(out_path)
 
     # Save every checkpoint_every steps above the start and at the end, the log after.
     start = run.step if run else 0
@@ -295,27 +285,13 @@ def cmd_sample(args) -> int:
 
 
 def _load_feature_file(path) -> FeatureSet:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read feature file {path}: {exc}") from exc
-    if not isinstance(doc, dict) or "features" not in doc:
+    doc = read_json_object(path, "feature file")
+    if "features" not in doc:
         raise DataError(f"feature file {path} must contain a 'features' matrix")
     try:
-        features = np.asarray(doc["features"])
-    except ValueError as exc:
-        raise DataError(f"feature file {path}: 'features' is not a numeric matrix") from exc
-    try:
-        return FeatureSet(features=features, provenance=str(doc.get("provenance", path)))
+        return FeatureSet(features=doc["features"], provenance=str(doc.get("provenance", path)))
     except DataError as exc:
         raise DataError(f"feature file {path}: {exc}") from exc
-
-
-def _write_text(path, text: str):
-    """Write ``text`` to ``path``; a failed write leaves the previous file intact."""
-    with atomic_path(path) as tmp_path, open(tmp_path, "w") as fh:
-        fh.write(text)
 
 
 def cmd_eval(args) -> int:
@@ -355,7 +331,8 @@ def cmd_eval(args) -> int:
     }
     text = json.dumps(report, indent=1, sort_keys=True)
     if args.output:
-        _write_text(args.output, text + "\n")
+        with atomic_write(args.output) as fh:
+            fh.write(text + "\n")
         print(f"wrote metric report to {args.output}")
     else:
         print(text)
@@ -369,8 +346,9 @@ def cmd_render(args) -> int:
         if not 0 <= args.index < len(dataset):
             raise DataError(f"layout index {args.index} out of range "
                             f"[0, {len(dataset)})")
-        _write_text(args.output, render_svg(dataset.layouts[args.index],
-                                            canvas=dataset.canvas, label_names=names))
+        with atomic_write(args.output) as fh:
+            fh.write(render_svg(dataset.layouts[args.index], canvas=dataset.canvas,
+                                label_names=names))
         print(f"wrote {args.output}")
         return EXIT_OK
     # Each id names one file inside the output directory: refused are the ids that are
@@ -383,8 +361,8 @@ def cmd_render(args) -> int:
         taken.add(layout.id)
     os.makedirs(args.output, exist_ok=True)
     for layout in dataset.layouts:
-        _write_text(os.path.join(args.output, f"{layout.id}.svg"),
-                    render_svg(layout, canvas=dataset.canvas, label_names=names))
+        with atomic_write(os.path.join(args.output, f"{layout.id}.svg")) as fh:
+            fh.write(render_svg(layout, canvas=dataset.canvas, label_names=names))
     print(f"wrote {len(dataset)} SVG files to {args.output}")
     return EXIT_OK
 

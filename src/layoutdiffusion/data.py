@@ -19,8 +19,8 @@ import numpy as np
 
 from .exceptions import DataError
 from .rng import RngStream, to_integers, to_uniforms
-from .validation import (is_finite_array, is_finite_number, is_integer, is_integer_array,
-                         require_int)
+from .validation import (as_array, is_finite_array, is_finite_number, is_integer,
+                         is_integer_array, require_int)
 
 DEFAULT_N_MAX = 36
 
@@ -55,7 +55,7 @@ class Layout:
     id: str = ""
 
     def __post_init__(self):
-        geometry = np.asarray(self.geometry)
+        geometry = as_array(self.geometry)
         if geometry.ndim != 2 or geometry.shape[1] != 4 or not is_finite_array(geometry):
             raise DataError(f"layout {self.id!r}: geometry must be a finite [n, 4] array, "
                             f"got shape {geometry.shape}")
@@ -66,14 +66,14 @@ class Layout:
         if (self.labels is None) == (self.features is None):
             raise DataError(f"layout {self.id!r} needs exactly one of labels or features")
         if self.labels is not None:
-            labels = np.asarray(self.labels)
+            labels = as_array(self.labels)
             if (labels.shape != (n,) or not is_integer_array(labels)
                     or not ((labels >= 0) & (labels < 2**63)).all()):
                 raise DataError(f"layout {self.id!r}: labels must be {n} non-negative "
                                 f"integers, got {labels.tolist()!r}")
             object.__setattr__(self, "labels", _read_only(labels, np.int64))
         else:
-            features = np.asarray(self.features)
+            features = as_array(self.features)
             if features.ndim != 2 or len(features) != n or not is_finite_array(features):
                 raise DataError(f"layout {self.id!r}: features must be a finite [{n}, d] "
                                 f"array, got shape {features.shape}")
@@ -369,6 +369,19 @@ def _raise_first_fault(entries: list, where: str, attribute: str, size: int, can
                          "every per-layout check")
 
 
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in the file at ``path``.  A file that cannot be read or parsed, or
+    whose top level is not an object, raises a :class:`DataError` naming it as ``what``."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{what} {path}: top level must be an object")
+    return doc
+
+
 def load_dataset(path, strict_geometry: bool = True) -> Dataset:
     """Load and normalize a layout JSON file.
 
@@ -381,15 +394,8 @@ def load_dataset(path, strict_geometry: bool = True) -> Dataset:
     feature array.  A malformed file raises a :class:`DataError` naming the
     first bad layout and field in file order.
     """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read dataset {path}: {exc}") from exc
+    doc = read_json_object(path, "dataset")
     where = f"dataset {path}"
-    if not isinstance(doc, dict):
-        raise DataError(f"{where}: top level must be an object")
-
     mode = "continuous" if "feature_dim" in doc else "categorical"
     top_keys = _TOP_KEYS_CAT if mode == "categorical" else _TOP_KEYS_CONT
     vocab_key = "labels" if mode == "categorical" else "feature_dim"
@@ -422,25 +428,36 @@ def load_dataset(path, strict_geometry: bool = True) -> Dataset:
         raise DataError(f"{where}: {exc}") from None
 
 
+def output_directory(path) -> str:
+    """The absolute directory that a file written at ``path`` goes into; a
+    :class:`DataError` names it if it does not exist."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise DataError(f"output directory does not exist: {directory}")
+    return directory
+
+
 @contextlib.contextmanager
-def atomic_path(path):
-    """A new temporary path next to ``path`` to write instead.  When the block ends
-    without an exception, the file is flushed to disk and moved onto ``path``, and the
-    move is flushed too; otherwise it is removed.  So a failed write leaves the previous
-    file intact, and each writer, even of the same path, has a file of its own."""
-    directory, name = os.path.split(os.path.abspath(path))
-    tmp_path = os.path.join(directory, f"{name}.{os.urandom(8).hex()}.tmp")
-    # Mode 0o666 as open() uses, so the umask sets a new file's mode as it would there.
-    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+def atomic_write(path, mode: str = "w", newline=None):
+    """A new temporary file next to ``path``, opened in ``mode`` ("w" or "wb") with
+    ``newline``, to write ``path``'s content to.  When the block ends without an
+    exception, the file is flushed to disk and moved onto ``path``, and the move is
+    flushed too; otherwise it is removed.  So a failed write leaves the previous file
+    intact, and each writer, even of the same path, has a file of its own.  A missing
+    directory is refused, by :func:`output_directory`, before anything is opened."""
+    directory = output_directory(path)
+    tmp_path = f"{os.path.abspath(path)}.{os.urandom(8).hex()}.tmp"
+    # Mode "x" creates the file exclusively, with the mode that "w" gives a new file.
+    fh = open(tmp_path, mode.replace("w", "x"), newline=newline)
     try:
-        yield tmp_path
-        os.fsync(fd)
+        with fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp_path, path)
     except BaseException:
         os.remove(tmp_path)
         raise
-    finally:
-        os.close(fd)
     fd = os.open(directory, os.O_RDONLY)
     try:
         os.fsync(fd)
@@ -461,7 +478,7 @@ def save_dataset(dataset: Dataset, path, meta: Optional[dict] = None, include_cl
     Every element is one text template.  A finite float's ``%r`` is the text json
     writes for it, and the :class:`Dataset` constructor keeps every float written here
     finite.  The ids, the head and ``meta`` go through ``json.dumps``.  The text is
-    written layout by layout through :func:`atomic_path`.
+    written layout by layout through :func:`atomic_write`.
     """
     head = {"canvas": {"width": dataset.canvas[0], "height": dataset.canvas[1]}}
     if dataset.mode == "categorical":
@@ -489,7 +506,7 @@ def save_dataset(dataset: Dataset, path, meta: Optional[dict] = None, include_cl
                       + [f'     "{attribute}": {value}\n    }}'])
     entries = {}  # element count -> template of a layout entry, its id first
     stops, start = accumulate(len(layout) * rows.shape[1] for layout in layouts), 0
-    with atomic_path(path) as tmp_path, open(tmp_path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(json.dumps(head, indent=1)[:-2] + ',\n "layouts": [')  # the head, left open
         for i, (layout, stop) in enumerate(zip(layouts, stops)):
             n = len(layout)

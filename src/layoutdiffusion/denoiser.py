@@ -205,15 +205,24 @@ def denoise(geometry, t, attributes, mask, params: dict,
 
     ``geometry`` is [B, N, 4], ``t`` one integer step per batch row,
     ``attributes`` label ids [B, N] or features [B, N, attr_dim],
-    ``mask`` [B, N] booleans marking real elements; ``params`` maps each name
-    of :func:`param_shapes` to an array, or to a tape tensor to differentiate.
-    The network runs on the valid slots only, so its cost follows the element
-    count, not B * N.
+    ``mask`` [B, N] booleans marking real elements, at least one in each row;
+    ``params`` maps each name of :func:`param_shapes` to an array, or to a tape
+    tensor to differentiate.  Inputs that disagree on [B, N], or a mask row
+    without an element, raise :class:`DataError`.  The network runs on the
+    valid slots only, so its cost follows the element count, not B * N.
     """
     geometry = as_tensor(geometry)
-    b, n, _ = geometry.data.shape
+    mask = np.asarray(mask, dtype=bool)
+    if (mask.ndim != 2 or geometry.data.shape != (*mask.shape, 4)
+            or np.shape(attributes)[:2] != mask.shape):
+        raise DataError(f"geometry {geometry.data.shape}, attributes {np.shape(attributes)} "
+                        f"and mask {mask.shape} disagree on [batch, n]")
+    empty = np.flatnonzero(~mask.any(axis=1))
+    if len(empty):
+        raise DataError(f"batch row {empty[0]} has an all-false mask")
+    b, n = mask.shape
     t = np.broadcast_to(np.asarray(t), (b,))
-    index = np.flatnonzero(np.asarray(mask, dtype=bool))
+    index = np.flatnonzero(mask)
 
     h_geom = embed_geometry(take_rows(reshape(geometry, (b * n, 4)), index), params)
     h_attr = embed_attributes(attributes, index, params, config)

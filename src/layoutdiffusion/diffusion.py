@@ -19,14 +19,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .data import (DEFAULT_N_MAX, Batch, Dataset, atomic_path, batch_to_layouts, pad_batch,
+from .data import (DEFAULT_N_MAX, Batch, Dataset, atomic_write, batch_to_layouts, pad_batch,
                    pad_conditions)
 from .denoiser import DenoiserConfig, denoise, embed_attributes, init_denoiser_params
 from .exceptions import DataError, LayoutDiffusionError, NumericError
 from .optim import BETA1, BETA2, EPS, AdamState, adam_step
 from .rng import RngStream
 from .tensor import Tensor, as_tensor, collect_grads, mul, sub, tsum
-from .validation import SEED_END, check_field_types, check_seed, is_finite_array, require_int
+from .validation import (SEED_END, as_array, check_field_types, check_seed, is_finite_array,
+                         require_int)
 
 
 @dataclass(frozen=True)
@@ -239,15 +240,18 @@ def _shard_bounds(attributes, mask, params: dict, denoiser_config: DenoiserConfi
     one per row, each with about the same number of valid elements.
 
     One shard where forking is missing or unsafe (a threaded process can deadlock in
-    the child), for inputs the denoiser refuses, so that a serial chain raises the
-    error, and where a shard would change the denoiser's bytes (:func:`_same_bytes`).
-    Every shard keeps all ``N`` columns, so attention sees the same padded rows.
+    the child), and where a shard would change the denoiser's bytes
+    (:func:`_same_bytes`).  One shard also for inputs the denoiser refuses: attributes
+    that do not match the mask's ``[B, N]``, a mask row without an element, or
+    attributes its head refuses.  The serial chain then raises the error at its first
+    step, with the stream's counter of a one-process run.  Every shard keeps all ``N``
+    columns, so attention sees the same padded rows.
     """
     b = mask.shape[0]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     shards = min(cpus or 1, b)
     if (shards < 2 or not hasattr(os, "fork") or threading.active_count() > 1
-            or attributes.shape[:2] != mask.shape):
+            or attributes.shape[:2] != mask.shape or not mask.any(axis=1).all()):
         return [0, b]
     try:
         embed_attributes(attributes, np.empty(0, np.intp), params, denoiser_config)
@@ -361,18 +365,27 @@ def _shard_outcome(data: bytes, status: int, lo: int, hi: int) -> tuple:
 
 def _checked_conditions(conditions, denoiser: DenoiserConfig) -> list:
     """``conditions`` as int64 label-id or float64 feature arrays.  The first faulty one,
-    in order, or an empty request, raises a :class:`DataError` that names it."""
+    in order, or an empty request, or a value that is no sequence, raises a
+    :class:`DataError` that names it."""
+    try:
+        conditions = list(conditions)
+    except TypeError:
+        raise DataError(f"sampling conditions must be a sequence, got {conditions!r}") from None
     out = []
     for i, condition in enumerate(conditions):
         if denoiser.num_classes is not None:
-            labels = [require_int(label, f"condition {i} label") for label in condition]
+            try:
+                labels = [require_int(label, f"condition {i} label") for label in condition]
+            except TypeError:  # not iterable
+                raise DataError(f"condition {i}: expected a sequence of label ids, got "
+                                f"{condition!r}") from None
             for label in labels:
                 if not 0 <= label < denoiser.num_classes:
                     raise DataError(f"condition {i}: label {label} outside vocabulary "
                                     f"of {denoiser.num_classes}")
             condition = np.array(labels, dtype=np.int64)
         else:
-            condition = np.asarray(condition)
+            condition = as_array(condition)
             if condition.ndim != 2 or condition.shape[1] != denoiser.attr_dim:
                 raise DataError(f"condition {i}: expected [n, {denoiser.attr_dim}] features")
             if not is_finite_array(condition):
@@ -581,7 +594,7 @@ def read_loss_log(path) -> list:
 
 def write_loss_log(path, losses):
     """Write ``step,loss`` CSV rows from step 1; a failed write leaves the previous log intact."""
-    with atomic_path(path) as tmp_path, open(tmp_path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "loss"])
         for step, loss in enumerate(losses, start=1):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import Layout
 from .exceptions import DataError
-from .validation import is_finite_array
+from .validation import as_array, is_finite_array
 
 SIZE_CLAMP = 1e-6
 _LOG_CLAMP = 1.0 - 1e-9
@@ -404,13 +404,14 @@ def max_iou(generated: Sequence[Layout], reference: Sequence[Layout]) -> float:
 
 @dataclass(frozen=True)
 class FeatureSet:
-    """Per-layout feature matrix with a provenance tag for the extractor."""
+    """Per-layout feature matrix with a provenance tag for the extractor.  ``features``
+    may be any value from outside, such as a parsed JSON list of rows."""
 
     features: np.ndarray
     provenance: str = "unknown"
 
     def __post_init__(self):
-        feats = np.asarray(self.features)
+        feats = as_array(self.features)
         if feats.ndim != 2:
             raise DataError("features must be [num_layouts, feat_dim]")
         if not is_finite_array(feats):

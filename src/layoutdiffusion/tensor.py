@@ -413,8 +413,10 @@ def attention(q, k, v, mask, heads: int) -> Tensor:
     head-major [B, H, N, d / H] array; every query attends to the valid keys
     of its own row through ``masked_softmax``'s arithmetic, and the context
     comes back as [T, d].  Backward keeps only the three padded arrays and
-    the attention weights, and rebuilds the rest; every row of ``mask``
-    needs at least one valid slot.
+    the attention weights, and rebuilds the rest.  Every row of ``mask``
+    needs at least one valid slot: an empty row's softmax warns of an invalid
+    value and leaves that row's context all zero.  ``denoise`` refuses such a
+    mask before any op runs.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     mask = np.asarray(mask, dtype=bool)

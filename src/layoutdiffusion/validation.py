@@ -1,6 +1,6 @@
 """What counts as an integer or a finite number from outside the package, as a value and as
-an array, and the checks of configs and seeds built on it.  Each caller passes its own
-range and raises its own errors."""
+an array, how an outside value becomes an array, and the checks of configs and seeds built
+on it.  Each caller passes its own range and raises its own errors."""
 from __future__ import annotations
 
 import math
@@ -39,6 +39,20 @@ def is_finite_array(array: np.ndarray) -> bool:
     if array.dtype.kind == "O":
         return all(map(is_finite_number, array.flat))
     return array.dtype.kind in "iuf" and bool(np.isfinite(array).all())
+
+
+def as_array(value) -> np.ndarray:
+    """``value`` as numpy makes it an array.  A ragged nesting of sequences, which numpy
+    cannot shape, becomes a 1-d object array of its items, so that a caller's shape and
+    dtype checks refuse it with their own message."""
+    try:
+        return np.asarray(value)
+    except ValueError:
+        items = list(value)
+        array = np.empty(len(items), dtype=object)
+        for i, item in enumerate(items):
+            array[i] = item
+        return array
 
 
 def require_int(value, where: str) -> int:

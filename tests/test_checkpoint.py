@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from layoutdiffusion import checkpoint
+from layoutdiffusion import checkpoint, data
 from layoutdiffusion.checkpoint import load_checkpoint, save_checkpoint
 from layoutdiffusion.denoiser import DenoiserConfig, init_denoiser_params
 from layoutdiffusion.exceptions import DataError
@@ -81,8 +81,8 @@ def test_failed_save_leaves_previous_checkpoint(tmp_path, monkeypatch):
             return self.fh.write(data)
 
     real_open = open
-    monkeypatch.setattr(checkpoint, "open", lambda p, mode: FailingFile(real_open(p, mode)),
-                        raising=False)
+    monkeypatch.setattr(data, "open", lambda p, mode="r", newline=None:
+                        FailingFile(real_open(p, mode, newline=newline)), raising=False)
     _, other_params, other_adam = make_state(seed=1)
     with pytest.raises(OSError):
         save_checkpoint(path, other_params, other_adam, {"c": 2}, {}, step=2)

@@ -727,6 +727,27 @@ REFUSED_COMMANDS = [
     ("train into a missing directory",
      ["train", "--dataset", "{categorical}", "--checkpoint", "{missing}/model.ckpt"],
      "output directory does not exist"),
+    ("train with a --config that is not an object",
+     ["train", "--dataset", "{categorical}", "--checkpoint", "{out}", "--config", "{list}"],
+     "list.json: top level must be an object"),
+    ("synth into a missing directory",
+     ["synth", "--classes", "2", "--seed", "1", "-o", "{missing}/x.json"],
+     "output directory does not exist: {missing}"),
+    ("sample into a missing directory",
+     ["sample", "--checkpoint", "{categorical_ckpt}", "--labels", "0,1", "--seed", "1",
+      "-o", "{missing}/x.json"], "output directory does not exist: {missing}"),
+    ("eval into a missing directory",
+     ["eval", "--generated", "{categorical}", "--reference", "{categorical}",
+      "-o", "{missing}/x.json"], "output directory does not exist: {missing}"),
+    ("render into a missing directory",
+     ["render", "--input", "{categorical}", "--index", "0", "-o", "{missing}/x.svg"],
+     "output directory does not exist: {missing}"),
+    ("eval of a dataset that is not an object",
+     ["eval", "--generated", "{list}", "--reference", "{categorical}"],
+     "dataset {list}: top level must be an object"),
+    ("eval of a dataset that is not UTF-8",
+     ["eval", "--generated", "{latin1}", "--reference", "{categorical}"],
+     "cannot read dataset {latin1}"),
     ("eval of two attribute modes",
      ["eval", "--generated", "{categorical}", "--reference", "{continuous}"],
      "attribute modes differ"),
@@ -745,6 +766,15 @@ REFUSED_COMMANDS = [
      ["eval", "--generated", "{categorical}", "--reference", "{categorical}",
       "--frechet", "files", "--features-generated", "{categorical}",
       "--features-reference", "{categorical}"], "must contain a 'features' matrix"),
+    ("eval with a feature file that is not an object",
+     ["eval", "--generated", "{categorical}", "--reference", "{categorical}",
+      "--frechet", "files", "--features-generated", "{list}",
+      "--features-reference", "{list}"], "feature file {list}: top level must be an object"),
+    ("eval with a ragged feature matrix",
+     ["eval", "--generated", "{categorical}", "--reference", "{categorical}",
+      "--frechet", "files", "--features-generated", "{ragged_features}",
+      "--features-reference", "{ragged_features}"],
+     "ragged_features.json: features must be [num_layouts, feat_dim]"),
     ("eval with a feature file of numeric strings",
      ["eval", "--generated", "{categorical}", "--reference", "{categorical}",
       "--frechet", "files", "--features-generated", "{string_features}",
@@ -774,6 +804,12 @@ def test_a_refused_command_exits_3_naming_the_problem_without_output(tmp_path, c
     for name, value in (("string_features", "1"), ("bool_features", True)):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps({"features": [[value, value]] * 4}))
+    paths["ragged_features"] = tmp_path / "ragged_features.json"
+    paths["ragged_features"].write_text(json.dumps({"features": [[1, 2], [3]] * 4}))
+    paths["list"] = tmp_path / "list.json"
+    paths["list"].write_text("[]")
+    paths["latin1"] = tmp_path / "latin1.json"
+    paths["latin1"].write_bytes('{"labels": ["é"]}'.encode("latin-1"))
     paths["empty"] = tmp_path / "empty.json"
     paths["empty"].write_text(json.dumps({**json.loads(paths["categorical"].read_text()),
                                           "layouts": []}))
@@ -783,9 +819,10 @@ def test_a_refused_command_exits_3_naming_the_problem_without_output(tmp_path, c
     outputs = {"sample": ["--seed", "1", "-o", "{out}"], "eval": ["-o", "{out}"], "train": [],
                "synth": ["-o", "{out}"]}
     before = sorted(tmp_path.rglob("*"))
-    argv = [arg.format(**paths) for arg in argv + outputs[argv[0]]]
+    # A row that names its own output takes no other.
+    argv = [arg.format(**paths) for arg in argv + ([] if "-o" in argv else outputs[argv[0]])]
     assert run(argv) == 3
-    assert message in capsys.readouterr().err
+    assert message.format(**paths) in capsys.readouterr().err
     assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -1026,10 +1063,9 @@ def test_a_failed_report_or_svg_write_leaves_the_previous_file(tmp_path, monkeyp
     assert run(argv) == 0
     before = out.read_bytes()
     real_open = open
-    monkeypatch.setattr(cli, "open", lambda path, mode="r": (HalfWrite(real_open(path, mode))
-                                                             if "w" in mode
-                                                             else real_open(path, mode)),
-                        raising=False)
+    monkeypatch.setattr(layoutdiffusion.data, "open", lambda path, mode="r", newline=None: (
+        HalfWrite(real_open(path, mode, newline=newline)) if "x" in mode
+        else real_open(path, mode, newline=newline)), raising=False)
     assert run(argv) == 3
     monkeypatch.undo()
     assert out.read_bytes() == before

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layoutdiffusion.data import (DEFAULT_N_MAX, Dataset, Layout, SynthSpec, atomic_path,
+from layoutdiffusion.data import (DEFAULT_N_MAX, Dataset, Layout, SynthSpec, atomic_write,
                                   batch_to_layouts, grid_rule_box, load_dataset,
                                   make_synthetic_dataset, pad_batch, pad_conditions,
                                   save_dataset, to_corner_form)
@@ -161,6 +161,11 @@ MALFORMED_ARRAYS = {
     "features strings": dict(geometry=np.zeros((1, 4)), features=[["1", "2"]]),
     "features bools": dict(geometry=np.zeros((1, 4)), features=[[True, False]]),
     "features integer beyond float64": dict(geometry=np.zeros((1, 4)), features=[[10**400]]),
+    "geometry ragged": dict(geometry=[[0, 0, 0, 0], [0, 0]], labels=[0, 1]),
+    "labels ragged": dict(geometry=np.zeros((2, 4)), labels=[[0], [1, 2]]),
+    "features ragged": dict(geometry=np.zeros((2, 4)), features=[[0.5, 0.5], [0.5]]),
+    "features ragged arrays": dict(geometry=np.zeros((2, 4)),
+                                   features=[np.ones((2, 2)), np.ones((2, 3))]),
 }
 
 
@@ -831,14 +836,12 @@ def test_a_save_leaves_a_foreign_tmp_file_alone(tmp_path):
 
 def test_two_interleaved_writers_of_one_path_leave_one_whole_file(tmp_path):
     path = tmp_path / "out.csv"
-    with atomic_path(path) as first:
-        with open(first, "w") as fh:
-            fh.write("AAA")
-        with atomic_path(path) as second, open(second, "w") as fh:
-            fh.write("BBBBBBBBBBBBB")
+    with atomic_write(path) as first:
+        first.write("AAA")
+        with atomic_write(path) as second:
+            second.write("BBBBBBBBBBBBB")
         assert path.read_text() == "BBBBBBBBBBBBB"
-        with open(first, "a") as fh:
-            fh.write("AAA")
+        first.write("AAA")
     assert path.read_text() == "AAAAAA"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 

@@ -319,6 +319,30 @@ def test_denoise_ragged_batch_matches_each_layout_alone(mode):
             np.testing.assert_allclose(out[row, keep], packed[0], rtol=0, atol=1e-12)
 
 
+BATCH_FAULTS = {
+    "attributes wider than the mask": (lambda g, a, m: (g, np.concatenate([a, a[:, :2]], 1), m),
+                                       r"disagree on \[batch, n\]"),
+    "geometry wider than the mask": (lambda g, a, m: (np.concatenate([g, g[:, :1]], 1), a, m),
+                                     r"disagree on \[batch, n\]"),
+    "fewer attribute rows": (lambda g, a, m: (g, a[:2], m), r"disagree on \[batch, n\]"),
+    "a 1-d mask": (lambda g, a, m: (g, a, m[0]), r"disagree on \[batch, n\]"),
+    "an empty mask row": (lambda g, a, m: (g, a, m * np.array([[1], [0], [1]], bool)),
+                          "batch row 1 has an all-false mask"),
+}
+
+
+@pytest.mark.parametrize("mode", ["categorical", "continuous"])
+@pytest.mark.parametrize("fault", list(BATCH_FAULTS))
+def test_denoise_refuses_inputs_that_disagree_on_the_batch(mode, fault):
+    config = tiny_config(**MODES[mode])
+    params = init_denoiser_params(config, RngStream(9))
+    geometry, t, attributes, mask = ragged_inputs(config)
+    make, message = BATCH_FAULTS[fault]
+    geometry, attributes, mask = make(geometry, attributes, mask)
+    with pytest.raises(DataError, match=message):
+        denoise(geometry, t, attributes, mask, params, config)
+
+
 @pytest.mark.parametrize("mode", list(MODES))
 def test_masked_slots_leave_the_output_bit_identical(mode):
     config = tiny_config(**MODES[mode])

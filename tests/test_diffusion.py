@@ -354,16 +354,22 @@ def test_sample_stops_at_the_first_non_finite_step(monkeypatch):
     assert steps == [20]
 
 
-def head_refusals(name, head, valid, bad, bad_message, boolean, boolean_message):
-    """The six malformed requests that the head ``name`` refuses, with their exact
+def head_refusals(name, head, valid, bad, bad_message, boolean, boolean_message,
+                  number_message, ragged, ragged_message):
+    """The malformed requests that the head ``name`` refuses, with their exact
     messages; ``valid(n)`` is a good condition of ``n`` elements."""
     limit = "condition 0 has 37 elements, limit is 36"
+    not_sequence = "sampling conditions must be a sequence, got "
     cases = {"empty request": ([], "no sampling conditions given"),
              "empty condition": ([valid(0)], "condition 0 has no elements"),
              "37 elements": ([valid(37)], limit),
              "bad value": ([valid(1), bad], f"condition 1{bad_message}"),
              "bool": ([boolean], f"condition 0{boolean_message}"),
-             "37 elements, then a bad value": ([valid(37), bad], limit)}
+             "37 elements, then a bad value": ([valid(37), bad], limit),
+             "a number for the request": (5, not_sequence + "5"),
+             "None for the request": (None, not_sequence + "None"),
+             "a number for a condition": ([3], f"condition 0{number_message}"),
+             "ragged condition": ([valid(1), ragged], f"condition 1{ragged_message}")}
     return [pytest.param(head, conditions, message, id=f"{name}-{case}")
             for case, (conditions, message) in cases.items()]
 
@@ -371,10 +377,14 @@ def head_refusals(name, head, valid, bad, bad_message, boolean, boolean_message)
 @pytest.mark.parametrize("head, conditions, message", [
     *head_refusals("categorical", {"num_classes": 3}, lambda n: [2] * n, [0, 3],
                    ": label 3 outside vocabulary of 3", [True],
-                   " label: expected an integer, got True"),
+                   " label: expected an integer, got True",
+                   ": expected a sequence of label ids, got 3", [[0], [1, 2]],
+                   " label: expected an integer, got [0]"),
     *head_refusals("continuous", {"attr_dim": 2}, lambda n: np.full((n, 2), 0.5),
                    [[0.5, np.nan]], ": features must be finite numbers",
-                   np.ones((1, 2), dtype=bool), ": features must be finite numbers")])
+                   np.ones((1, 2), dtype=bool), ": features must be finite numbers",
+                   ": expected [n, 2] features", [[0.5, 0.5], [0.5]],
+                   ": expected [n, 2] features")])
 def test_both_heads_refuse_a_bad_request_alike_before_any_draw(monkeypatch, head, conditions,
                                                                message):
     def no_draw(*args):

@@ -649,6 +649,8 @@ def test_frechet_validates_inputs():
         FeatureSet(features=np.ones((3, 5)))  # too few rows
     with pytest.raises(DataError):
         FeatureSet(features=np.array([[np.inf, 0.0]] * 4))
+    with pytest.raises(DataError, match=r"features must be \[num_layouts, feat_dim\]"):
+        FeatureSet(features=[[1, 2], [3]])  # ragged
     a = FeatureSet(features=np.random.default_rng(0).normal(size=(10, 2)))
     b = FeatureSet(features=np.random.default_rng(0).normal(size=(10, 3)))
     with pytest.raises(DataError):

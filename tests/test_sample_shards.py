@@ -172,7 +172,7 @@ def test_a_non_finite_feature_raises_the_serial_message(monkeypatch, nan_rows):
 @pytest.mark.parametrize("labels,columns", [({0: 5, 3: -1}, 3), ({3: 7}, 3), ({}, 4)])
 def test_inputs_the_denoiser_refuses_give_the_serial_outcome(monkeypatch, labels, columns):
     # Label ids out of range in two shards, where each shard alone would name its own id,
-    # and attributes padded wider than the mask, which a serial chain reads as flat rows.
+    # and attributes padded wider than the mask, which disagree with it on [B, N].
     config, params = net()
     attributes, mask = batch([2, 3, 2, 3])
     attributes = np.pad(attributes, ((0, 0), (0, columns - 3)))
@@ -180,11 +180,21 @@ def test_inputs_the_denoiser_refuses_give_the_serial_outcome(monkeypatch, labels
         attributes[row, 0] = label
     set_cpus(monkeypatch, 2)
     (got, got_counter), (want, want_counter) = both(attributes, mask, params, config)
-    assert isinstance(want, str) == bool(labels)
-    if labels:
-        assert (got, got_counter) == (want, want_counter)
-    else:
-        assert got.geometry_raw.tobytes() == want.geometry_raw.tobytes()
+    assert want.startswith("DataError: ")
+    assert (got, got_counter) == (want, want_counter)
+
+
+@pytest.mark.parametrize("empty_rows", [[0], [3], [1, 2]])
+def test_a_mask_row_without_an_element_is_refused_in_one_process(monkeypatch, empty_rows):
+    config, params = net()
+    attributes, mask = batch([2, 3, 2, 3])
+    mask[empty_rows] = False
+    set_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    (got, got_counter), (want, want_counter) = both(attributes, mask, params, config)
+    assert forks == []
+    assert want == f"DataError: batch row {empty_rows[0]} has an all-false mask"
+    assert (got, got_counter) == (want, want_counter)
 
 
 def test_the_earliest_failing_step_of_any_shard_is_reported(monkeypatch):

@@ -20,7 +20,9 @@ above six take Max IoU's Hungarian path), ``render``, the estimator's losses,
 layouts as a plain list, whose head the estimator works out), a resume with
 ``--max-steps`` below the checkpoint's step (which trains nothing and saves once),
 ``eval --frechet files`` on two feature files that a Python step writes, with its report
-on stdout (no ``-o``), and ``render`` of a continuous layout.
+on stdout (no ``-o``), ``render`` of a continuous layout, and ``train --config`` on a
+partial config file that a Python step writes (some denoiser, diffusion and top-level
+fields), with ``--max-steps`` overriding the file's value.
 Each step's exit code, stdout and stderr go into ``<step>.log``.  Every file
 name starts with the number of the step that writes it, so the sorted walk of
 the two directories follows the matrix.
@@ -96,6 +98,16 @@ for name, shift in (("generated", 0.0), ("reference", 0.5)):
         json.dump({"features": rows, "provenance": name}, fh)
 """
 
+# A partial training config: fields set nowhere keep their defaults, and flags override it.
+CONFIG = """
+import json
+config = {"denoiser": {"d_model": 16, "num_layers": 1, "num_heads": 2, "ffn_dim": 32},
+          "diffusion": {"timesteps": 20, "beta_end": 0.05},
+          "learning_rate": 1e-3, "batch_size": 8, "max_steps": 10, "train_seed": 4}
+with open("28-config.json", "w") as fh:
+    json.dump(config, fh)
+"""
+
 # (step, "cli" or "python", argv or code).  Paths are relative to the run directory.
 MATRIX = [
     ("01-synth-grid", "cli", ["synth", "--rule", "grid_by_label", "--layouts", "64",
@@ -163,6 +175,10 @@ MATRIX = [
                                      "--features-reference", "25-reference-features.json"]),
     ("27-render-continuous", "cli", ["render", "--input", "03-features.json", "--index", "2",
                                      "-o", "27-features.svg"]),
+    ("28-config", "python", CONFIG),
+    ("29-train-config", "cli", ["train", "--dataset", "01-grid.json", "--config",
+                                "28-config.json", "--checkpoint", "29-config.ckpt",
+                                "--max-steps", "6"]),
 ]
 
 # Runs in the checkout's interpreter.  ``run_steps`` runs the steps in order up to the first
